@@ -49,9 +49,15 @@ void bind_clock(const void* owner, std::function<double()> now,
 void unbind_clock(const void* owner);
 
 /// The current span id on this thread (0 = none). Each simulated process is
-/// a real thread, and exactly one runs at a time with happens-before
-/// through the scheduler baton — thread_local context is race-free.
+/// a real thread, and exactly one thread holds the simulator's baton at a
+/// time, handed on through semaphores that order it — thread_local context
+/// is race-free.
 SpanId current_span() noexcept;
+
+/// Make `id` this thread's current span; returns the previous one. The
+/// simulator runs event callbacks on whichever thread holds the baton, and
+/// swaps in the run() caller's span around them.
+SpanId exchange_current(SpanId id) noexcept;
 
 class Span {
  public:

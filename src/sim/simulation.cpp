@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace jungle::sim {
 
@@ -32,12 +33,20 @@ void Simulation::shutdown() {
     throw Error("Simulation::shutdown() called from inside a process");
   }
   std::unique_lock lock(mutex_);
+  if (driving_) {
+    throw Error("Simulation::shutdown() called from inside a callback");
+  }
   // Index loop: a dying process's destructors may spawn further entries.
+  // With no run() driving, a killed process dispatches nothing: it unwinds
+  // and hands the baton straight back here.
   for (std::size_t i = 0; i < processes_.size(); ++i) {
     Pcb& pcb = *processes_[i];
     if (pcb.state == PState::finished) continue;
     pcb.kill = true;
-    grant_and_wait(lock, pcb);
+    lock.unlock();
+    grant(&pcb);
+    driver_.acquire();
+    lock.lock();
   }
 }
 
@@ -124,13 +133,6 @@ void Simulation::schedule_wake(double time, ProcessId pid) {
       Event{std::max(time, now_), next_seq_++, {}, pid, pcb.wake_gen, true});
 }
 
-void Simulation::schedule_wake_gen(double time, ProcessId pid,
-                                   std::uint64_t gen) {
-  std::unique_lock lock(mutex_);
-  if (shutting_down_) return;
-  events_.push(Event{std::max(time, now_), next_seq_++, {}, pid, gen, true});
-}
-
 void Simulation::run() { run_until(std::numeric_limits<double>::infinity()); }
 
 void Simulation::run_until(double until) {
@@ -138,81 +140,108 @@ void Simulation::run_until(double until) {
     throw Error("Simulation::run() called from inside a process");
   }
   std::unique_lock lock(mutex_);
-  while (!events_.empty()) {
-    Event ev = events_.top();
-    if (ev.time > until) {
-      now_ = until;
-      return;
-    }
+  if (driving_) {
+    throw Error("Simulation::run() called from inside a callback");
+  }
+  driving_ = true;
+  until_ = std::max(until, now_);
+  driver_span_ = obs::trace::current_span();
+  if (Pcb* next = next_holder(lock)) {
+    lock.unlock();
+    grant(next);
+    driver_.acquire();  // the run is over: drained, at `until_`, or failed
+    lock.lock();
+  }
+  driving_ = false;
+  if (std::exception_ptr error = std::exchange(error_, nullptr)) {
+    lock.unlock();
+    std::rethrow_exception(error);
+  }
+}
+
+Simulation::Pcb* Simulation::next_holder(std::unique_lock<std::mutex>& lock) {
+  if (!driving_) return nullptr;
+  while (!error_ && !events_.empty() && events_.top().time <= until_) {
+    // Moving the callback out leaves time and seq, all pop() compares.
+    Event ev = std::move(const_cast<Event&>(events_.top()));
     events_.pop();
     now_ = ev.time;
-    if (ev.is_wake) {
-      Pcb& pcb = *processes_.at(ev.pid);
-      if (pcb.state == PState::finished || ev.wake_gen != pcb.wake_gen) {
-        continue;  // stale wake (process already resumed via another event)
-      }
-      grant_and_wait(lock, pcb);
-      if (pcb.state == PState::finished && pcb.error) {
-        std::exception_ptr error = pcb.error;
-        pcb.error = nullptr;
-        lock.unlock();
-        std::rethrow_exception(error);
-      }
-    } else {
+    if (!ev.is_wake) {
       lock.unlock();
-      ev.callback();
+      std::exception_ptr error = run_callback(ev.callback);
       lock.lock();
+      error_ = error;
+      continue;
+    }
+    Pcb* pcb = processes_[ev.pid].get();
+    // Otherwise stale: the process already resumed via another event.
+    if (pcb->state != PState::finished && ev.wake_gen == pcb->wake_gen) {
+      return pcb;
     }
   }
-  if (until != std::numeric_limits<double>::infinity()) now_ = until;
+  if (!error_ && until_ != std::numeric_limits<double>::infinity()) {
+    now_ = until_;
+  }
+  return nullptr;
 }
 
-void Simulation::grant_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb) {
-  // Precondition: mutex_ held by `lock`. Hands the baton to `pcb`'s thread
-  // and blocks this (scheduler) thread until the process yields or finishes.
-  process_active_ = true;
-  pcb.baton = true;
-  pcb.cv.notify_one();
-  scheduler_cv_.wait(lock, [this] { return !process_active_; });
+std::exception_ptr Simulation::run_callback(
+    const std::function<void()>& callback) {
+  // The dispatching thread may be a blocked process; the callback must not
+  // see it. Out of process context, kill() of that process is no self-kill,
+  // blocking primitives throw, and spans and log records parent under the
+  // run() caller's span, exactly as when the caller dispatches.
+  const bool in_process = std::exchange(t_in_process, false);
+  const obs::trace::SpanId span = obs::trace::exchange_current(driver_span_);
+  std::exception_ptr error;
+  try {
+    callback();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  obs::trace::exchange_current(span);
+  t_in_process = in_process;
+  return error;
 }
 
-void Simulation::yield_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb) {
-  // Precondition: mutex_ held by `lock`, calling thread is pcb's thread and
-  // currently holds the baton. Gives the baton back, waits to get it again.
-  process_active_ = false;
-  scheduler_cv_.notify_one();
-  pcb.cv.wait(lock, [&pcb] { return pcb.baton; });
-  pcb.baton = false;
-  ++pcb.wake_gen;  // invalidate any other pending wake events
-  if (pcb.kill) throw ProcessKilled{};
+void Simulation::grant(Pcb* next) {
+  (next != nullptr ? next->resume : driver_).release();
 }
 
-void Simulation::block_current() {
+void Simulation::block_current(std::optional<double> wake_at) {
   assert(t_in_process && t_sim == this);
   std::unique_lock lock(mutex_);
   Pcb& pcb = *processes_.at(t_pid);
   if (pcb.kill) return;  // unwinding after a kill: do not block again
+  if (wake_at) {
+    events_.push(Event{std::max(*wake_at, now_), next_seq_++, {}, t_pid,
+                       pcb.wake_gen, true});
+  }
   pcb.state = PState::blocked;
-  yield_and_wait(lock, pcb);
+  // When our own wake is the next live event, keep running: no handoff.
+  if (Pcb* next = next_holder(lock); next != &pcb) {
+    lock.unlock();
+    grant(next);
+    pcb.resume.acquire();
+    lock.lock();
+  }
+  ++pcb.wake_gen;  // invalidate any other pending wake events
   pcb.state = PState::runnable;
+  if (pcb.kill) throw ProcessKilled{};
 }
 
 void Simulation::sleep(double seconds) {
   if (!t_in_process || t_sim != this) {
     throw Error("sleep() outside a simulated process");
   }
-  if (pcb_of(t_pid)->kill) return;
-  schedule_wake(now_ + seconds, t_pid);
-  block_current();
+  block_current(now_ + seconds);
 }
 
 void Simulation::yield_now() {
   if (!t_in_process || t_sim != this) {
     throw Error("yield_now() outside a simulated process");
   }
-  if (pcb_of(t_pid)->kill) return;
-  schedule_wake(now_, t_pid);
-  block_current();
+  block_current(now_);
 }
 
 void Simulation::kill(ProcessId pid) {
@@ -296,24 +325,21 @@ void Simulation::trampoline(ProcessId pid) {
   t_sim = this;
   t_pid = pid;
   t_in_process = true;
-  Pcb* pcb_ptr = nullptr;
+  Pcb& pcb = *pcb_of(pid);
+  pcb.resume.acquire();
   {
     std::unique_lock lock(mutex_);
-    pcb_ptr = processes_.at(pid).get();
-    Pcb& waiting = *pcb_ptr;
-    waiting.cv.wait(lock, [&waiting] { return waiting.baton; });
-    waiting.baton = false;
-    ++waiting.wake_gen;
-    waiting.state = PState::runnable;
+    ++pcb.wake_gen;
+    pcb.state = PState::runnable;
   }
-  Pcb& pcb = *pcb_ptr;
+  std::exception_ptr error;
   if (!pcb.kill) {
     try {
       pcb.body();
     } catch (const ProcessKilled&) {
       // normal teardown path
     } catch (...) {
-      pcb.error = std::current_exception();
+      error = std::current_exception();
     }
   }
   std::unique_lock lock(mutex_);
@@ -327,8 +353,12 @@ void Simulation::trampoline(ProcessId pid) {
     }
   }
   pcb.exit_watchers.clear();
-  process_active_ = false;
-  scheduler_cv_.notify_one();
+  // A failure ends the run for run_until() to rethrow; one raised while
+  // shutdown() unwinds the process has nobody to report to.
+  if (driving_) error_ = error;
+  Pcb* next = next_holder(lock);
+  lock.unlock();
+  grant(next);  // the last touch of `this`: the owner may now destroy it
 }
 
 void Signal::wait() {
@@ -351,8 +381,7 @@ bool Signal::wait_for(double timeout_s) {
   ProcessId self = sim_->current_pid();
   if (sim_->pcb_of(self)->kill) return false;
   waiters_.push_back(self);
-  sim_->schedule_wake(sim_->now() + timeout_s, self);
-  sim_->block_current();
+  sim_->block_current(sim_->now() + timeout_s);
   // notify_* removes us from waiters_ before waking us; if we are still
   // registered, the timeout fired first.
   auto it = std::find(waiters_.begin(), waiters_.end(), self);

@@ -1,15 +1,18 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace jungle::sim {
@@ -51,11 +54,14 @@ class Signal {
 
 /// Deterministic discrete-event simulator with cooperative processes.
 ///
-/// Exactly one simulated process (or event callback) executes at any moment;
-/// the scheduler hands a "baton" to the process owning the earliest event.
-/// Events at equal times fire in scheduling order, so runs are replayable.
-/// Processes are real threads, which lets protocol code (RPC, MPI, sockets)
-/// be written as straight-line blocking code (CP.4: think in tasks).
+/// Exactly one thread holds the "baton" at any moment: the run() caller or
+/// one simulated process. Whoever gives it up — a process that blocks or
+/// finishes, or run() starting — pops the event queue itself, runs due
+/// callbacks inline and hands the baton straight to the process owning the
+/// next live wake (itself included, with no thread switch). Events at equal
+/// times fire in scheduling order, so runs are replayable. Processes are
+/// real threads, which lets protocol code (RPC, MPI, sockets) be written as
+/// straight-line blocking code (CP.4: think in tasks).
 class Simulation {
  public:
   Simulation();
@@ -73,12 +79,16 @@ class Simulation {
                      std::function<void()> body);
 
   /// Schedule a non-blocking callback (timers, message delivery). Callbacks
-  /// run on the scheduler thread and must not call blocking primitives.
+  /// run on whichever thread holds the baton, but always in the run()
+  /// caller's context: in_process() is false, current_name() is empty and
+  /// the trace span is the caller's. They must not call blocking primitives.
   void at(double time, std::function<void()> callback);
   void after(double delay, std::function<void()> callback);
 
-  /// Drive the simulation until no events remain (or `until` is reached).
-  /// Rethrows the first uncaught exception from any process.
+  /// Drive the simulation until no events remain (or `until` is reached;
+  /// an `until` in the past leaves the clock alone). Rethrows the first
+  /// uncaught exception from a process or callback. Throws when called from
+  /// a process or a callback.
   void run();
   void run_until(double until);
 
@@ -123,6 +133,7 @@ class Simulation {
   /// Simulation must call this before destroying objects that process
   /// unwind paths may still touch (sockets, networks, daemons): the
   /// destructor also unwinds, but by then sibling members are gone.
+  /// Throws when called from a process or a callback.
   void shutdown();
 
   /// True while called from inside a simulated process.
@@ -148,13 +159,11 @@ class Simulation {
   struct Pcb {
     std::string name;
     std::thread thread;
-    std::condition_variable cv;
-    bool baton = false;        // scheduler granted execution
+    std::binary_semaphore resume{0};  // released to hand it the baton
     bool kill = false;         // raise ProcessKilled at next wait
     std::uint64_t wake_gen = 0;  // invalidates stale wake events
     PState state = PState::created;
     std::function<void()> body;
-    std::exception_ptr error;
     std::vector<std::function<void()>> exit_watchers;
   };
 
@@ -180,26 +189,38 @@ class Simulation {
   // Pcb pointer under the mutex rather than index the vector unlocked.
   Pcb* pcb_of(ProcessId pid) const;
 
-  // Process-side: give the baton back and wait until granted again.
-  // Precondition: lock held. Throws ProcessKilled if killed meanwhile.
-  void yield_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb);
-
-  // Schedule a wake event for `pid` at `time`; bumps the wake generation so
-  // earlier pending wakes become stale.
+  // Schedule a wake event for `pid` at `time`, tagged with its current wake
+  // generation. The generation is bumped when the process resumes, so every
+  // other wake still pending for the same block turns stale.
   void schedule_wake(double time, ProcessId pid);
-  // Schedule a wake without bumping generation (notify & timeout pair).
-  void schedule_wake_gen(double time, ProcessId pid, std::uint64_t gen);
 
-  // Block the current process until its wake generation fires.
-  void block_current();
+  // Block the current process until a wake of its generation fires,
+  // scheduling one at `wake_at` first if given. Returns at once (scheduling
+  // nothing) when the process is being killed; throws ProcessKilled when a
+  // kill arrives while blocked.
+  void block_current(std::optional<double> wake_at = std::nullopt);
 
-  void grant_and_wait(std::unique_lock<std::mutex>& lock, Pcb& pcb);
+  // Called by the baton holder with mutex_ held: pops events in (time, seq)
+  // order, running due callbacks inline, until it finds a live wake.
+  // Returns that process, or nullptr when the baton goes back to the run()
+  // caller: queue drained, `until` reached, a failure to rethrow, or no
+  // run() driving (shutdown).
+  Pcb* next_holder(std::unique_lock<std::mutex>& lock);
+  // Run an event callback in the run() caller's context; returns what it
+  // threw, for run_until() to rethrow.
+  std::exception_ptr run_callback(const std::function<void()>& callback);
+  // Give the baton to `next` (nullptr: the run() caller).
+  void grant(Pcb* next);
+
   void trampoline(ProcessId pid);
   void notify_kill_observers(ProcessId pid);
 
   mutable std::mutex mutex_;
-  std::condition_variable scheduler_cv_;
-  bool process_active_ = false;  // a process currently holds the baton
+  std::binary_semaphore driver_{0};  // released to hand the baton back
+  bool driving_ = false;             // inside run_until()
+  double until_ = 0.0;               // horizon of the current run_until()
+  obs::trace::SpanId driver_span_ = 0;  // run()'s caller's span, for callbacks
+  std::exception_ptr error_;         // first failure of the current run
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/network.hpp"
 #include "sim/simulation.hpp"
@@ -56,6 +59,17 @@ TEST(Simulation, RunUntilStopsEarly) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulation, RunUntilInThePastKeepsTheClock) {
+  Simulation sim;
+  sim.run_until(1.0);
+  sim.run_until(0.5);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  sim.at(2.0, [] {});
+  sim.run_until(1.5);
+  sim.run_until(0.5);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.5);
+}
+
 TEST(Simulation, NestedSpawnFromProcess) {
   Simulation sim;
   std::vector<std::string> log;
@@ -92,6 +106,150 @@ TEST(Simulation, DeterministicInterleaving) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Simulation, EventOrderMatchesRecordedTrace) {
+  // A fixed trace, not run-against-run: mixed sleeps, equal-time callbacks,
+  // yield_now, a Signal notify and a kill must keep their (time, seq) order
+  // whichever thread ends up dispatching each event.
+  Simulation sim;
+  Signal signal(sim);
+  std::vector<std::string> trace;
+  std::function<void(const char*)> note = [&](const char* what) {
+    char line[64];
+    std::snprintf(line, sizeof line, "%s@%g", what, sim.now());
+    trace.emplace_back(line);
+  };
+  ProcessId waiter = sim.spawn("waiter", [&] {
+    struct Unwind {
+      std::function<void(const char*)>* note;
+      ~Unwind() { (*note)("waiter:unwound"); }
+    } unwind{&note};
+    note("waiter:wait");
+    signal.wait();
+    note("waiter:notified");
+    sim.sleep(1.0);
+    note("waiter:slept");
+    sim.sleep(100.0);
+    note("waiter:unreachable");
+  });
+  sim.spawn("ticker", [&] {
+    for (int i = 0; i < 3; ++i) {
+      sim.sleep(0.5);
+      note("ticker:tick");
+      sim.yield_now();
+      note("ticker:yielded");
+    }
+    signal.notify_all();
+    note("ticker:notified");
+    sim.sleep(0.25);
+    note("ticker:done");
+  });
+  sim.spawn_at(1.0, "late", [&] {
+    note("late:start");
+    note(signal.wait_for(1.0) ? "late:notified" : "late:timeout");
+    note(signal.wait_for(0.25) ? "late:notified" : "late:timeout");
+  });
+  sim.at(1.0, [&] { note("cb:first"); });
+  sim.at(1.0, [&] { note("cb:second"); });
+  sim.at(0.5, [&] { note("cb:half"); });
+  sim.at(2.75, [&] {
+    note("cb:kill");
+    sim.kill(waiter);
+  });
+  sim.watch_exit(waiter, [&] { note("exit:waiter"); });
+  sim.run();
+  EXPECT_EQ(trace, (std::vector<std::string>{
+                       "waiter:wait@0",
+                       "cb:half@0.5",
+                       "ticker:tick@0.5",
+                       "ticker:yielded@0.5",
+                       "late:start@1",
+                       "cb:first@1",
+                       "cb:second@1",
+                       "ticker:tick@1",
+                       "ticker:yielded@1",
+                       "ticker:tick@1.5",
+                       "ticker:yielded@1.5",
+                       "ticker:notified@1.5",
+                       "waiter:notified@1.5",
+                       "late:notified@1.5",
+                       "ticker:done@1.75",
+                       "late:timeout@1.75",
+                       "waiter:slept@2.5",
+                       "cb:kill@2.75",
+                       "waiter:unwound@2.75",
+                       "exit:waiter@2.75",
+                   }));
+  // The killed sleeper's stale wake still advances the clock when popped.
+  EXPECT_DOUBLE_EQ(sim.now(), 102.5);
+}
+
+TEST(Simulation, CallbackDuringYieldSeesDriverContext) {
+  obs::trace::reset();
+  obs::trace::set_enabled(true);
+  Simulation sim;
+  bool in_process = true;
+  std::string name = "unset";
+  obs::trace::SpanId seen = 0;
+  obs::trace::SpanId process_span = 0;
+  sim.spawn("sleeper", [&] {
+    auto span = obs::trace::span("sleeper");
+    process_span = span.id();
+    sim.sleep(2.0);
+    EXPECT_EQ(obs::trace::current_span(), process_span);
+  });
+  sim.at(1.0, [&] {
+    in_process = Simulation::in_process();
+    name = sim.current_name();
+    seen = obs::trace::current_span();
+  });
+  obs::trace::SpanId driver_span = 0;
+  {
+    auto span = obs::trace::span("driver");
+    driver_span = span.id();
+    sim.run();
+    EXPECT_EQ(obs::trace::current_span(), driver_span);
+  }
+  obs::trace::set_enabled(false);
+  obs::trace::reset();
+  EXPECT_FALSE(in_process);
+  EXPECT_EQ(name, "");
+  EXPECT_NE(process_span, 0u);
+  EXPECT_EQ(seen, driver_span);
+}
+
+TEST(Simulation, CallbackExceptionPropagatesAndRunResumes) {
+  Simulation sim;
+  double woke_at = -1;
+  sim.spawn("sleeper", [&] {
+    sim.sleep(2.0);
+    woke_at = sim.now();
+  });
+  sim.at(1.0, [] { throw Error("callback boom"); });
+  EXPECT_THROW(sim.run(), Error);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_DOUBLE_EQ(woke_at, -1);
+  sim.run();
+  EXPECT_DOUBLE_EQ(woke_at, 2.0);
+}
+
+TEST(Simulation, RunFromCallbackThrows) {
+  Simulation sim;
+  int threw = 0;
+  auto reenter = [&] {
+    try {
+      sim.run();
+    } catch (const Error&) {
+      ++threw;
+    }
+  };
+  sim.at(0.0, reenter);  // dispatched by run()'s caller, before any process
+  sim.spawn("sleeper", [&] { sim.sleep(2.0); });
+  sim.at(1.0, reenter);  // dispatched while the sleeper yields
+  sim.run();
+  EXPECT_EQ(threw, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
 TEST(Simulation, ProcessExceptionPropagatesFromRun) {
