@@ -68,7 +68,8 @@ std::vector<Stage> run_expulsion(int stages, int steps_per_stage) {
     config.feedback_efficiency = 0.5;
     config.wind_specific_energy = 100.0;
     config.supernova_energy = 100.0;
-    Bridge bridge(stars, gas, coupler, &stellar, config);
+    Bridge bridge({{"stars", &stars}, {"gas", &gas}}, {{&coupler, 0, 1, 1}},
+                  {{&stellar, &stars, &gas}}, config);
 
     auto snapshot = [&](double time) {
       auto star_state = stars.get_state();

@@ -118,16 +118,6 @@ Bridge::Bridge(std::vector<System> systems, std::vector<Coupling> couplings,
   }
 }
 
-Bridge::Bridge(GravityClient& stars, HydroClient& gas, FieldClient& coupler,
-               StellarClient* stellar, Config config)
-    : Bridge(
-          {{"stars", &stars}, {"gas", &gas}},
-          {Coupling{&coupler, 0, 1, 1}},
-          stellar != nullptr
-              ? std::vector<Stellar>{Stellar{stellar, &stars, &gas}}
-              : std::vector<Stellar>{},
-          config) {}
-
 std::vector<int> Bridge::active_couplings(int step_index, bool bottom) const {
   // A coupling with cadence k fires at the boundaries of its k-step window:
   // at the top of step s when s % k == 0 (kick covering the window ahead)
@@ -335,7 +325,7 @@ void Bridge::stellar_update_one(StellarLink& link) {
   // Stellar evolution runs at a slower rate, "only exchanging state every
   // n-th time step" (paper §6 / Fig 7).
   GravityClient& stars = *link.wiring.into;
-  double age_myr = (config_.t_offset + time_) * config_.myr_per_nbody_time;
+  double age_myr = time_ * config_.myr_per_nbody_time;
   link.wiring.client->evolve_to(age_myr);
   trace_.push_back("se:evolve");
 

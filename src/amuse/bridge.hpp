@@ -66,31 +66,24 @@ class Bridge {
     /// physical numbers through the converter.
     double wind_specific_energy = 0.0;
     double supernova_energy = 0.0;
-    /// Restart support (the fault path's clock-shift convention): model
-    /// time and steps completed by a *previous* bridge before its workers
-    /// were restarted at t=0. Stellar-evolution ages and the SE cadence
-    /// continue from the sum, while evolve targets restart at zero.
-    double t_offset = 0.0;
-    int step_offset = 0;
-    /// Absolute-clock restart (the bit-exact rollback convention): the
-    /// bridge clock begins at these exact bits — the committed checkpoint's
-    /// time — and workers restored at the same absolute time receive evolve
-    /// targets identical to the fault-free run's. Leave 0 with t_offset for
-    /// the legacy shifted-clock convention.
+    /// Restart support (the bit-exact rollback convention): a bridge
+    /// rebuilt after a fault begins at the committed checkpoint — its clock
+    /// at these exact bits, its step count (which sets the SE and coupling
+    /// cadence phase) at `step_offset`. Workers restored at the same
+    /// absolute time then receive evolve targets identical to the
+    /// fault-free run's. Both stay 0 for a fresh run.
     double t_start = 0.0;
+    int step_offset = 0;
     /// Run the pre-overhaul serial coupling path (full state fetches, one
     /// RPC at a time). Benchmarks and the bit-exactness test use it.
     bool synchronous_datapath = false;
   };
 
+  /// The classic Fig-7 bridge is the two-system instance: systems
+  /// {stars, gas}, one coupling {&coupler, 0, 1, 1}, and optionally one
+  /// stellar link {&se, &stars, &gas}.
   Bridge(std::vector<System> systems, std::vector<Coupling> couplings,
          std::vector<Stellar> stellar, Config config);
-
-  /// The classic Fig-7 bridge: stars + gas coupled through one field
-  /// kernel, optional stellar evolution into the stars with feedback into
-  /// the gas. A thin wrapper over the graph constructor.
-  Bridge(GravityClient& stars, HydroClient& gas, FieldClient& coupler,
-         StellarClient* stellar, Config config);
 
   /// One Fig-7 iteration. All systems' evolve calls run concurrently
   /// (async futures) — the "evolve step can be done in parallel" of the

@@ -42,60 +42,64 @@ void merge_positions_fp32(util::ByteReader& reader, std::vector<Vec3>& into) {
   if (count % 2 != 0) reader.get<std::uint32_t>();  // realign pad
 }
 
-/// Shared request/merge halves of the delta exchange.
-util::ByteWriter state_request(const DeltaCacheInfo& info,
-                               std::uint64_t want_mask) {
+}  // namespace
+
+Future DynamicsClient::send_state_request(Fn fn, std::uint64_t want_mask) {
+  // The fp32 modifier rides only on the wire request; the cache mask and
+  // commit bookkeeping stay in terms of real fields.
+  if (fp32_positions_ && (want_mask & state_field::position)) {
+    want_mask |= state_field::fp32_positions;
+  }
   util::ByteWriter args = RpcClient::request();
-  args.put<StateId>(info.delta_enabled ? info.id : 0);
-  args.put<std::uint64_t>(info.delta_enabled ? info.mask : 0);
+  args.put<StateId>(info_.delta_enabled ? info_.id : 0);
+  args.put<std::uint64_t>(info_.delta_enabled ? info_.mask : 0);
   args.put<std::uint64_t>(want_mask);
-  return args;
+  return rpc_->call(fn, std::move(args));
 }
 
-struct DeltaHeader {
-  StateId state_id;
-  std::uint64_t sent_mask;
-  std::uint64_t stale_mask;
-};
-
-DeltaHeader read_delta_header(util::ByteReader& reader, DeltaCacheInfo& info) {
+DynamicsClient::DeltaHeader DynamicsClient::merge_motion(
+    util::ByteReader& reader, std::vector<double>& mass,
+    std::vector<Vec3>& position, std::vector<Vec3>& velocity) {
   DeltaHeader header;
   header.state_id = reader.get<StateId>();
   header.sent_mask = reader.get<std::uint64_t>();
   header.stale_mask = reader.get<std::uint64_t>();
-  for (StateId& id : info.field_ids) id = reader.get<StateId>();
+  for (StateId& id : info_.field_ids) id = reader.get<StateId>();
+  if (header.sent_mask & state_field::mass) merge_field(reader, mass);
+  if (header.sent_mask & state_field::position) {
+    if (fp32_positions_) {
+      merge_positions_fp32(reader, position);
+    } else {
+      merge_field(reader, position);
+    }
+  }
+  if (header.sent_mask & state_field::velocity) merge_field(reader, velocity);
   return header;
 }
 
-void commit_delta(DeltaCacheInfo& info, const DeltaHeader& header,
-                  std::uint64_t want_mask) {
-  info.mask = (info.mask & ~header.stale_mask) | want_mask | header.sent_mask;
-  info.id = header.state_id;
+void DynamicsClient::commit_state(const DeltaHeader& header,
+                                  std::uint64_t want_mask) {
+  want_mask &= ~state_field::fp32_positions;
+  info_.mask = (info_.mask & ~header.stale_mask) | want_mask | header.sent_mask;
+  info_.id = header.state_id;
 }
 
-/// Kick with repeat-suppression: kicks travel as accel + dt (the worker
-/// multiplies Δv_i = a_i * dt), so an unchanged acceleration — the first
-/// half-kick after an all-cache-hit coupling phase — travels as a 16-byte
-/// "repeat" frame even when the half-kick dt differs (couplings firing at
-/// different cadences).
-Future send_kick(RpcClient& rpc, Fn fn, std::span<const Vec3> accel,
-                 double dt, bool delta_enabled, std::vector<Vec3>& last_kick,
-                 bool& primed) {
+Future DynamicsClient::send_kick(Fn fn, std::span<const Vec3> accel,
+                                 double dt) {
+  // Kicks travel as accel + dt; the worker multiplies Δv_i = a_i * dt.
   util::ByteWriter args = RpcClient::request();
-  if (delta_enabled && primed && same_content(last_kick, accel)) {
+  if (info_.delta_enabled && kick_primed_ && same_content(last_kick_, accel)) {
     args.put<std::uint64_t>(kick_flags::repeat);
     args.put<double>(dt);
   } else {
     args.put<std::uint64_t>(0);
     args.put<double>(dt);
     args.put_span(accel);
-    last_kick.assign(accel.begin(), accel.end());
-    primed = true;
+    last_kick_.assign(accel.begin(), accel.end());
+    kick_primed_ = true;
   }
-  return rpc.call(fn, std::move(args));
+  return rpc_->call(fn, std::move(args));
 }
-
-}  // namespace
 
 void GravityClient::set_params(double eps2, double eta) {
   util::ByteWriter args = RpcClient::request();
@@ -121,31 +125,15 @@ Future GravityClient::evolve_async(double t_end) {
 }
 
 Future GravityClient::request_state(std::uint64_t want_mask) {
-  // The fp32 modifier rides only on the wire request; the cache mask and
-  // commit bookkeeping stay in terms of real fields.
-  std::uint64_t wire_mask = want_mask;
-  if (fp32_positions_ && (want_mask & state_field::position)) {
-    wire_mask |= state_field::fp32_positions;
-  }
-  return rpc_->call(Fn::grav_get_state, state_request(info_, wire_mask));
+  return send_state_request(Fn::grav_get_state, want_mask);
 }
 
 const GravityState& GravityClient::finish_state(Future& reply,
                                                 std::uint64_t want_mask) {
   util::ByteReader reader = reply.get();
-  DeltaHeader header = read_delta_header(reader, info_);
-  if (header.sent_mask & state_field::mass) merge_field(reader, cache_.mass);
-  if (header.sent_mask & state_field::position) {
-    if (fp32_positions_) {
-      merge_positions_fp32(reader, cache_.position);
-    } else {
-      merge_field(reader, cache_.position);
-    }
-  }
-  if (header.sent_mask & state_field::velocity) {
-    merge_field(reader, cache_.velocity);
-  }
-  commit_delta(info_, header, want_mask & ~state_field::fp32_positions);
+  DeltaHeader header =
+      merge_motion(reader, cache_.mass, cache_.position, cache_.velocity);
+  commit_state(header, want_mask);
   return cache_;
 }
 
@@ -162,8 +150,7 @@ std::pair<double, double> GravityClient::energies() {
 }
 
 Future GravityClient::kick_async(std::span<const Vec3> accel, double dt) {
-  return send_kick(*rpc_, Fn::grav_kick_all, accel, dt, info_.delta_enabled,
-                   last_kick_, kick_primed_);
+  return send_kick(Fn::grav_kick_all, accel, dt);
 }
 
 void GravityClient::set_masses(std::span<const double> masses) {
@@ -335,35 +322,21 @@ Future HydroClient::evolve_async(double t_end) {
 }
 
 Future HydroClient::request_state(std::uint64_t want_mask) {
-  std::uint64_t wire_mask = want_mask;
-  if (fp32_positions_ && (want_mask & state_field::position)) {
-    wire_mask |= state_field::fp32_positions;
-  }
-  return rpc_->call(Fn::hydro_get_state, state_request(info_, wire_mask));
+  return send_state_request(Fn::hydro_get_state, want_mask);
 }
 
 const HydroState& HydroClient::finish_state(Future& reply,
                                             std::uint64_t want_mask) {
   util::ByteReader reader = reply.get();
-  DeltaHeader header = read_delta_header(reader, info_);
-  if (header.sent_mask & state_field::mass) merge_field(reader, cache_.mass);
-  if (header.sent_mask & state_field::position) {
-    if (fp32_positions_) {
-      merge_positions_fp32(reader, cache_.position);
-    } else {
-      merge_field(reader, cache_.position);
-    }
-  }
-  if (header.sent_mask & state_field::velocity) {
-    merge_field(reader, cache_.velocity);
-  }
+  DeltaHeader header =
+      merge_motion(reader, cache_.mass, cache_.position, cache_.velocity);
   if (header.sent_mask & state_field::internal_energy) {
     merge_field(reader, cache_.internal_energy);
   }
   if (header.sent_mask & state_field::density) {
     merge_field(reader, cache_.density);
   }
-  commit_delta(info_, header, want_mask & ~state_field::fp32_positions);
+  commit_state(header, want_mask);
   return cache_;
 }
 
@@ -381,8 +354,7 @@ std::tuple<double, double, double> HydroClient::energies() {
 }
 
 Future HydroClient::kick_async(std::span<const Vec3> accel, double dt) {
-  return send_kick(*rpc_, Fn::hydro_kick_all, accel, dt, info_.delta_enabled,
-                   last_kick_, kick_primed_);
+  return send_kick(Fn::hydro_kick_all, accel, dt);
 }
 
 void HydroClient::inject(std::span<const std::int32_t> indices,

@@ -51,15 +51,55 @@ struct DeltaCacheInfo {
   bool delta_enabled = true;
 };
 
+/// Lifecycle surface every model client shares, whatever its role: the
+/// worker RPC, the channel the fault machinery watches, shutdown, and the
+/// delta-exchange switches. The Experiment runner owns each model through
+/// one pointer to this base; only IC generation, checkpoints and final
+/// observables need the typed client.
+class ModelClient {
+ public:
+  virtual ~ModelClient() = default;
+  ModelClient(const ModelClient&) = delete;
+  ModelClient& operator=(const ModelClient&) = delete;
+
+  virtual RpcClient& rpc() noexcept { return *rpc_; }
+  /// The RPC whose death/liveness the fault machinery should watch. For a
+  /// plain client this is rpc(); a sharded facade reports the first dead
+  /// shard's RPC so death_cause/try_revive see the actual casualty.
+  virtual RpcClient& fault_rpc() { return rpc(); }
+  virtual void close() { rpc_->close(); }
+
+  /// `false` restores the pre-delta full-fetch wire behaviour (the
+  /// synchronous baseline the benches compare against).
+  virtual void set_delta_exchange(bool enabled) = 0;
+  /// Forget everything the delta protocol believes the *worker* holds —
+  /// called after a supervised in-place worker restart (cause=
+  /// process_crash), where the client object survives but the worker came
+  /// back blank. Client-side copies that a restore replays from (a state
+  /// cache, the last field sources) are kept. (The state-id instance nonce
+  /// already makes stale ids unmatchable; this clears the client half
+  /// explicitly.)
+  virtual void reset_delta_caches() = 0;
+
+ protected:
+  /// Facades (ShardedGravityClient) own no single worker RPC; they
+  /// override every member that would touch rpc_.
+  ModelClient() = default;
+  explicit ModelClient(std::unique_ptr<RpcClient> rpc)
+      : rpc_(std::move(rpc)) {}
+
+  std::unique_ptr<RpcClient> rpc_;
+};
+
 /// Role-generic client surface of an *evolving* model (a system the Bridge
 /// can couple): concurrent evolve, pipelined delta state exchange of the
 /// coupling fields (mass + position), accel+dt kicks, and a model clock.
 /// GravityClient and HydroClient implement it; the generalized Bridge and
 /// the Experiment runner hold systems through this interface instead of
 /// being hard-wired to exactly one gravity and one hydro proxy.
-class DynamicsClient {
+class DynamicsClient : public ModelClient {
  public:
-  virtual ~DynamicsClient() = default;
+  using ModelClient::ModelClient;
 
   virtual Future evolve_async(double t_end) = 0;
   void evolve(double t_end) { evolve_async(t_end).get(); }
@@ -75,8 +115,10 @@ class DynamicsClient {
   virtual std::span<const Vec3> position() const = 0;
 
   /// Content ids for the coupler's caches (0 until the field was fetched).
-  virtual StateId coupling_sources_id() const = 0;
-  virtual StateId position_id() const = 0;
+  virtual StateId coupling_sources_id() const {
+    return combine_state_ids(info_.field_ids[0], info_.field_ids[1]);
+  }
+  virtual StateId position_id() const { return info_.field_ids[1]; }
 
   /// Apply Δv_i = accel_i * dt, multiplied on the worker. An unchanged
   /// accel travels as a 16-byte repeat frame regardless of dt.
@@ -88,21 +130,50 @@ class DynamicsClient {
   /// of the dominant coupling field) — set by the runner when the model sits
   /// across a link flagged `fp_truncate` in the topology. Default off; the
   /// cached state is still held as f64, only the wire format narrows.
-  virtual void set_fp32_positions(bool enabled) = 0;
-  virtual void set_delta_exchange(bool enabled) = 0;
-  /// Forget everything the delta protocol believes the *worker* holds —
-  /// called after a supervised in-place worker restart (cause=
-  /// process_crash), where the client object survives but the worker came
-  /// back blank. The state cache itself is kept: it is what gets restored
-  /// into the fresh worker. (The state-id instance nonce already makes
-  /// stale ids unmatchable; this clears the client half explicitly.)
-  virtual void reset_delta_caches() = 0;
-  virtual RpcClient& rpc() = 0;
-  /// The RPC whose death/liveness the fault machinery should watch. For a
-  /// plain client this is rpc(); a sharded facade reports the first dead
-  /// shard's RPC so death_cause/try_revive see the actual casualty.
-  virtual RpcClient& fault_rpc() { return rpc(); }
-  virtual void close() = 0;
+  virtual void set_fp32_positions(bool enabled) { fp32_positions_ = enabled; }
+
+  void set_delta_exchange(bool enabled) override {
+    info_.delta_enabled = enabled;
+    kick_primed_ = false;
+  }
+  /// The state cache itself is kept: it is what gets restored into the
+  /// fresh worker.
+  void reset_delta_caches() override {
+    bool delta = info_.delta_enabled;
+    info_ = DeltaCacheInfo{};
+    info_.delta_enabled = delta;
+    last_kick_.clear();
+    kick_primed_ = false;
+  }
+
+ protected:
+  /// What a delta get_state reply says about the fields it carries.
+  struct DeltaHeader {
+    StateId state_id;
+    std::uint64_t sent_mask;
+    std::uint64_t stale_mask;
+  };
+
+  /// The request half of the delta exchange under `fn`; asks for f32
+  /// positions on the wire when set_fp32_positions is on.
+  Future send_state_request(Fn fn, std::uint64_t want_mask);
+  /// The reply half shared by every role: the header, then whichever of
+  /// mass/position/velocity it carries. Role-specific fields follow in
+  /// `reader`; merge them, then commit_state.
+  DeltaHeader merge_motion(util::ByteReader& reader, std::vector<double>& mass,
+                           std::vector<Vec3>& position,
+                           std::vector<Vec3>& velocity);
+  void commit_state(const DeltaHeader& header, std::uint64_t want_mask);
+  /// Kick with repeat-suppression: an unchanged acceleration (the first
+  /// half-kick after an all-cache-hit coupling phase) travels as a 16-byte
+  /// "repeat" frame even when the half-kick dt differs (couplings firing
+  /// at different cadences).
+  Future send_kick(Fn fn, std::span<const Vec3> accel, double dt);
+
+  DeltaCacheInfo info_;
+  std::vector<Vec3> last_kick_;
+  bool kick_primed_ = false;
+  bool fp32_positions_ = false;
 };
 
 /// GravitationalDynamics interface (phiGRAPE worker). The bulk operations
@@ -111,7 +182,7 @@ class DynamicsClient {
 class GravityClient : public DynamicsClient {
  public:
   explicit GravityClient(std::unique_ptr<RpcClient> rpc)
-      : rpc_(std::move(rpc)) {}
+      : DynamicsClient(std::move(rpc)) {}
 
   virtual void set_params(double eps2, double eta);
   virtual void add_particles(std::span<const double> masses,
@@ -132,11 +203,6 @@ class GravityClient : public DynamicsClient {
   const GravityState& cached_state() const noexcept { return cache_; }
   std::span<const double> mass() const override { return cache_.mass; }
   std::span<const Vec3> position() const override { return cache_.position; }
-
-  StateId coupling_sources_id() const override {
-    return combine_state_ids(info_.field_ids[0], info_.field_ids[1]);
-  }
-  StateId position_id() const override { return info_.field_ids[1]; }
 
   /// (kinetic, potential) in N-body units.
   virtual std::pair<double, double> energies();
@@ -159,27 +225,6 @@ class GravityClient : public DynamicsClient {
   virtual void set_dynamics(std::span<const Vec3> acc,
                             std::span<const Vec3> jerk, double model_time);
 
-  void set_fp32_positions(bool enabled) override {
-    fp32_positions_ = enabled;
-  }
-  bool fp32_positions() const noexcept { return fp32_positions_; }
-
-  void set_delta_exchange(bool enabled) override {
-    info_.delta_enabled = enabled;
-    kick_primed_ = false;
-  }
-
-  void reset_delta_caches() override {
-    bool delta = info_.delta_enabled;
-    info_ = DeltaCacheInfo{};
-    info_.delta_enabled = delta;
-    last_kick_.clear();
-    kick_primed_ = false;
-  }
-
-  RpcClient& rpc() noexcept override { return *rpc_; }
-  void close() override { rpc_->close(); }
-
   // -- shard-worker primitives (used by ShardedGravityClient) --
   /// Drop the worker's particles/clock/owned range (params survive).
   void reset_model();
@@ -196,18 +241,14 @@ class GravityClient : public DynamicsClient {
   /// their own; every member that touches rpc_ is virtual in that case.
   GravityClient() = default;
 
-  std::unique_ptr<RpcClient> rpc_;
   GravityState cache_;
-  DeltaCacheInfo info_;
-  std::vector<Vec3> last_kick_;
-  bool kick_primed_ = false;
-  bool fp32_positions_ = false;
 };
 
 /// GravityField interface (Octgrav / Fi worker) — the coupling kernel.
-class FieldClient {
+class FieldClient : public ModelClient {
  public:
-  explicit FieldClient(std::unique_ptr<RpcClient> rpc) : rpc_(std::move(rpc)) {}
+  explicit FieldClient(std::unique_ptr<RpcClient> rpc)
+      : ModelClient(std::move(rpc)) {}
 
   void set_sources(std::span<const double> masses,
                    std::span<const Vec3> positions);
@@ -235,14 +276,9 @@ class FieldClient {
                          StateId points_id, std::span<const Vec3> points);
   const std::vector<Vec3>& finish_accel(FieldTag tag, Future& reply);
 
-  void set_delta_exchange(bool enabled) { delta_enabled_ = enabled; }
-
-  /// Forget what the (restarted, blank) worker caches per tag; the last
-  /// sources sent are kept — they are the checkpoint to restore from.
-  void reset_delta_caches() { tags_.clear(); }
-
-  RpcClient& rpc() noexcept { return *rpc_; }
-  void close() { rpc_->close(); }
+  void set_delta_exchange(bool enabled) override { delta_enabled_ = enabled; }
+  /// The last sources sent survive: they are the checkpoint to restore from.
+  void reset_delta_caches() override { tags_.clear(); }
 
  private:
   struct TagRecord {
@@ -252,7 +288,6 @@ class FieldClient {
     bool has_accel = false;
   };
 
-  std::unique_ptr<RpcClient> rpc_;
   std::vector<double> last_mass_;
   std::vector<Vec3> last_position_;
   std::map<std::uint64_t, TagRecord> tags_;
@@ -262,7 +297,8 @@ class FieldClient {
 /// Hydrodynamics interface (Gadget worker).
 class HydroClient : public DynamicsClient {
  public:
-  explicit HydroClient(std::unique_ptr<RpcClient> rpc) : rpc_(std::move(rpc)) {}
+  explicit HydroClient(std::unique_ptr<RpcClient> rpc)
+      : DynamicsClient(std::move(rpc)) {}
 
   void set_params(double eps2, double theta);
   void add_gas(std::span<const double> masses,
@@ -283,11 +319,6 @@ class HydroClient : public DynamicsClient {
   std::span<const double> mass() const override { return cache_.mass; }
   std::span<const Vec3> position() const override { return cache_.position; }
 
-  StateId coupling_sources_id() const override {
-    return combine_state_ids(info_.field_ids[0], info_.field_ids[1]);
-  }
-  StateId position_id() const override { return info_.field_ids[1]; }
-
   /// (kinetic, thermal, potential) in N-body units.
   std::tuple<double, double, double> energies();
   using DynamicsClient::kick;
@@ -303,43 +334,18 @@ class HydroClient : public DynamicsClient {
   /// replaces.
   void set_time(double model_time);
 
-  void set_fp32_positions(bool enabled) override {
-    fp32_positions_ = enabled;
-  }
-
-  void set_delta_exchange(bool enabled) override {
-    info_.delta_enabled = enabled;
-    kick_primed_ = false;
-  }
-
-  void reset_delta_caches() override {
-    bool delta = info_.delta_enabled;
-    info_ = DeltaCacheInfo{};
-    info_.delta_enabled = delta;
-    last_kick_.clear();
-    kick_primed_ = false;
-  }
-
-  RpcClient& rpc() noexcept override { return *rpc_; }
-  void close() override { rpc_->close(); }
-
  private:
-  std::unique_ptr<RpcClient> rpc_;
   HydroState cache_;
-  DeltaCacheInfo info_;
-  std::vector<Vec3> last_kick_;
-  bool kick_primed_ = false;
-  bool fp32_positions_ = false;
 };
 
 /// StellarEvolution interface (SSE worker). The mass channel is
 /// delta-compressed: masses() normally fetches only the stars whose mass
 /// changed since the previous exchange (most stars sit quietly on the main
 /// sequence between SE steps) and merges them into a client-side cache.
-class StellarClient {
+class StellarClient : public ModelClient {
  public:
   explicit StellarClient(std::unique_ptr<RpcClient> rpc)
-      : rpc_(std::move(rpc)) {}
+      : ModelClient(std::move(rpc)) {}
 
   void add_stars(std::span<const double> zams_masses);
   void evolve_to(double age_myr);
@@ -349,19 +355,12 @@ class StellarClient {
   std::vector<std::int32_t> supernovae();
   double mass_loss();
 
-  /// `false` restores the pre-delta full-array wire behaviour (the
-  /// synchronous baseline).
-  void set_delta_exchange(bool enabled) { delta_enabled_ = enabled; }
-
-  /// Drop the client-side mass cache so the next masses() exchange fetches
-  /// the full array from a restarted (blank) worker.
-  void reset_delta_caches() { mass_cache_.clear(); }
-
-  RpcClient& rpc() noexcept { return *rpc_; }
-  void close() { rpc_->close(); }
+  void set_delta_exchange(bool enabled) override { delta_enabled_ = enabled; }
+  /// Drops the mass cache: the next masses() exchange fetches the full
+  /// array from the restarted (blank) worker.
+  void reset_delta_caches() override { mass_cache_.clear(); }
 
  private:
-  std::unique_ptr<RpcClient> rpc_;
   std::vector<double> mass_cache_;
   bool delta_enabled_ = true;
 };

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "amuse/diagnostics.hpp"
 #include "amuse/faultpoint.hpp"
@@ -183,7 +184,6 @@ void ExperimentSpec::validate() const {
   if (dt <= 0.0) fail("dt must be positive");
   if (iterations < 1) fail("iterations must be >= 1");
   if (se_every < 1) fail("se_every must be >= 1");
-  if (rpc_timeout < 0.0) fail("rpc_timeout must be >= 0 (0 disables it)");
 
   bool any_dynamic = false;
   for (const ModelSpec& model : models) {
@@ -321,17 +321,6 @@ void ExperimentSpec::validate() const {
       (flap_after_iteration >= 1 || flap_streams > 0)) {
     fail("flap injection is configured but flap_link names no link");
   }
-
-  // Drift-triggered migration reuses the checkpoint/rollback machinery —
-  // without checkpointing there is no consistent state to migrate.
-  if (replan && !checkpointing) {
-    fail("replan is set but checkpointing is off — migration needs a "
-         "committed checkpoint to restore from");
-  }
-  if (!(replan_drift > 1.0)) {
-    fail("replan_drift must be a factor > 1, got " +
-         std::to_string(replan_drift));
-  }
 }
 
 sched::Workload ExperimentSpec::workload() const {
@@ -398,6 +387,17 @@ Role parse_role(const std::string& text, const std::string& where) {
                     "' (gravity|hydro|field|stellar)");
 }
 
+/// A misspelt key would otherwise fall back to its default without a word.
+void reject_unknown_keys(const util::Config& config,
+                         const std::string& section,
+                         std::initializer_list<std::string_view> known) {
+  for (const std::string& key : config.keys(section)) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw ConfigError("[" + section + "]: unknown key '" + key + "'");
+    }
+  }
+}
+
 }  // namespace
 
 bool config_declares_experiment(const util::Config& config) {
@@ -411,6 +411,14 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
   ExperimentSpec spec;
   if (config.has_section("experiment")) {
     const std::string s = "experiment";
+    reject_unknown_keys(
+        config, s,
+        {"name", "dt", "iterations", "se_every", "seed", "datapath",
+         "myr_per_nbody_time", "feedback_efficiency", "wind_specific_energy",
+         "supernova_energy", "checkpointing", "kill_host",
+         "kill_after_iteration", "kill_process", "flap_link",
+         "flap_after_iteration", "flap_down_s", "flap_streams",
+         "flap_streams_heal_s", "client"});
     spec.name = config.get_or(s, "name", spec.name);
     spec.dt = config.get_double_or(s, "dt", spec.dt);
     spec.iterations =
@@ -450,16 +458,16 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
         config.get_int_or(s, "flap_streams", spec.flap_streams));
     spec.flap_streams_heal_s = config.get_double_or(
         s, "flap_streams_heal_s", spec.flap_streams_heal_s);
-    spec.rpc_timeout =
-        config.get_double_or(s, "rpc_timeout", spec.rpc_timeout);
     spec.client = config.get_or(s, "client", "");
-    spec.replan = config.get_bool_or(s, "replan", spec.replan);
-    spec.replan_drift =
-        config.get_double_or(s, "replan_drift", spec.replan_drift);
   }
 
   for (const std::string& section : config.sections()) {
     if (util::starts_with(section, "model ")) {
+      reject_unknown_keys(
+          config, section,
+          {"role", "kernel", "n", "nranks", "nodes", "workers", "eps2", "eta",
+           "theta", "ic", "total_mass", "radius", "u_frac", "offset",
+           "velocity", "ensure_massive", "of", "feedback", "place"});
       ModelSpec model;
       model.name = util::trim(section.substr(6));
       model.role = parse_role(config.get(section, "role"), section);
@@ -492,6 +500,7 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
       model.place = config.get_or(section, "place", "");
       spec.models.push_back(std::move(model));
     } else if (util::starts_with(section, "coupling ")) {
+      reject_unknown_keys(config, section, {"field", "a", "b", "every"});
       CouplingSpec coupling;
       coupling.name = util::trim(section.substr(9));
       coupling.field = config.get(section, "field");
@@ -621,59 +630,34 @@ sched::Placement plan_experiment(JungleTestbed& bed,
 
 namespace {
 
-/// Live clients of one model of the running graph. Exactly one of the
-/// client pointers is set, matching the model's role. Checkpoints live in
-/// one graph-wide GraphCheckpoint (atomic commit), not per model.
-struct ModelRuntime {
-  std::unique_ptr<GravityClient> gravity;
-  std::unique_ptr<HydroClient> hydro;
-  std::unique_ptr<FieldClient> field;
-  std::unique_ptr<StellarClient> stellar;
+/// Per-call RPC reply deadline (virtual seconds). A worker that stops
+/// answering — hung process, silently black-holed route — surfaces as
+/// WorkerDiedError(cause=timeout) instead of deadlocking the bridge. Far
+/// above any modeled call, far below forever.
+constexpr double kRpcCallTimeout = 3600.0;
 
+/// The live client of one model of the running graph: its role plus one
+/// owning handle. Lifecycle calls go through the handle; the typed
+/// accessors serve the per-role work (ICs, checkpoints, observables).
+/// Checkpoints live in one graph-wide GraphCheckpoint (atomic commit), not
+/// per model.
+struct ModelRuntime {
+  Role role = Role::gravity;
+  std::unique_ptr<ModelClient> client;
   std::vector<double> zams;
 
+  GravityClient& gravity() { return static_cast<GravityClient&>(*client); }
+  HydroClient& hydro() { return static_cast<HydroClient&>(*client); }
+  FieldClient& field() { return static_cast<FieldClient&>(*client); }
+  StellarClient& stellar() { return static_cast<StellarClient&>(*client); }
   DynamicsClient* dynamics() {
-    if (gravity) return gravity.get();
-    return hydro.get();
+    return is_dynamic(role) ? static_cast<DynamicsClient*>(client.get())
+                            : nullptr;
   }
   /// The RPC the fault machinery watches: a sharded facade reports the
   /// first dead shard so death_cause/revive act on the actual casualty.
-  RpcClient& rpc() {
-    if (gravity) return gravity->fault_rpc();
-    if (hydro) return hydro->fault_rpc();
-    if (field) return field->rpc();
-    return stellar->rpc();
-  }
-  void close() {
-    if (gravity) gravity->close();
-    if (hydro) hydro->close();
-    if (field) field->close();
-    if (stellar) stellar->close();
-  }
+  RpcClient& rpc() { return client->fault_rpc(); }
 };
-
-std::unique_ptr<RpcClient> start_assignment(JungleTestbed& bed,
-                                            sim::Host& client,
-                                            DaemonClient& daemon_client,
-                                            const sched::Assignment& a) {
-  if (a.local()) {
-    return start_local_worker(bed.sockets(), bed.network(), client, client,
-                              a.spec, ChannelKind::mpi);
-  }
-  return daemon_client.start_worker(a.spec, a.resource, a.nodes);
-}
-
-Bridge::Config bridge_config(const ExperimentSpec& spec) {
-  Bridge::Config config;
-  config.dt = spec.dt;
-  config.se_every = spec.se_every;
-  config.synchronous_datapath = spec.datapath == Datapath::synchronous;
-  config.myr_per_nbody_time = spec.myr_per_nbody_time;
-  config.feedback_efficiency = spec.feedback_efficiency;
-  config.wind_specific_energy = spec.wind_specific_energy;
-  config.supernova_energy = spec.supernova_energy;
-  return config;
-}
 
 }  // namespace
 
@@ -697,17 +681,21 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
   bed.simulation().spawn("amuse-script", [&] {
     DaemonClient daemon_client(bed.sockets(), client);
     std::vector<ModelRuntime> models(n_models);
+    for (std::size_t i = 0; i < n_models; ++i) {
+      models[i].role = spec.models[i].role;
+    }
 
-    // A model whose state exchanges cross a link flagged `fp_truncate`
-    // narrows its position wire format to f32 (the cost model priced the
-    // placement at the narrowed volume).
-    auto apply_fp_truncation = [&](std::size_t i) {
-      DynamicsClient* dynamics = models[i].dynamics();
-      const sim::Host* host = plan.roles[i].host;
-      if (dynamics == nullptr || host == nullptr) return;
-      if (bed.network().path_fp_truncate(client, *host)) {
-        dynamics->set_fp32_positions(true);
-      }
+    auto start_rpc = [&](const sched::Assignment& a,
+                         const std::string& meter) {
+      std::unique_ptr<RpcClient> rpc =
+          a.local() ? start_local_worker(bed.sockets(), bed.network(), client,
+                                         client, a.spec, ChannelKind::mpi)
+                    : daemon_client.start_worker(a.spec, a.resource, a.nodes);
+      rpc->set_call_timeout(kRpcCallTimeout);
+      // Client-side RPC metrics under the model name, matching the
+      // worker-side series wired through WorkerSpec::meter.
+      rpc->set_meter(meter);
+      return rpc;
     };
 
     // Start every model's worker in declaration order. A sharded gravity
@@ -718,6 +706,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
       const ModelSpec& model = spec.models[i];
       obs::trace::Span spawn =
           obs::trace::span("spawn:" + model.name, "deploy");
+      ModelRuntime& runtime = models[i];
       if (model.role == Role::gravity && model.workers > 1) {
         std::vector<std::unique_ptr<GravityClient>> shards;
         shards.reserve(static_cast<std::size_t>(model.workers));
@@ -730,46 +719,48 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
           std::string meter =
               k == 0 ? model.name : model.name + "#" + std::to_string(k);
           shard.spec.meter = meter;
-          auto rpc = start_assignment(bed, client, daemon_client, shard);
-          rpc->set_call_timeout(spec.rpc_timeout);
-          rpc->set_meter(meter);
-          shards.push_back(std::make_unique<GravityClient>(std::move(rpc)));
+          shards.push_back(
+              std::make_unique<GravityClient>(start_rpc(shard, meter)));
         }
-        models[i].gravity =
+        runtime.client =
             std::make_unique<ShardedGravityClient>(std::move(shards));
-        apply_fp_truncation(i);
-        return;
+      } else {
+        auto rpc = start_rpc(plan.roles[i], model.name);
+        switch (model.role) {
+          case Role::gravity:
+            runtime.client = std::make_unique<GravityClient>(std::move(rpc));
+            break;
+          case Role::hydro:
+            runtime.client = std::make_unique<HydroClient>(std::move(rpc));
+            break;
+          case Role::coupler:
+            runtime.client = std::make_unique<FieldClient>(std::move(rpc));
+            break;
+          case Role::stellar:
+            runtime.client = std::make_unique<StellarClient>(std::move(rpc));
+            break;
+        }
       }
-      auto rpc = start_assignment(bed, client, daemon_client, plan.roles[i]);
-      rpc->set_call_timeout(spec.rpc_timeout);
-      // Client-side RPC metrics under the model name, matching the
-      // worker-side series wired through WorkerSpec::meter.
-      rpc->set_meter(model.name);
-      switch (model.role) {
-        case Role::gravity:
-          models[i].gravity = std::make_unique<GravityClient>(std::move(rpc));
-          break;
-        case Role::hydro:
-          models[i].hydro = std::make_unique<HydroClient>(std::move(rpc));
-          break;
-        case Role::coupler:
-          models[i].field = std::make_unique<FieldClient>(std::move(rpc));
-          break;
-        case Role::stellar:
-          models[i].stellar = std::make_unique<StellarClient>(std::move(rpc));
-          break;
+      // A model whose state exchanges cross a link flagged `fp_truncate`
+      // narrows its position wire format to f32 (the cost model priced the
+      // placement at the narrowed volume).
+      DynamicsClient* dynamics = runtime.dynamics();
+      const sim::Host* host = plan.roles[i].host;
+      if (dynamics != nullptr && host != nullptr &&
+          bed.network().path_fp_truncate(client, *host)) {
+        dynamics->set_fp32_positions(true);
       }
-      apply_fp_truncation(i);
     };
     bool fault_tolerant = spec.checkpointing;
 
     // ----- the fault path: exclude what died, re-place the affected
     // models, and roll every evolving worker back to the last committed
-    // graph checkpoint (restarted integrators start at t=0; the new bridge
-    // carries the clock offset, the SE mass mappings and the SE cadence
-    // phase forward). Recovery itself is built to survive further faults:
-    // every sub-step that talks to the jungle sits in a bounded retry, so a
-    // second death while re-placing the first is handled, not fatal.
+    // graph checkpoint (restored workers resume on the checkpoint's
+    // absolute clock; the rebuilt bridge starts from the same clock bits
+    // and step count and carries the SE mass mappings forward). Recovery
+    // itself is built to survive further faults: every sub-step that talks
+    // to the jungle sits in a bounded retry, so a second death while
+    // re-placing the first is handled, not fatal.
 
     // Replacement/retry budget across the whole run — generous enough for
     // cascaded faults, small enough to turn a re-place livelock (a hole,
@@ -784,10 +775,10 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
     };
 
     // Global exclusions derived from one death report. Per-worker causes
-    // are handled per model in recover(); this handles what the report
-    // itself names (the crashed host, and its whole resource when the dead
-    // machine is a frontend — jobs submit through it even when the compute
-    // nodes survive).
+    // are handled per model in replace_dead(); this handles what the
+    // report itself names (the crashed host, and its whole resource when
+    // the dead machine is a frontend — jobs submit through it even when
+    // the compute nodes survive).
     auto note_death = [&](const WorkerDiedError& death) {
       log::warn("experiment") << "recovering from: " << death.what();
       faultpoint::reach(faultpoint::Point::recover_exclude, -1, death.host());
@@ -824,26 +815,46 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
       plan.roles[i].spec.theta = spec.models[i].theta;
       plan.roles[i].spec.meter = spec.models[i].name;
     };
+    // Per-worker cause: a crashed host is already excluded; a process
+    // crash blames neither host nor resource (the machine restarted the
+    // worker fine — revive only failed because the node went down
+    // meanwhile); anything else (link fault, timeout, unknown) condemns
+    // the whole resource — the machine may be fine, the route to it is not.
+    auto replace_dead = [&](std::size_t i) {
+      RpcClient& rpc = models[i].rpc();
+      if (!rpc.alive() &&
+          rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
+          rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
+        scheduler.exclude_resource(plan.roles[i].resource);
+      }
+      replace_slot(i);
+    };
+    // The daemon could not start the worker (e.g. the frontend died
+    // between the re-place decision and the submit). The resource is not
+    // usable right now — place elsewhere.
+    auto replace_unstartable = [&](std::size_t i, const CodeError& startup) {
+      log::warn("experiment") << "re-placing '" << spec.models[i].name
+                              << "' after startup failure: "
+                              << startup.what();
+      scheduler.exclude_resource(plan.roles[i].resource);
+      replace_slot(i);
+    };
+    // Re-score the running placement so the dashboard's modeled-vs-
+    // measured panel describes what is actually running.
+    auto publish_placement = [&] {
+      scheduler.score(load, plan);
+      result.placement = plan.describe();
+      result.modeled_seconds_per_iteration =
+          plan.modeled_seconds_per_iteration;
+    };
 
-    // In-place revive (PR 8): cause=process_crash means the daemon's
+    // In-place revive: cause=process_crash means the daemon's
     // supervisor already restarted the crashed worker on the same node and
     // kept the relay open — revive the client over the same link and
     // restore state into the blank replacement. No exclusions, no
-    // re-placement; the PR 2 path stays the fallback tier (the daemon
-    // reports host_crash when the node is gone or its restart budget is
-    // spent).
+    // re-placement; re-placing stays the fallback tier (the daemon reports
+    // host_crash when the node is gone or its restart budget is spent).
     std::vector<bool> revived(n_models, false);
-    auto reset_model_caches = [&](ModelRuntime& model) {
-      if (model.gravity) {
-        model.gravity->reset_delta_caches();
-      } else if (model.hydro) {
-        model.hydro->reset_delta_caches();
-      } else if (model.field) {
-        model.field->reset_delta_caches();
-      } else if (model.stellar) {
-        model.stellar->reset_delta_caches();
-      }
-    };
     auto try_revive = [&](std::size_t i) {
       RpcClient& rpc = models[i].rpc();
       if (rpc.alive() ||
@@ -854,7 +865,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
       if (a.local() || (a.host != nullptr && !a.host->is_up())) return false;
       spend_attempt();
       rpc.revive();
-      reset_model_caches(models[i]);
+      models[i].client->reset_delta_caches();
       revived[i] = true;
       log::info("experiment")
           << "worker '" << spec.models[i].name
@@ -881,32 +892,19 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
         } catch (const CodeError& startup) {
           if (!fault_tolerant || plan.roles[i].local()) throw;
           ++result.restarts;
-          log::warn("experiment")
-              << "re-placing '" << spec.models[i].name
-              << "' after startup failure: " << startup.what();
-          scheduler.exclude_resource(plan.roles[i].resource);
-          replace_slot(i);
+          replace_unstartable(i, startup);
         }
       }
     }
-    if (result.restarts > 0) {
-      // Initial deployment already deviated from the planned placement:
-      // re-score so the dashboard describes what is actually running.
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
-    }
+    // Initial deployment already deviated from the planned placement.
+    if (result.restarts > 0) publish_placement();
 
-    bool synchronous = spec.datapath == Datapath::synchronous;
+    // The baseline mode turns the delta exchange off end to end so the
+    // wire behaves exactly like the pre-overhaul full-fetch path.
+    bool delta_exchange = spec.datapath != Datapath::synchronous;
     auto apply_datapath = [&] {
-      // The baseline mode turns the delta exchange off end to end so the
-      // wire behaves exactly like the pre-overhaul full-fetch path.
       for (ModelRuntime& model : models) {
-        if (model.gravity) model.gravity->set_delta_exchange(!synchronous);
-        if (model.hydro) model.hydro->set_delta_exchange(!synchronous);
-        if (model.field) model.field->set_delta_exchange(!synchronous);
-        if (model.stellar) model.stellar->set_delta_exchange(!synchronous);
+        model.client->set_delta_exchange(delta_exchange);
       }
     };
     apply_datapath();
@@ -950,8 +948,8 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             body.velocity = kernels::permute(
                 std::span<const Vec3>(body.velocity), order);
           }
-          models[i].gravity->add_particles(body.mass, body.position,
-                                           body.velocity);
+          models[i].gravity().add_particles(body.mass, body.position,
+                                            body.velocity);
           // Checkpoints start as the initial conditions: a worker lost on
           // the very first step rolls back to t=0 (epoch 0).
           committed.gravity[i].state =
@@ -970,8 +968,8 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             for (Vec3& p : cloud.position) p = p + model.offset;
             for (Vec3& v : cloud.velocity) v = v + model.bulk_velocity;
           }
-          models[i].hydro->add_gas(cloud.mass, cloud.position, cloud.velocity,
-                                   cloud.internal_energy);
+          models[i].hydro().add_gas(cloud.mass, cloud.position,
+                                    cloud.velocity, cloud.internal_energy);
           committed.hydro[i].state =
               HydroState{std::move(cloud.mass), std::move(cloud.position),
                          std::move(cloud.velocity),
@@ -985,7 +983,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
           if (model.ensure_massive > 0.0) {
             models[i].zams[0] = model.ensure_massive;
           }
-          models[i].stellar->add_stars(models[i].zams);
+          models[i].stellar().add_stars(models[i].zams);
           break;
         }
         case Role::coupler:
@@ -995,6 +993,9 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
 
     // Wire the bridge graph: dynamic models become systems, couplings
     // resolve to system indices, stellar models to their typed targets.
+    auto slot = [&](const std::string& name) -> ModelRuntime& {
+      return models[static_cast<std::size_t>(spec.find(name))];
+    };
     std::vector<int> system_of(n_models, -1);
     auto build_bridge = [&](double t_start, int step_offset) {
       std::vector<Bridge::System> systems;
@@ -1006,28 +1007,30 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
       std::vector<Bridge::Coupling> couplings;
       for (const CouplingSpec& coupling : spec.couplings) {
         couplings.push_back(
-            {models[static_cast<std::size_t>(spec.find(coupling.field))]
-                 .field.get(),
+            {&slot(coupling.field).field(),
              system_of[static_cast<std::size_t>(spec.find(coupling.a))],
              system_of[static_cast<std::size_t>(spec.find(coupling.b))],
              coupling.every});
       }
       std::vector<Bridge::Stellar> stellar;
       for (std::size_t i = 0; i < n_models; ++i) {
-        if (!models[i].stellar) continue;
+        if (models[i].role != Role::stellar) continue;
         const ModelSpec& model = spec.models[i];
         Bridge::Stellar link;
-        link.client = models[i].stellar.get();
-        link.into =
-            models[static_cast<std::size_t>(spec.find(model.of))].gravity.get();
+        link.client = &models[i].stellar();
+        link.into = &slot(model.of).gravity();
         link.feedback =
-            model.feedback.empty()
-                ? nullptr
-                : models[static_cast<std::size_t>(spec.find(model.feedback))]
-                      .hydro.get();
+            model.feedback.empty() ? nullptr : &slot(model.feedback).hydro();
         stellar.push_back(link);
       }
-      Bridge::Config config = bridge_config(spec);
+      Bridge::Config config;
+      config.dt = spec.dt;
+      config.se_every = spec.se_every;
+      config.synchronous_datapath = spec.datapath == Datapath::synchronous;
+      config.myr_per_nbody_time = spec.myr_per_nbody_time;
+      config.feedback_efficiency = spec.feedback_efficiency;
+      config.wind_specific_energy = spec.wind_specific_energy;
+      config.supernova_energy = spec.supernova_energy;
       // Absolute-clock restart: rebuilt bridges continue from the committed
       // checkpoint's exact clock bits, and restored workers carry the same
       // absolute time — evolve targets replay the fault-free sequence.
@@ -1039,31 +1042,41 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
     };
     auto bridge = build_bridge(0.0, 0);
 
+    // Load the committed checkpoint into a (fresh or revived) worker.
+    auto restore_model = [&](std::size_t i) {
+      ModelRuntime& model = models[i];
+      switch (model.role) {
+        case Role::gravity:
+          restore_gravity(model.gravity(), committed.gravity[i]);
+          break;
+        case Role::hydro:
+          restore_hydro(model.hydro(), committed.hydro[i]);
+          break;
+        case Role::coupler:
+          restore_field(model.field(), committed.field[i]);
+          break;
+        case Role::stellar:
+          model.stellar().add_stars(model.zams);
+          if (committed.time > 0.0) {
+            model.stellar().evolve_to(committed.time *
+                                      spec.myr_per_nbody_time);
+          }
+          break;
+      }
+    };
+
     auto recover = [&](const WorkerDiedError& death) {
       bool any_dead = false;
       for (std::size_t i = 0; i < n_models; ++i) {
         if (!model_dead(i)) continue;
         any_dead = true;
         if (try_revive(i)) continue;  // in-place restart: keep the slot
-        const sched::Assignment& was = plan.roles[i];
-        if (was.local()) {
+        if (plan.roles[i].local()) {
           throw CodeError("the client machine lost its own worker ('" +
                           spec.models[i].name + "'); nothing to re-place "
                           "onto");
         }
-        // Per-worker cause: a crashed host is already excluded; a process
-        // crash blames neither host nor resource (the machine restarted
-        // the worker fine — revive only failed because the node went down
-        // meanwhile); anything else (link fault, timeout, unknown)
-        // condemns the whole resource — the machine may be fine, the
-        // route to it is not.
-        RpcClient& rpc = models[i].rpc();
-        if (!rpc.alive() &&
-            rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
-            rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-          scheduler.exclude_resource(was.resource);
-        }
-        replace_slot(i);
+        replace_dead(i);
       }
       if (!any_dead) {
         // Stale report: nothing is actually dead. Escalate as a plain
@@ -1074,49 +1087,32 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
                         death.what());
       }
 
-      // The rollback target is the clock of the checkpoint we restore
-      // from — paired by construction, not re-derived as epoch * dt (the
-      // accumulated sum and the product can differ in the last ulp, and
-      // bit-exact replay needs the accumulated bits).
-      double t_done = committed.time;
       std::vector<std::pair<std::vector<double>, std::vector<double>>>
           mappings;
       for (std::size_t link = 0, i = 0; i < n_models; ++i) {
-        if (!models[i].stellar) continue;
+        if (models[i].role != Role::stellar) continue;
         mappings.push_back(bridge->se_mapping(link++));
       }
 
       // All dynamic models share the bridge clock: they roll back together
-      // so their restarted integrators agree at t=0 (+ offset). Field and
-      // stellar workers are replaced only when they died. Each model's
-      // close/start/restore can itself be hit by a fault (a fresh host
-      // crashing mid-restore, a frontend dying between the re-place
-      // decision and the submit): exclude what failed, pick another target
-      // and try again, within the budget.
+      // to the committed checkpoint. Field and stellar workers are replaced
+      // only when they died. Each model's close/start/restore can itself be
+      // hit by a fault (a fresh host crashing mid-restore, a frontend dying
+      // between the re-place decision and the submit): exclude what failed,
+      // pick another target and try again, within the budget.
       for (std::size_t i = 0; i < n_models; ++i) {
-        ModelRuntime& model = models[i];
-        bool dynamic = model.gravity != nullptr || model.hydro != nullptr;
-        if (!dynamic && !model_dead(i) && !revived[i]) continue;
+        if (!is_dynamic(models[i].role) && !model_dead(i) && !revived[i]) {
+          continue;
+        }
         for (;;) {
           try {
             // A revived slot keeps its client and relay: the supervised
             // replacement worker is blank, so it only needs the restore.
             if (!revived[i]) {
-              model.close();
+              models[i].client->close();
               start_model(i);
             }
-            if (model.gravity) {
-              restore_gravity(*model.gravity, committed.gravity[i]);
-            } else if (model.hydro) {
-              restore_hydro(*model.hydro, committed.hydro[i]);
-            } else if (model.field) {
-              restore_field(*model.field, committed.field[i]);
-            } else if (model.stellar) {
-              model.stellar->add_stars(model.zams);
-              if (t_done > 0.0) {
-                model.stellar->evolve_to(t_done * spec.myr_per_nbody_time);
-              }
-            }
+            restore_model(i);
             break;
           } catch (const WorkerDiedError& again) {
             // The replacement (or the machine it landed on) died while we
@@ -1125,23 +1121,10 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             if (try_revive(i)) continue;  // another supervised restart
             revived[i] = false;  // fall back: rebuild client and placement
             if (plan.roles[i].local()) throw;
-            RpcClient& rpc = models[i].rpc();
-            if (!rpc.alive() &&
-                rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
-                rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-              scheduler.exclude_resource(plan.roles[i].resource);
-            }
-            replace_slot(i);
+            replace_dead(i);
           } catch (const CodeError& startup) {
-            // The daemon could not start the worker (e.g. the frontend
-            // died between the re-place decision and the submit). The
-            // resource is not usable right now — place elsewhere.
             if (plan.roles[i].local()) throw;
-            log::warn("experiment")
-                << "re-placing '" << spec.models[i].name
-                << "' after startup failure: " << startup.what();
-            scheduler.exclude_resource(plan.roles[i].resource);
-            replace_slot(i);
+            replace_unstartable(i, startup);
           }
         }
       }
@@ -1153,68 +1136,16 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
       apply_datapath();
 
       faultpoint::reach(faultpoint::Point::recover_rebuild, committed.epoch);
-      bridge = build_bridge(t_done, committed.epoch);
+      // The rollback target is the clock of the checkpoint we restore
+      // from — paired by construction, not re-derived as epoch * dt (the
+      // accumulated sum and the product can differ in the last ulp, and
+      // bit-exact replay needs the accumulated bits).
+      bridge = build_bridge(committed.time, committed.epoch);
       for (std::size_t link = 0; link < mappings.size(); ++link) {
         bridge->set_se_mapping(std::move(mappings[link].first),
                                std::move(mappings[link].second), link);
       }
-      // Re-score the whole post-fault placement so the dashboard's
-      // modeled-vs-measured panel describes what is actually running.
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
-    };
-
-    // Drift-triggered migration: the same machinery as fault recovery, but
-    // from a healthy state — the committed checkpoint equals the live
-    // state, so restoring into the new placement replays nothing. Only
-    // models whose assignment actually changed are moved; a death mid-move
-    // falls through to the ordinary recovery path.
-    auto migrate_to = [&](sched::Placement fresh) {
-      ++result.replans;
-      obs::metrics::counter("sched.replans").increment();
-      obs::trace::Span span = obs::trace::span("migrate", "sched");
-      double t_done = committed.time;
-      std::vector<std::pair<std::vector<double>, std::vector<double>>>
-          mappings;
-      for (std::size_t link = 0, i = 0; i < n_models; ++i) {
-        if (!models[i].stellar) continue;
-        mappings.push_back(bridge->se_mapping(link++));
-      }
-      std::vector<bool> moved(n_models, false);
-      for (std::size_t i = 0; i < n_models; ++i) {
-        moved[i] = fresh.roles[i].where() != plan.roles[i].where();
-      }
-      plan = std::move(fresh);
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (!moved[i]) continue;
-        ModelRuntime& model = models[i];
-        model.close();
-        start_model(i);
-        if (model.gravity) {
-          restore_gravity(*model.gravity, committed.gravity[i]);
-        } else if (model.hydro) {
-          restore_hydro(*model.hydro, committed.hydro[i]);
-        } else if (model.field) {
-          restore_field(*model.field, committed.field[i]);
-        } else if (model.stellar) {
-          model.stellar->add_stars(model.zams);
-          if (t_done > 0.0) {
-            model.stellar->evolve_to(t_done * spec.myr_per_nbody_time);
-          }
-        }
-      }
-      apply_datapath();
-      bridge = build_bridge(t_done, committed.epoch);
-      for (std::size_t link = 0; link < mappings.size(); ++link) {
-        bridge->set_se_mapping(std::move(mappings[link].first),
-                               std::move(mappings[link].second), link);
-      }
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
+      publish_placement();
     };
 
     bed.network().reset_traffic();
@@ -1272,9 +1203,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
     // ----- the calibration loop: the first cleanly measured iteration
     // closes the scheduler's modeled-vs-measured gap. Per-role measured
     // compute (worker.<name>.compute_s deltas) calibrates the flop charges;
-    // the running placement is re-scored with the calibrated model, and —
-    // when the spec opts in — a drift past the bound triggers a proactive
-    // re-plan with migration at the checkpoint boundary.
+    // the running placement is re-scored with the calibrated model.
     bool calibrated = false;
     auto calibrate = [&](const MetricCursor& before,
                          const MetricCursor& after) {
@@ -1319,7 +1248,6 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
                          << "x -> " << post_drift << "x, calibrated modeled="
                          << result.calibrated_seconds_per_iteration
                          << " s/iter";
-      return pre_drift;
     };
 
     double wall_start = bed.simulation().now();
@@ -1358,16 +1286,22 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
           for (std::size_t i = 0; i < n_models; ++i) {
             faultpoint::reach(faultpoint::Point::ckpt_capture, completed,
                               spec.models[i].name);
-            if (models[i].gravity) {
-              staged.gravity[i] = checkpoint_gravity(*models[i].gravity);
-              staged.gravity[i].eps2 = spec.models[i].eps2;
-              staged.gravity[i].eta = spec.models[i].eta;
-            } else if (models[i].hydro) {
-              staged.hydro[i] = checkpoint_hydro(*models[i].hydro);
-              staged.hydro[i].eps2 = spec.models[i].eps2;
-              staged.hydro[i].theta = spec.models[i].theta;
-            } else if (models[i].field) {
-              staged.field[i] = checkpoint_field(*models[i].field);
+            switch (models[i].role) {
+              case Role::gravity:
+                staged.gravity[i] = checkpoint_gravity(models[i].gravity());
+                staged.gravity[i].eps2 = spec.models[i].eps2;
+                staged.gravity[i].eta = spec.models[i].eta;
+                break;
+              case Role::hydro:
+                staged.hydro[i] = checkpoint_hydro(models[i].hydro());
+                staged.hydro[i].eps2 = spec.models[i].eps2;
+                staged.hydro[i].theta = spec.models[i].theta;
+                break;
+              case Role::coupler:
+                staged.field[i] = checkpoint_field(models[i].field());
+                break;
+              case Role::stellar:
+                break;  // re-derived from the ZAMS masses on restore
             }
           }
           // Named per-model commit slots: the window where a non-atomic
@@ -1381,12 +1315,18 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             if (faultpoint::active()) {
               // Per-model digest: lets the explorer name the model that
               // diverged, not just the epoch.
-              if (models[i].gravity) {
-                slot.digest = digest(staged.gravity[i]);
-              } else if (models[i].hydro) {
-                slot.digest = digest(staged.hydro[i]);
-              } else if (models[i].field) {
-                slot.digest = digest(staged.field[i]);
+              switch (models[i].role) {
+                case Role::gravity:
+                  slot.digest = digest(staged.gravity[i]);
+                  break;
+                case Role::hydro:
+                  slot.digest = digest(staged.hydro[i]);
+                  break;
+                case Role::coupler:
+                  slot.digest = digest(staged.field[i]);
+                  break;
+                case Role::stellar:
+                  break;
               }
             }
             faultpoint::reach(slot);
@@ -1437,7 +1377,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
         result.iteration_log.push_back(row);
 
         if (!calibrated && !row.replay && row.restarts == 0) {
-          double drift = calibrate(metric_cursor, metrics_now);
+          calibrate(metric_cursor, metrics_now);
           std::ostringstream links;
           links << "per-link WAN volume (iteration 1):";
           for (const auto& [name, bytes] : links_now) {
@@ -1446,27 +1386,6 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             links << " " << name << "=" << util::format_bytes(delta);
           }
           log::info("sched") << links.str();
-
-          // Proactive re-plan: when the measured world disagrees with the
-          // model past the bound, ask the calibrated scheduler for a fresh
-          // placement and migrate at this checkpoint boundary — but only
-          // when the move actually pays for itself.
-          if (spec.replan && drift > spec.replan_drift) {
-            sched::Placement fresh = plan_in(bed, spec, client, scheduler);
-            bool moved = false;
-            for (std::size_t i = 0; i < n_models; ++i) {
-              if (fresh.roles[i].where() != plan.roles[i].where()) {
-                moved = true;
-              }
-            }
-            if (moved && fresh.modeled_seconds_per_iteration <
-                             0.95 * result.calibrated_seconds_per_iteration) {
-              log::info("sched")
-                  << "re-planning after drift " << drift << "x > "
-                  << spec.replan_drift << "x: " << fresh.describe();
-              migrate_to(std::move(fresh));
-            }
-          }
         }
         restarts_mark = result.restarts;
         metric_cursor = std::move(metrics_now);
@@ -1539,13 +1458,13 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
     std::vector<Vec3> gas_pos, gas_vel;
     for (std::size_t i = 0; i < n_models; ++i) {
       const ModelSpec& model = spec.models[i];
-      if (!models[i].gravity && !models[i].hydro) continue;
+      if (!is_dynamic(model.role)) continue;
       ModelResult state;
       state.name = model.name;
       state.role = model.role;
-      if (models[i].gravity) {
-        state.gravity = models[i].gravity->get_state();
-        auto [kinetic, potential] = models[i].gravity->energies();
+      if (model.role == Role::gravity) {
+        state.gravity = models[i].gravity().get_state();
+        auto [kinetic, potential] = models[i].gravity().energies();
         state.kinetic = kinetic;
         state.potential = potential;
         star_mass.insert(star_mass.end(), state.gravity.mass.begin(),
@@ -1553,8 +1472,8 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
         star_pos.insert(star_pos.end(), state.gravity.position.begin(),
                         state.gravity.position.end());
       } else {
-        state.hydro = models[i].hydro->get_state();
-        auto [kinetic, thermal, potential] = models[i].hydro->energies();
+        state.hydro = models[i].hydro().get_state();
+        auto [kinetic, thermal, potential] = models[i].hydro().energies();
         state.kinetic = kinetic;
         state.thermal = thermal;
         state.potential = potential;
@@ -1574,7 +1493,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
           gas_mass, gas_pos, gas_vel, gas_u, star_mass, star_pos);
     }
 
-    for (ModelRuntime& model : models) model.close();
+    for (ModelRuntime& model : models) model.client->close();
   });
   bed.simulation().run();
 
@@ -1605,7 +1524,6 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
   panel << "  modeled=" << result.modeled_seconds_per_iteration
         << " s/iter measured=" << result.seconds_per_iteration << " s/iter";
   if (result.restarts > 0) panel << " restarts=" << result.restarts;
-  if (result.replans > 0) panel << " replans=" << result.replans;
   panel << "\n";
   if (result.calibrated_seconds_per_iteration > 0.0) {
     panel << "  calibrated=" << result.calibrated_seconds_per_iteration

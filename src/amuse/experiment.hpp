@@ -128,23 +128,8 @@ struct ExperimentSpec {
   int flap_streams = 0;
   double flap_streams_heal_s = 5.0;
 
-  /// Per-call RPC reply deadline (virtual seconds; 0 disables). A worker
-  /// that stops answering — hung process, silently black-holed route —
-  /// surfaces as WorkerDiedError(cause=timeout) instead of deadlocking the
-  /// bridge. The default is far above any modeled call, far below forever.
-  double rpc_timeout = 3600.0;
-
   /// Host the coupling script runs on ("" = the testbed's client host).
   std::string client;
-
-  /// Closed-loop scheduling: after the first measured iteration calibrates
-  /// the cost model, re-plan proactively when the measured/modeled compute
-  /// drift of any role exceeds `replan_drift` (a factor, > 1), and migrate
-  /// to the new placement at the checkpoint boundary when it is actually
-  /// faster. Calibration itself always runs; `replan` gates only the
-  /// migration. Requires checkpointing (validated).
-  bool replan = false;
-  double replan_drift = 4.0;
 
   /// Graph validation: throws ConfigError naming the offending model or
   /// coupling. Checks (among others) that coupling endpoints resolve to
@@ -158,7 +143,8 @@ struct ExperimentSpec {
 
   int find(const std::string& model_name) const;  // index, -1 if absent
 
-  /// Parse the [experiment] / [model ...] / [coupling ...] sections.
+  /// Parse the [experiment] / [model ...] / [coupling ...] sections. A key
+  /// these sections do not know is a ConfigError naming key and section.
   static ExperimentSpec from_config(const util::Config& config);
 };
 
@@ -205,8 +191,6 @@ struct Result {
   /// Modeled s/iter of the running placement re-scored with the calibrated
   /// cost model (modeled_seconds_per_iteration stays uncalibrated).
   double calibrated_seconds_per_iteration = 0.0;
-  /// Drift-triggered migrations performed (spec.replan).
-  int replans = 0;
 };
 
 /// The Jungle of Figs 9/12: Seattle laptop, VU desktop + DAS-4 VU cluster,

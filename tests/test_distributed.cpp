@@ -205,6 +205,14 @@ struct BridgeRig {
     se->add_stars(zams);
   }
 
+  /// The classic Fig-7 graph: stars and gas coupled through one field
+  /// kernel, SE masses into the stars with feedback into the gas.
+  Bridge bridge(const Bridge::Config& config) {
+    return Bridge({{"stars", stars.get()}, {"gas", gas.get()}},
+                  {{coupler.get(), 0, 1, 1}},
+                  {{se.get(), stars.get(), gas.get()}}, config);
+  }
+
   void close() {
     stars->close();
     gas->close();
@@ -224,7 +232,7 @@ TEST(Distributed, BridgeFollowsFig7Schedule) {
     config.dt = 1.0 / 128.0;
     config.se_every = 2;
     config.myr_per_nbody_time = 1.0;
-    Bridge bridge(*rig.stars, *rig.gas, *rig.coupler, rig.se.get(), config);
+    Bridge bridge = rig.bridge(config);
     bridge.step();
     bridge.step();
     trace = bridge.trace();
@@ -343,7 +351,9 @@ TEST(Distributed, FaultPolicyRestartsOnReplacementResource) {
       // (reply sent before the crash); the next call then fails.
       gravity->get_state();
     } catch (const CodeError&) {
-      gravity = restart_gravity(client, spec, "das4", save);
+      gravity = std::make_unique<GravityClient>(
+          client.start_worker(spec, "das4"));
+      restore_gravity(*gravity, save);
       restarted = true;
     }
     // Continue the run on the replacement: it resumes on the absolute
@@ -526,7 +536,7 @@ TEST(Distributed, PipelinedBridgeMatchesSynchronousBitExact) {
       rig.stars->set_delta_exchange(!synchronous);
       rig.gas->set_delta_exchange(!synchronous);
       rig.coupler->set_delta_exchange(!synchronous);
-      Bridge bridge(*rig.stars, *rig.gas, *rig.coupler, rig.se.get(), config);
+      Bridge bridge = rig.bridge(config);
       for (int i = 0; i < 4; ++i) bridge.step();
       stars = rig.stars->get_state();
       gas = rig.gas->get_state();

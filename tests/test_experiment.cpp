@@ -115,6 +115,50 @@ every = 2
   EXPECT_EQ(load.couplings[1].b, 2);  // gasdisk's slot
 }
 
+TEST(Experiment, SpecIniRejectsUnknownKeys) {
+  // A misspelt key must not fall back to its default silently: the error
+  // names the key and its section.
+  auto error_of = [](const std::string& ini) -> std::string {
+    try {
+      ExperimentSpec::from_config(util::Config::parse(ini));
+    } catch (const ConfigError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  const std::string graph = "[model solo]\nrole = gravity\nn = 16\n";
+  std::string error =
+      error_of("[experiment]\ncheckpionting = true\n" + graph);
+  EXPECT_NE(error.find("'checkpionting'"), std::string::npos) << error;
+  EXPECT_NE(error.find("[experiment]"), std::string::npos) << error;
+
+  error = error_of(graph + "theat = 0.5\n");
+  EXPECT_NE(error.find("'theat'"), std::string::npos) << error;
+  EXPECT_NE(error.find("[model solo]"), std::string::npos) << error;
+
+  error = error_of(graph +
+                   "[coupling link]\nfield = f\na = solo\nb = x\n"
+                   "evry = 2\n");
+  EXPECT_NE(error.find("'evry'"), std::string::npos) << error;
+  EXPECT_NE(error.find("[coupling link]"), std::string::npos) << error;
+
+  // Retired knobs are unknown keys too, not silently ignored.
+  for (const char* retired : {"replan = true", "replan_drift = 2",
+                              "rpc_timeout = 10"}) {
+    EXPECT_THROW(ExperimentSpec::from_config(util::Config::parse(
+                     "[experiment]\n" + std::string(retired) + "\n" + graph)),
+                 ConfigError)
+        << retired;
+  }
+
+  // Every shipped experiment INI uses only known keys.
+  for (const char* name : {"triple-plummer.ini", "sharded-plummer.ini"}) {
+    EXPECT_NO_THROW(ExperimentSpec::from_config(
+        util::Config::parse(example_ini(name))))
+        << name;
+  }
+}
+
 TEST(Experiment, ValidationRejectsDanglingCouplingReferences) {
   ExperimentSpec spec = tiny_classic();
   spec.couplings[0].b = "nebula";  // no such model
@@ -298,7 +342,7 @@ struct OldBridgeReference {
   }
 
   void stellar_update() {
-    double age = (config.t_offset + time) * config.myr_per_nbody_time;
+    double age = time * config.myr_per_nbody_time;
     stellar->evolve_to(age);
     std::vector<double> se_masses = stellar->masses();
     Future reply = stars.request_state(state_field::coupling);

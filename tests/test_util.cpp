@@ -69,12 +69,16 @@ TEST(ByteBuffer, RoundTripStringsAndVectors) {
   writer.put_string("phigrape");
   writer.put_vector(std::vector<double>{1.0, 2.0, 3.0});
   writer.put_string("");
+  writer.put_vector(std::vector<double>{});  // empty arrays round-trip too
+  writer.put_string("end");
   ju::ByteReader reader(std::move(writer).take());
   EXPECT_EQ(reader.get_string(), "phigrape");
   auto values = reader.get_vector<double>();
   ASSERT_EQ(values.size(), 3u);
   EXPECT_EQ(values[1], 2.0);
   EXPECT_EQ(reader.get_string(), "");
+  EXPECT_TRUE(reader.get_vector<double>().empty());
+  EXPECT_EQ(reader.get_string(), "end");
 }
 
 TEST(ByteBuffer, UnderrunThrowsWireError) {
