@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <optional>
 
 #include "amuse/faultpoint.hpp"
 #include "obs/trace.hpp"
@@ -20,7 +21,7 @@ struct PendingQuery {
   int dir;      // 0 = accel on a (sources b), 1 = accel on b (sources a)
   int target;   // system index the accel applies to
   int source;   // system index whose particles are the sources
-  Future reply;
+  std::optional<Future> reply;  // nullopt: the field client knows the answer
 };
 
 /// Accumulates one target system's per-coupling accelerations into a
@@ -133,10 +134,10 @@ std::vector<int> Bridge::active_couplings(int step_index, bool bottom) const {
   return active;
 }
 
-void Bridge::cross_kick(const std::vector<int>& active) {
+std::vector<Future> Bridge::cross_kick(const std::vector<int>& active) {
   if (config_.synchronous_datapath) {
     cross_kick_synchronous(active);
-    return;
+    return {};
   }
 
   // Which systems participate in this phase, in declaration order.
@@ -150,27 +151,31 @@ void Bridge::cross_kick(const std::vector<int>& active) {
     }
   }
 
-  // Phase 1 — every involved system's state, fetched concurrently: one
-  // round trip, and only the fields the coupling consumes (mass+position)
-  // that actually changed since the cached copy.
+  // Phase 1 — the state of every involved system whose cached mass and
+  // position may be stale, fetched concurrently: one round trip, and only
+  // the coupling fields (mass+position) that changed since the cached copy.
+  // A current system's fetch would carry nothing and is skipped — after a
+  // bottom kick that is every system, unless a mass update intervened.
   {
     obs::trace::Span phase = obs::trace::span("state_fetch", "bridge");
+    std::vector<int> stale;
     std::vector<Future> state_replies;
-    state_replies.reserve(involved.size());
     for (int i : involved) {
+      if (systems_[i].dynamics->coupling_current()) continue;
+      stale.push_back(i);
       state_replies.push_back(
           systems_[i].dynamics->request_state(state_field::coupling));
     }
-    for (std::size_t k = 0; k < involved.size(); ++k) {
-      systems_[involved[k]].dynamics->merge_state(state_replies[k],
-                                                  state_field::coupling);
+    for (std::size_t k = 0; k < stale.size(); ++k) {
+      systems_[stale[k]].dynamics->merge_state(state_replies[k],
+                                               state_field::coupling);
     }
   }
 
   // Phase 2 — every cross-gravity query in flight together, ordered by
   // target system. Sources and evaluation points ride along only when
   // their content id changed; an unchanged pair is answered from the
-  // coupler's cache without recompute.
+  // field client's copy of the coupler's cache, with no RPC at all.
   obs::trace::Span queries_phase = obs::trace::span("field_queries", "bridge");
   std::vector<PendingQuery> queries;
   for (int target : involved) {
@@ -191,8 +196,8 @@ void Bridge::cross_kick(const std::vector<int>& active) {
   }
 
   // Collect each target's accelerations (finish in issue order), then
-  // phase 3 — all kicks applied concurrently as accel + dt frames (an
-  // unchanged acceleration travels as a 16-byte repeat).
+  // phase 3 — all kicks sent as accel + dt frames (an unchanged
+  // acceleration travels as a 16-byte repeat). The caller waits for them.
   std::vector<Future> kicks_done;
   std::vector<KickSum> kicks(systems_.size());
   for (int target : involved) {
@@ -211,9 +216,7 @@ void Bridge::cross_kick(const std::vector<int>& active) {
     kicks_done.push_back(
         systems_[target].dynamics->kick_async(kick.accel(), kick.dt()));
   }
-  queries_phase.end();
-  obs::trace::Span kicks_phase = obs::trace::span("kicks", "bridge");
-  for (Future& done : kicks_done) done.get();
+  return kicks_done;
 }
 
 void Bridge::cross_kick_synchronous(const std::vector<int>& active) {
@@ -264,13 +267,17 @@ void Bridge::step() {
 
   faultpoint::reach(faultpoint::Point::step_top_kick, step_index);
   std::vector<int> top = active_couplings(step_index, /*bottom=*/false);
+  std::vector<Future> top_kicks;
   if (!top.empty()) {
     obs::trace::Span phase = obs::trace::span("cross_kick:top", "bridge");
-    cross_kick(top);
+    top_kicks = cross_kick(top);
   }
 
   // Parallel evolve: all systems advance concurrently; total wall time is
-  // max over the systems' evolves + messaging — the Jungle payoff.
+  // max over the systems' evolves + messaging — the Jungle payoff. The top
+  // kicks are still in flight: each worker's pipe is FIFO, so it applies
+  // its kick before the evolve queued behind it, and their acks are
+  // collected while the evolves run.
   faultpoint::reach(faultpoint::Point::step_evolve, step_index);
   {
     obs::trace::Span phase = obs::trace::span("evolve", "bridge");
@@ -280,6 +287,7 @@ void Bridge::step() {
       evolving.push_back(system.dynamics->evolve_async(time_ + dt));
     }
     trace_.push_back("evolve:parallel");
+    for (Future& kick : top_kicks) kick.get();
     for (Future& future : evolving) future.get();
   }
 
@@ -287,7 +295,9 @@ void Bridge::step() {
   std::vector<int> bottom = active_couplings(step_index, /*bottom=*/true);
   if (!bottom.empty()) {
     obs::trace::Span phase = obs::trace::span("cross_kick:bottom", "bridge");
-    cross_kick(bottom);
+    std::vector<Future> bottom_kicks = cross_kick(bottom);
+    obs::trace::Span kicks_phase = obs::trace::span("kicks", "bridge");
+    for (Future& kick : bottom_kicks) kick.get();
   }
 
   time_ += dt;

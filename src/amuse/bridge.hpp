@@ -20,11 +20,17 @@ namespace jungle::amuse {
 ///
 /// The coupling data path is pipelined: each cross-kick phase (state fetch,
 /// field queries, kicks) issues every system's calls as concurrent futures,
-/// so one WAN round trip is paid per phase instead of one per call, and the
-/// delta state exchange keeps unchanged fields off the wire entirely. The
-/// pre-overhaul serial path is kept behind Config::synchronous_datapath as
-/// the baseline the data-path bench compares against (bit-identical
-/// physics, more round trips and bytes).
+/// and the delta state exchange keeps unchanged fields off the wire. A step
+/// only waits on round trips whose answer the client cannot already know:
+/// a fetch of a system whose cached coupling fields are current is skipped,
+/// a field query the coupler would answer "unchanged" is answered by the
+/// field client, and the top kicks ride ahead of the evolves on each
+/// worker's FIFO pipe with their acks collected during the evolve. A steady
+/// step therefore pays no round trip for its top half-kick, one for the
+/// evolve and three for the bottom half-kick. The pre-overhaul serial path
+/// is kept behind Config::synchronous_datapath as the baseline the
+/// data-path bench compares against (bit-identical physics, more round
+/// trips and bytes).
 class Bridge {
  public:
   /// One evolving model in the graph. The name feeds the call trace
@@ -99,9 +105,10 @@ class Bridge {
   void clear_trace() { trace_.clear(); }
 
   // No state accessors here on purpose: the pipelined path fetches only
-  // mass+position each half-kick, so the clients' caches can hold stale
-  // velocities/energies between full fetches. Diagnostics must ask the
-  // clients for a full get_state() instead (the experiment runner does).
+  // mass+position, and only when they may have moved, so the clients'
+  // caches can hold stale velocities/energies between full fetches.
+  // Diagnostics must ask the clients for a full get_state() instead (the
+  // experiment runner does).
 
   /// The MSun <-> N-body mass mapping fixed at the first stellar update of
   /// link `link` (0 = the classic single SE channel). A bridge rebuilt
@@ -123,7 +130,9 @@ class Bridge {
 
   /// Couplings that fire on a phase, given the step they belong to.
   std::vector<int> active_couplings(int step_index, bool bottom) const;
-  void cross_kick(const std::vector<int>& active);
+  /// Runs one coupling phase up to sending its kicks and returns the kick
+  /// acks still in flight (none on the synchronous path, which waits).
+  std::vector<Future> cross_kick(const std::vector<int>& active);
   void cross_kick_synchronous(const std::vector<int>& active);
   void stellar_update();
   void stellar_update_one(StellarLink& link);

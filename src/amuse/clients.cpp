@@ -54,6 +54,7 @@ Future DynamicsClient::send_state_request(Fn fn, std::uint64_t want_mask) {
   args.put<StateId>(info_.delta_enabled ? info_.id : 0);
   args.put<std::uint64_t>(info_.delta_enabled ? info_.mask : 0);
   args.put<std::uint64_t>(want_mask);
+  moved_since_request_ = false;
   return rpc_->call(fn, std::move(args));
 }
 
@@ -82,6 +83,10 @@ void DynamicsClient::commit_state(const DeltaHeader& header,
   want_mask &= ~state_field::fp32_positions;
   info_.mask = (info_.mask & ~header.stale_mask) | want_mask | header.sent_mask;
   info_.id = header.state_id;
+  if ((want_mask & state_field::coupling) == state_field::coupling &&
+      !moved_since_request_) {
+    coupling_current_ = true;
+  }
 }
 
 Future DynamicsClient::send_kick(Fn fn, std::span<const Vec3> accel,
@@ -115,12 +120,14 @@ void GravityClient::add_particles(std::span<const double> masses,
   put_span_of(args, masses);
   put_span_of(args, positions);
   put_span_of(args, velocities);
+  invalidate_coupling();
   rpc_->call_sync(Fn::grav_add_particles, std::move(args));
 }
 
 Future GravityClient::evolve_async(double t_end) {
   util::ByteWriter args = RpcClient::request();
   args.put<double>(t_end);
+  invalidate_coupling();
   return rpc_->call(Fn::grav_evolve, std::move(args));
 }
 
@@ -156,6 +163,7 @@ Future GravityClient::kick_async(std::span<const Vec3> accel, double dt) {
 void GravityClient::set_masses(std::span<const double> masses) {
   util::ByteWriter args = RpcClient::request();
   put_span_of(args, masses);
+  invalidate_coupling();
   rpc_->call_sync(Fn::grav_set_masses, std::move(args));
 }
 
@@ -164,6 +172,7 @@ void GravityClient::set_masses_sparse(std::span<const std::int32_t> indices,
   util::ByteWriter args = RpcClient::request();
   put_span_of(args, indices);
   put_span_of(args, masses);
+  invalidate_coupling();
   rpc_->call_sync(Fn::grav_set_masses_sparse, std::move(args));
 }
 
@@ -171,10 +180,14 @@ double GravityClient::model_time() {
   return rpc_->call_sync(Fn::grav_get_time, {}).get<double>();
 }
 
-void GravityClient::get_dynamics(std::vector<Vec3>& acc,
-                                 std::vector<Vec3>& jerk,
-                                 double& model_time) {
-  auto reader = rpc_->call_sync(Fn::grav_get_dynamics, {});
+Future GravityClient::request_dynamics() {
+  return rpc_->call(Fn::grav_get_dynamics, {});
+}
+
+void GravityClient::finish_dynamics(Future& reply, std::vector<Vec3>& acc,
+                                    std::vector<Vec3>& jerk,
+                                    double& model_time) {
+  util::ByteReader reader = reply.get();
   model_time = reader.get<double>();
   acc = reader.get_vector<Vec3>();
   jerk = reader.get_vector<Vec3>();
@@ -187,10 +200,12 @@ void GravityClient::set_dynamics(std::span<const Vec3> acc,
   args.put<double>(model_time);
   put_span_of(args, acc);
   put_span_of(args, jerk);
+  invalidate_coupling();
   rpc_->call_sync(Fn::grav_set_dynamics, std::move(args));
 }
 
 void GravityClient::reset_model() {
+  invalidate_coupling();
   rpc_->call_sync(Fn::grav_reset, {});
 }
 
@@ -198,6 +213,7 @@ void GravityClient::set_shard(std::size_t lo, std::size_t hi) {
   util::ByteWriter args = RpcClient::request();
   args.put<std::uint64_t>(lo);
   args.put<std::uint64_t>(hi);
+  invalidate_coupling();
   rpc_->call_sync(Fn::grav_set_shard, std::move(args));
 }
 
@@ -222,6 +238,7 @@ Future GravityClient::ghost_update_async(std::size_t base,
     put_span_of(args, positions);
   }
   put_span_of(args, velocities);
+  invalidate_coupling();
   return rpc_->call(Fn::grav_ghost_update, std::move(args));
 }
 
@@ -245,16 +262,22 @@ std::vector<Vec3> FieldClient::decode_accel(util::ByteReader reader) {
   return reader.get_vector<Vec3>();
 }
 
-Future FieldClient::accel_for_async(FieldTag tag, StateId sources_id,
-                                    std::span<const double> source_mass,
-                                    std::span<const Vec3> source_position,
-                                    StateId points_id,
-                                    std::span<const Vec3> points) {
+std::optional<Future> FieldClient::accel_for_async(
+    FieldTag tag, StateId sources_id, std::span<const double> source_mass,
+    std::span<const Vec3> source_position, StateId points_id,
+    std::span<const Vec3> points) {
   if (!delta_enabled_) {
     sources_id = 0;
     points_id = 0;
   }
   TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
+  // The worker would find the same nonzero ids its cached accel was
+  // computed for and reply "unchanged": answer that here, without the RPC.
+  if (sources_id != 0 && points_id != 0 &&
+      record.accel_sources_id == sources_id &&
+      record.accel_points_id == points_id) {
+    return std::nullopt;
+  }
   bool send_sources = sources_id == 0 || record.sources_id != sources_id;
   bool send_points = points_id == 0 || record.points_id != points_id;
   util::ByteWriter args = RpcClient::request();
@@ -280,19 +303,22 @@ Future FieldClient::accel_for_async(FieldTag tag, StateId sources_id,
   return rpc_->call(Fn::field_accel_for, std::move(args));
 }
 
-const std::vector<Vec3>& FieldClient::finish_accel(FieldTag tag,
-                                                   Future& reply) {
-  util::ByteReader reader = reply.get();
-  auto flags = reader.get<std::uint64_t>();
+const std::vector<Vec3>& FieldClient::finish_accel(
+    FieldTag tag, std::optional<Future>& reply) {
   TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
+  if (!reply) return record.accel;  // known "unchanged", answered locally
+  util::ByteReader reader = reply->get();
+  auto flags = reader.get<std::uint64_t>();
   if (flags & accel_reply_flags::unchanged) {
-    if (!record.has_accel) {
+    if (record.accel_sources_id == 0) {
       throw CodeError("field: unchanged reply without a cached accel");
     }
     return record.accel;
   }
   record.accel = reader.get_vector<Vec3>();
-  record.has_accel = true;
+  // accel_for_async left the query's ids in sources_id/points_id.
+  record.accel_sources_id = record.sources_id;
+  record.accel_points_id = record.points_id;
   return record.accel;
 }
 
@@ -312,12 +338,14 @@ void HydroClient::add_gas(std::span<const double> masses,
   put_span_of(args, positions);
   put_span_of(args, velocities);
   put_span_of(args, internal_energies);
+  invalidate_coupling();
   rpc_->call_sync(Fn::hydro_add_gas, std::move(args));
 }
 
 Future HydroClient::evolve_async(double t_end) {
   util::ByteWriter args = RpcClient::request();
   args.put<double>(t_end);
+  invalidate_coupling();
   return rpc_->call(Fn::hydro_evolve, std::move(args));
 }
 
@@ -366,7 +394,12 @@ void HydroClient::inject(std::span<const std::int32_t> indices,
 }
 
 double HydroClient::model_time() {
-  return rpc_->call_sync(Fn::hydro_get_time, {}).get<double>();
+  Future reply = request_time();
+  return finish_time(reply);
+}
+
+Future HydroClient::request_time() {
+  return rpc_->call(Fn::hydro_get_time, {});
 }
 
 void HydroClient::set_time(double model_time) {

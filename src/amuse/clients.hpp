@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,10 +20,13 @@ using kernels::Vec3;
 ///
 /// The gravity and hydro proxies keep an epoch-tagged *state cache*: a
 /// get_state tells the worker what the client already holds, and only the
-/// fields that changed since travel back (delta exchange). The field proxy
+/// fields that changed since travel back (delta exchange). They also know
+/// when that cache's coupling fields provably equal the worker's, so the
+/// bridge can skip a fetch whose reply would carry nothing. The field proxy
 /// keeps per-direction source/point/accel caches mirroring the coupler
-/// worker's. `set_delta_exchange(false)` restores the pre-delta full-fetch
-/// wire behaviour (the synchronous baseline the benches compare against).
+/// worker's and answers a query whose reply would be "unchanged" itself.
+/// `set_delta_exchange(false)` restores the pre-delta full-fetch wire
+/// behaviour (the synchronous baseline the benches compare against).
 
 struct GravityState {
   std::vector<double> mass;
@@ -107,6 +111,12 @@ class DynamicsClient : public ModelClient {
   /// Pipelined fetch: issue now, merge the delta into the cache later.
   virtual Future request_state(std::uint64_t want_mask) = 0;
   virtual void merge_state(Future& reply, std::uint64_t want_mask) = 0;
+  /// True while the cached mass and position provably equal the worker's:
+  /// a merge that covered state_field::coupling sets it (unless a call
+  /// that can move mass or position was issued after its request), and
+  /// every such call clears it. A coupling fetch of a current system would
+  /// carry no field, so the bridge skips it.
+  virtual bool coupling_current() const noexcept { return coupling_current_; }
   /// Every state field this model exchanges (the full-fetch mask).
   virtual std::uint64_t full_mask() const = 0;
 
@@ -135,6 +145,7 @@ class DynamicsClient : public ModelClient {
   void set_delta_exchange(bool enabled) override {
     info_.delta_enabled = enabled;
     kick_primed_ = false;
+    invalidate_coupling();
   }
   /// The state cache itself is kept: it is what gets restored into the
   /// fresh worker.
@@ -144,6 +155,7 @@ class DynamicsClient : public ModelClient {
     info_.delta_enabled = delta;
     last_kick_.clear();
     kick_primed_ = false;
+    invalidate_coupling();
   }
 
  protected:
@@ -165,15 +177,24 @@ class DynamicsClient : public ModelClient {
                            std::vector<Vec3>& velocity);
   void commit_state(const DeltaHeader& header, std::uint64_t want_mask);
   /// Kick with repeat-suppression: an unchanged acceleration (the first
-  /// half-kick after an all-cache-hit coupling phase) travels as a 16-byte
-  /// "repeat" frame even when the half-kick dt differs (couplings firing
-  /// at different cadences).
+  /// half-kick of a step whose coupling inputs did not change) travels as
+  /// a 16-byte "repeat" frame even when the half-kick dt differs
+  /// (couplings firing at different cadences).
   Future send_kick(Fn fn, std::span<const Vec3> accel, double dt);
+  /// Called by every call that can move mass or position on the worker.
+  void invalidate_coupling() noexcept {
+    coupling_current_ = false;
+    moved_since_request_ = true;
+  }
 
   DeltaCacheInfo info_;
   std::vector<Vec3> last_kick_;
   bool kick_primed_ = false;
   bool fp32_positions_ = false;
+  bool coupling_current_ = false;
+  /// Set by invalidate_coupling, cleared by each state request: a reply to
+  /// a request that an invalidating call overtook proves nothing.
+  bool moved_since_request_ = true;
 };
 
 /// GravitationalDynamics interface (phiGRAPE worker). The bulk operations
@@ -217,9 +238,11 @@ class GravityClient : public DynamicsClient {
                                  std::span<const double> masses);
   double model_time() override;
   /// Fetch the integrator's dynamic state — corrector-stage forces plus the
-  /// absolute model time — for checkpointing.
-  virtual void get_dynamics(std::vector<Vec3>& acc, std::vector<Vec3>& jerk,
-                            double& model_time);
+  /// absolute model time — for checkpointing, in two halves so a checkpoint
+  /// can have every model's reads in flight at once.
+  virtual Future request_dynamics();
+  virtual void finish_dynamics(Future& reply, std::vector<Vec3>& acc,
+                               std::vector<Vec3>& jerk, double& model_time);
   /// Install checkpointed dynamics into a fresh worker: the replayed step
   /// then resumes the checkpointed integrator's exact substep sequence.
   virtual void set_dynamics(std::span<const Vec3> acc,
@@ -269,12 +292,17 @@ class FieldClient : public ModelClient {
   /// One-shot epoch-tagged cross-gravity query (the pipelined data path):
   /// sources and points are only uploaded when their content id differs
   /// from what the worker already caches under `tag`, and a reply of
-  /// "unchanged" re-uses the locally cached accel of the same inputs.
-  Future accel_for_async(FieldTag tag, StateId sources_id,
-                         std::span<const double> source_mass,
-                         std::span<const Vec3> source_position,
-                         StateId points_id, std::span<const Vec3> points);
-  const std::vector<Vec3>& finish_accel(FieldTag tag, Future& reply);
+  /// "unchanged" re-uses the locally cached accel of the same inputs. When
+  /// the last accel under `tag` was computed for exactly these (nonzero)
+  /// ids, the worker's answer is known to be "unchanged": no RPC is issued
+  /// and nullopt comes back for finish_accel to resolve locally.
+  std::optional<Future> accel_for_async(FieldTag tag, StateId sources_id,
+                                        std::span<const double> source_mass,
+                                        std::span<const Vec3> source_position,
+                                        StateId points_id,
+                                        std::span<const Vec3> points);
+  const std::vector<Vec3>& finish_accel(FieldTag tag,
+                                        std::optional<Future>& reply);
 
   void set_delta_exchange(bool enabled) override { delta_enabled_ = enabled; }
   /// The last sources sent survive: they are the checkpoint to restore from.
@@ -285,7 +313,10 @@ class FieldClient : public ModelClient {
     StateId sources_id = 0;
     StateId points_id = 0;
     std::vector<Vec3> accel;
-    bool has_accel = false;
+    /// The ids `accel` was computed for (what the worker's tag cache holds
+    /// after the last answered query); 0 until a reply landed.
+    StateId accel_sources_id = 0;
+    StateId accel_points_id = 0;
   };
 
   std::vector<double> last_mass_;
@@ -329,6 +360,9 @@ class HydroClient : public DynamicsClient {
   void inject(std::span<const std::int32_t> indices,
               std::span<const double> delta_u);
   double model_time() override;
+  /// The model_time read in two halves, for the one-round-trip checkpoint.
+  Future request_time();
+  static double finish_time(Future& reply) { return reply.get().get<double>(); }
   /// Restore the absolute model clock into a fresh worker (checkpoint
   /// restart) so it accepts the same absolute evolve targets as the one it
   /// replaces.

@@ -1283,17 +1283,34 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
           staged.epoch = completed + 1;
           staged.time = bridge->time();
           staged.resize(n_models);
+          // Every model's reads go out before any reply is consumed: the
+          // capture waits one round trip, not one per read.
+          std::vector<PendingCapture> reads(n_models);
           for (std::size_t i = 0; i < n_models; ++i) {
             faultpoint::reach(faultpoint::Point::ckpt_capture, completed,
                               spec.models[i].name);
             switch (models[i].role) {
               case Role::gravity:
-                staged.gravity[i] = checkpoint_gravity(models[i].gravity());
+                reads[i] = request_checkpoint(models[i].gravity());
+                break;
+              case Role::hydro:
+                reads[i] = request_checkpoint(models[i].hydro());
+                break;
+              case Role::coupler:
+              case Role::stellar:
+                break;
+            }
+          }
+          for (std::size_t i = 0; i < n_models; ++i) {
+            switch (models[i].role) {
+              case Role::gravity:
+                staged.gravity[i] =
+                    finish_checkpoint(models[i].gravity(), reads[i]);
                 staged.gravity[i].eps2 = spec.models[i].eps2;
                 staged.gravity[i].eta = spec.models[i].eta;
                 break;
               case Role::hydro:
-                staged.hydro[i] = checkpoint_hydro(models[i].hydro());
+                staged.hydro[i] = finish_checkpoint(models[i].hydro(), reads[i]);
                 staged.hydro[i].eps2 = spec.models[i].eps2;
                 staged.hydro[i].theta = spec.models[i].theta;
                 break;

@@ -87,16 +87,36 @@ std::uint64_t digest(const GraphCheckpoint& save) {
 }
 
 GravityCheckpoint checkpoint_gravity(GravityClient& gravity) {
+  PendingCapture reads = request_checkpoint(gravity);
+  return finish_checkpoint(gravity, reads);
+}
+
+PendingCapture request_checkpoint(GravityClient& gravity) {
+  PendingCapture reads;
+  reads.state = gravity.request_state(state_field::gravity_all);
+  reads.clock = gravity.request_dynamics();
+  return reads;
+}
+
+PendingCapture request_checkpoint(HydroClient& hydro) {
+  PendingCapture reads;
+  reads.state = hydro.request_state(state_field::hydro_all);
+  reads.clock = hydro.request_time();
+  return reads;
+}
+
+GravityCheckpoint finish_checkpoint(GravityClient& gravity,
+                                    PendingCapture& reads) {
   GravityCheckpoint save;
-  save.state = gravity.get_state();
-  gravity.get_dynamics(save.acc, save.jerk, save.model_time);
+  save.state = gravity.finish_state(*reads.state, state_field::gravity_all);
+  gravity.finish_dynamics(*reads.clock, save.acc, save.jerk, save.model_time);
   return save;
 }
 
-HydroCheckpoint checkpoint_hydro(HydroClient& hydro) {
+HydroCheckpoint finish_checkpoint(HydroClient& hydro, PendingCapture& reads) {
   HydroCheckpoint save;
-  save.state = hydro.get_state();
-  save.model_time = hydro.model_time();
+  save.state = hydro.finish_state(*reads.state, state_field::hydro_all);
+  save.model_time = HydroClient::finish_time(*reads.clock);
   return save;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "amuse/clients.hpp"
@@ -86,8 +87,21 @@ std::uint64_t digest(const FieldCheckpoint& save);
 
 /// Snapshot live workers.
 GravityCheckpoint checkpoint_gravity(GravityClient& gravity);
-HydroCheckpoint checkpoint_hydro(HydroClient& hydro);
 FieldCheckpoint checkpoint_field(FieldClient& field);
+
+/// The same snapshots in two halves. request_checkpoint issues one model's
+/// reads (its full state, then its dynamics or clock) without waiting;
+/// finish_checkpoint consumes them. Requesting every model before
+/// finishing any makes a graph checkpoint cost one round trip.
+struct PendingCapture {
+  std::optional<Future> state;
+  std::optional<Future> clock;
+};
+PendingCapture request_checkpoint(GravityClient& gravity);
+PendingCapture request_checkpoint(HydroClient& hydro);
+GravityCheckpoint finish_checkpoint(GravityClient& gravity,
+                                    PendingCapture& reads);
+HydroCheckpoint finish_checkpoint(HydroClient& hydro, PendingCapture& reads);
 
 /// Restore a checkpoint into a *fresh* worker (local or remote). The
 /// restored worker resumes on the *absolute* clock: its model time is the

@@ -165,6 +165,12 @@ StateId ShardedGravityClient::position_id() const {
   return id;
 }
 
+bool ShardedGravityClient::coupling_current() const noexcept {
+  return std::all_of(subs_.begin(), subs_.end(), [](const auto& sub) {
+    return sub->coupling_current();
+  });
+}
+
 std::pair<double, double> ShardedGravityClient::energies() {
   drain_pending();
   if (subs_.size() == 1) return subs_[0]->energies();
@@ -219,21 +225,34 @@ double ShardedGravityClient::model_time() {
   return subs_[0]->model_time();
 }
 
-void ShardedGravityClient::get_dynamics(std::vector<Vec3>& acc,
-                                        std::vector<Vec3>& jerk,
-                                        double& model_time) {
+Future ShardedGravityClient::request_dynamics() {
+  // Like request_state: pipelines behind in-flight work, finish drains.
+  pending_dynamics_.clear();
+  Future head = subs_[0]->request_dynamics();
+  for (std::size_t k = 1; k < subs_.size(); ++k) {
+    pending_dynamics_.push_back(subs_[k]->request_dynamics());
+  }
+  return head;
+}
+
+void ShardedGravityClient::finish_dynamics(Future& reply,
+                                           std::vector<Vec3>& acc,
+                                           std::vector<Vec3>& jerk,
+                                           double& model_time) {
   drain_pending();
   acc.clear();
   jerk.clear();
   model_time = 0.0;
   for (std::size_t k = 0; k < subs_.size(); ++k) {
+    Future& shard_reply = (k == 0) ? reply : pending_dynamics_[k - 1];
     std::vector<Vec3> shard_acc, shard_jerk;
     double shard_time = 0.0;
-    subs_[k]->get_dynamics(shard_acc, shard_jerk, shard_time);
+    subs_[k]->finish_dynamics(shard_reply, shard_acc, shard_jerk, shard_time);
     if (k == 0) model_time = shard_time;
     acc.insert(acc.end(), shard_acc.begin(), shard_acc.end());
     jerk.insert(jerk.end(), shard_jerk.begin(), shard_jerk.end());
   }
+  pending_dynamics_.clear();
 }
 
 void ShardedGravityClient::set_dynamics(std::span<const Vec3> acc,
@@ -265,13 +284,15 @@ void ShardedGravityClient::reset_delta_caches() {
     }
   }
   pending_.clear();
-  for (Future& pending : pending_state_) {
-    try {
-      pending.get();
-    } catch (...) {
+  for (auto* stash : {&pending_state_, &pending_dynamics_}) {
+    for (Future& pending : *stash) {
+      try {
+        pending.get();
+      } catch (...) {
+      }
     }
+    stash->clear();
   }
-  pending_state_.clear();
   GravityClient::reset_delta_caches();
   for (auto& sub : subs_) sub->reset_delta_caches();
 }
@@ -294,6 +315,7 @@ void ShardedGravityClient::close() {
   }
   pending_.clear();
   pending_state_.clear();
+  pending_dynamics_.clear();
   for (auto& sub : subs_) sub->close();
 }
 

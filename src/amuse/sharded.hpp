@@ -49,6 +49,8 @@ class ShardedGravityClient : public GravityClient {
 
   StateId coupling_sources_id() const override;
   StateId position_id() const override;
+  /// Current only when every shard's owned slice is.
+  bool coupling_current() const noexcept override;
 
   /// Full-system energies: refresh shard 0's ghosts with every owned slice,
   /// then one O(N^2) probe there.
@@ -59,8 +61,11 @@ class ShardedGravityClient : public GravityClient {
   void set_masses_sparse(std::span<const std::int32_t> indices,
                          std::span<const double> masses) override;
   double model_time() override;
-  void get_dynamics(std::vector<Vec3>& acc, std::vector<Vec3>& jerk,
-                    double& model_time) override;
+  /// Every shard's read in flight at once; finish concatenates the owned
+  /// slices in shard order.
+  Future request_dynamics() override;
+  void finish_dynamics(Future& reply, std::vector<Vec3>& acc,
+                       std::vector<Vec3>& jerk, double& model_time) override;
   void set_dynamics(std::span<const Vec3> acc, std::span<const Vec3> jerk,
                     double model_time) override;
 
@@ -86,6 +91,7 @@ class ShardedGravityClient : public GravityClient {
   std::vector<std::pair<std::size_t, std::size_t>> ranges_;
   std::vector<Future> pending_;
   std::vector<Future> pending_state_;  // shards 1.. of an open request_state
+  std::vector<Future> pending_dynamics_;  // same, for request_dynamics
 };
 
 }  // namespace jungle::amuse

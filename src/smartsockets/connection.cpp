@@ -122,19 +122,22 @@ std::pair<std::shared_ptr<ConnectionEnd>, std::shared_ptr<ConnectionEnd>>
 Pipe::make(sim::Network& net, sim::TrafficClass cls,
            std::vector<sim::Host*> hops, ConnectionKind kind) {
   auto pipe = std::make_shared<Pipe>(net, cls, hops, kind);
-  auto a = std::make_shared<ConnectionEnd>(net.simulation(), hops.front());
-  auto b = std::make_shared<ConnectionEnd>(net.simulation(), hops.back());
-  a->pipe_ = pipe;
-  b->pipe_ = pipe;
-  a->initiator_ = true;
-  a->kind_ = kind;
-  b->kind_ = kind;
-  pipe->a = a.get();
-  pipe->b = b.get();
-  // The pipe keeps both ends alive while frames are in flight; the cycle is
-  // intentional and bounded by the simulation's lifetime.
-  pipe->a_owner_ = a;
-  pipe->b_owner_ = b;
+  pipe->a_end_ =
+      std::make_unique<ConnectionEnd>(net.simulation(), hops.front());
+  pipe->b_end_ = std::make_unique<ConnectionEnd>(net.simulation(), hops.back());
+  pipe->a = pipe->a_end_.get();
+  pipe->b = pipe->b_end_.get();
+  pipe->a->pipe_ = pipe.get();
+  pipe->b->pipe_ = pipe.get();
+  pipe->a->initiator_ = true;
+  pipe->a->kind_ = kind;
+  pipe->b->kind_ = kind;
+  // Aliasing handles: each points at its end and shares ownership of the
+  // pipe. An end a user dropped stays alive with its peer, and frames in
+  // flight hold the pipe too, so a frame always finds its destination. No
+  // end owns the pipe back: the last handle or frame to go frees it all.
+  std::shared_ptr<ConnectionEnd> a(pipe, pipe->a);
+  std::shared_ptr<ConnectionEnd> b(pipe, pipe->b);
   // A crash of either endpoint host breaks the connection (the IPL registry
   // turns this into a "died" event upstream).
   sim::Host* host_a = hops.front();

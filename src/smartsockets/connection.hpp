@@ -35,6 +35,10 @@ class Pipe;
 /// framed, FIFO-ordered (a per-frame sequence number reorders retried frames)
 /// and survive transient link failures by retrying lost frames.
 ///
+/// Both ends live inside their Pipe. A handle to an end shares ownership of
+/// the whole pipe, so an end stays valid while either end's handle or a
+/// frame in flight remains, and everything is freed once none does.
+///
 /// recv() returns nullopt on clean close by the peer and throws ConnectError
 /// if the connection broke (host crash).
 class ConnectionEnd {
@@ -81,7 +85,7 @@ class ConnectionEnd {
 
   sim::Simulation& sim_;
   sim::Host* local_;
-  std::shared_ptr<Pipe> pipe_;  // shared between both ends
+  Pipe* pipe_ = nullptr;  // owns this end
   bool initiator_ = false;
   ConnectionKind kind_ = ConnectionKind::direct;
   sim::Mailbox<Frame> incoming_;
@@ -106,7 +110,8 @@ class Pipe : public std::enable_shared_from_this<Pipe> {
   Pipe(sim::Network& net, sim::TrafficClass cls, std::vector<sim::Host*> hops,
        ConnectionKind kind);
 
-  /// Create both ends wired to this pipe. `a` is the initiator side.
+  /// Create both ends wired to this pipe. `a` is the initiator side. The
+  /// returned handles share ownership of the pipe.
   static std::pair<std::shared_ptr<ConnectionEnd>, std::shared_ptr<ConnectionEnd>>
   make(sim::Network& net, sim::TrafficClass cls, std::vector<sim::Host*> hops,
        ConnectionKind kind);
@@ -132,8 +137,8 @@ class Pipe : public std::enable_shared_from_this<Pipe> {
   sim::TrafficClass cls_;
   std::vector<sim::Host*> hops_;
   ConnectionKind kind_;
-  std::shared_ptr<ConnectionEnd> a_owner_;
-  std::shared_ptr<ConnectionEnd> b_owner_;
+  std::unique_ptr<ConnectionEnd> a_end_;
+  std::unique_ptr<ConnectionEnd> b_end_;
 };
 
 }  // namespace jungle::smartsockets

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <optional>
 
 #include "amuse/bridge.hpp"
 #include "amuse/clients.hpp"
 #include "amuse/daemon.hpp"
+#include "amuse/faultpoint.hpp"
 #include "amuse/faults.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/workers.hpp"
@@ -169,30 +174,112 @@ TEST(Distributed, ParallelGadgetOverIbisChannel) {
 
 namespace {
 
+/// The requests a rig's clients sent, by function id (first transmissions
+/// and resends apart), plus an optional one-shot reply delay.
+struct CallLog {
+  std::map<Fn, int> sent;
+  int resends = 0;
+  /// Hold the reply to the next `delay_fn` request for `delay_s` virtual
+  /// seconds once it reaches the client.
+  std::optional<Fn> delay_fn;
+  double delay_s = 0.0;
+};
+
+/// Client-side pipe that feeds a CallLog: the round-trip tests count calls
+/// per function on the wire instead of inferring them from timings.
+class CountingPipe : public MessagePipe {
+ public:
+  CountingPipe(std::unique_ptr<MessagePipe> inner, CallLog& log,
+               sim::Simulation& sim)
+      : inner_(std::move(inner)), log_(log), sim_(sim) {}
+
+  void send_bytes(std::vector<std::uint8_t> bytes) override {
+    // Request header: [u32 id][u16 fn][u16 flags] ...
+    std::uint32_t id = 0;
+    std::uint16_t fn_bits = 0;
+    std::memcpy(&id, bytes.data(), sizeof(id));
+    std::memcpy(&fn_bits, bytes.data() + 4, sizeof(fn_bits));
+    auto fn = static_cast<Fn>(fn_bits);
+    if (bytes[6] & rpc_flags::resend) {
+      ++log_.resends;
+    } else {
+      ++log_.sent[fn];
+      if (log_.delay_fn == fn) {
+        delayed_ = id;
+        log_.delay_fn.reset();
+      }
+    }
+    inner_->send_bytes(std::move(bytes));
+  }
+
+  std::optional<std::vector<std::uint8_t>> recv_bytes() override {
+    auto bytes = inner_->recv_bytes();
+    if (bytes && delayed_ != 0) {
+      std::uint32_t id = 0;
+      std::memcpy(&id, bytes->data(), sizeof(id));
+      if (id == delayed_) {
+        delayed_ = 0;
+        sim_.sleep(log_.delay_s);  // the pump, and every reply behind, waits
+      }
+    }
+    return bytes;
+  }
+
+  void close() override { inner_->close(); }
+
+ private:
+  std::unique_ptr<MessagePipe> inner_;
+  CallLog& log_;
+  sim::Simulation& sim_;
+  std::uint32_t delayed_ = 0;
+};
+
+/// start_local_worker with the client end wrapped in a CountingPipe.
+std::unique_ptr<RpcClient> start_counted_worker(Lab& lab,
+                                                const WorkerSpec& spec,
+                                                CallLog& log) {
+  static int sequence = 0;
+  std::string service = "counted-worker-" + std::to_string(++sequence);
+  auto& listener = lab.sockets.listen(*lab.desktop, service);
+  lab.desktop->spawn("worker:" + spec.code, [&lab, &listener, spec, service] {
+    auto connection = listener.accept();
+    lab.sockets.unlisten(*lab.desktop, service);
+    run_worker(std::make_unique<ConnectionPipe>(std::move(connection)), spec,
+               {lab.desktop}, lab.net);
+  });
+  auto connection = lab.sockets.connect(*lab.desktop, *lab.desktop, service,
+                                        sim::TrafficClass::mpi);
+  return std::make_unique<RpcClient>(
+      *lab.desktop,
+      std::make_unique<CountingPipe>(
+          std::make_unique<ConnectionPipe>(std::move(connection)), log,
+          lab.sim),
+      spec.code);
+}
+
 /// A small embedded-cluster setup with all four models on local workers.
+/// With a CallLog every client's requests are counted into it.
 struct BridgeRig {
   std::unique_ptr<GravityClient> stars;
   std::unique_ptr<HydroClient> gas;
   std::unique_ptr<FieldClient> coupler;
   std::unique_ptr<StellarClient> se;
 
-  BridgeRig(Lab& lab, int n_stars = 32, int n_gas = 96) {
+  BridgeRig(Lab& lab, int n_stars = 32, int n_gas = 96,
+            CallLog* log = nullptr) {
     WorkerSpec grav{.code = "phigrape", .ncores = 2};
     WorkerSpec hydro{.code = "gadget"};
     WorkerSpec field{.code = "fi"};
     WorkerSpec sse{.code = "sse"};
-    stars = std::make_unique<GravityClient>(
-        start_local_worker(lab.sockets, lab.net, *lab.desktop, *lab.desktop,
-                           grav, ChannelKind::mpi));
-    gas = std::make_unique<HydroClient>(
-        start_local_worker(lab.sockets, lab.net, *lab.desktop, *lab.desktop,
-                           hydro, ChannelKind::mpi));
-    coupler = std::make_unique<FieldClient>(
-        start_local_worker(lab.sockets, lab.net, *lab.desktop, *lab.desktop,
-                           field, ChannelKind::mpi));
-    se = std::make_unique<StellarClient>(
-        start_local_worker(lab.sockets, lab.net, *lab.desktop, *lab.desktop,
-                           sse, ChannelKind::mpi));
+    auto start = [&](const WorkerSpec& spec) {
+      if (log != nullptr) return start_counted_worker(lab, spec, *log);
+      return start_local_worker(lab.sockets, lab.net, *lab.desktop,
+                                *lab.desktop, spec, ChannelKind::mpi);
+    };
+    stars = std::make_unique<GravityClient>(start(grav));
+    gas = std::make_unique<HydroClient>(start(hydro));
+    coupler = std::make_unique<FieldClient>(start(field));
+    se = std::make_unique<StellarClient>(start(sse));
 
     util::Rng rng(5);
     auto model = ic::plummer_sphere(n_stars, rng);
@@ -220,6 +307,46 @@ struct BridgeRig {
     se->close();
   }
 };
+
+using Calls = std::map<Fn, int>;
+
+int count(const Calls& calls, Fn fn) {
+  auto it = calls.find(fn);
+  return it == calls.end() ? 0 : it->second;
+}
+
+Calls since(const Calls& now, const Calls& then) {
+  Calls delta;
+  for (const auto& [fn, n] : now) {
+    if (int d = n - count(then, fn); d != 0) delta[fn] = d;
+  }
+  return delta;
+}
+
+/// The requests of one bridge step, split at the faultpoints that open its
+/// phases: top kick, evolve, bottom kick (the stellar update is left out).
+struct StepCalls {
+  Calls top, evolve, bottom;
+};
+
+StepCalls counted_step(Bridge& bridge, const CallLog& log) {
+  Calls at_top, at_evolve, at_bottom;
+  std::optional<Calls> at_stellar;
+  {
+    faultpoint::ScopedHook hook([&](const faultpoint::Context& at) {
+      switch (at.point) {
+        case faultpoint::Point::step_top_kick: at_top = log.sent; break;
+        case faultpoint::Point::step_evolve: at_evolve = log.sent; break;
+        case faultpoint::Point::step_bottom_kick: at_bottom = log.sent; break;
+        case faultpoint::Point::step_stellar: at_stellar = log.sent; break;
+        default: break;
+      }
+    });
+    bridge.step();
+  }
+  return {since(at_evolve, at_top), since(at_bottom, at_evolve),
+          since(at_stellar.value_or(log.sent), at_bottom)};
+}
 
 }  // namespace
 
@@ -453,19 +580,20 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
     auto points_id = make_state_id(8, 1);
 
     double t0 = lab.sim.now();
-    Future first = field.accel_for_async(FieldTag::gas_on_stars, sources_id,
-                                         model.mass, model.position,
-                                         points_id, points);
+    std::optional<Future> first = field.accel_for_async(
+        FieldTag::gas_on_stars, sources_id, model.mass, model.position,
+        points_id, points);
     std::vector<Vec3> accel_first =
         field.finish_accel(FieldTag::gas_on_stars, first);
     double first_cost = lab.sim.now() - t0;
 
     // Same content ids: nothing is uploaded, nothing recomputed, and the
-    // cached accelerations come back bit-identical.
+    // cached accelerations come back bit-identical. The client knows the
+    // coupler would answer "unchanged", so no RPC is issued at all.
     double t1 = lab.sim.now();
-    Future second = field.accel_for_async(FieldTag::gas_on_stars, sources_id,
-                                          model.mass, model.position,
-                                          points_id, points);
+    std::optional<Future> second = field.accel_for_async(
+        FieldTag::gas_on_stars, sources_id, model.mass, model.position,
+        points_id, points);
     const std::vector<Vec3>& accel_second =
         field.finish_accel(FieldTag::gas_on_stars, second);
     double second_cost = lab.sim.now() - t1;
@@ -474,11 +602,12 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
       EXPECT_EQ(accel_second[i].x, accel_first[i].x);
     }
     EXPECT_LT(second_cost, 0.5 * first_cost);
+    EXPECT_FALSE(second.has_value());
 
     // Changed sources (new id): recompute with the fresh upload.
     std::vector<double> doubled = model.mass;
     for (double& m : doubled) m *= 2.0;
-    Future third = field.accel_for_async(
+    std::optional<Future> third = field.accel_for_async(
         FieldTag::gas_on_stars, make_state_id(7, 2), doubled, model.position,
         points_id, points);
     const std::vector<Vec3>& accel_third =
@@ -596,4 +725,190 @@ TEST(Distributed, DashboardReflectsWorkerJobs) {
     EXPECT_NE(dashboard.find("RUNNING"), std::string::npos);
     stellar.close();
   });
+}
+
+TEST(Distributed, SteadyTopKickIssuesNoDataFreeRoundTrips) {
+  // The top half-kick of a steady step waits on no round trip: both caches
+  // are current since the previous bottom kick, the coupler would answer
+  // "unchanged", and the kick acks are collected during the evolve.
+  Lab lab;
+  lab.run([&] {
+    CallLog log;
+    BridgeRig rig(lab, 32, 96, &log);
+    Bridge::Config config;
+    config.dt = 1.0 / 128.0;
+    config.se_every = 2;
+    config.myr_per_nbody_time = 4.0;
+    Bridge bridge = rig.bridge(config);
+
+    // Step 1 starts from freshly loaded particles: everything is fetched.
+    StepCalls first = counted_step(bridge, log);
+    EXPECT_EQ(count(first.top, Fn::grav_get_state), 1);
+    EXPECT_EQ(count(first.top, Fn::hydro_get_state), 1);
+    EXPECT_EQ(count(first.top, Fn::field_accel_for), 2);
+
+    // Step 2 is steady: only the two kick frames go out at the top.
+    StepCalls steady = counted_step(bridge, log);
+    EXPECT_EQ(count(steady.top, Fn::grav_get_state), 0);
+    EXPECT_EQ(count(steady.top, Fn::hydro_get_state), 0);
+    EXPECT_EQ(count(steady.top, Fn::field_accel_for), 0);
+    EXPECT_EQ(count(steady.top, Fn::grav_kick_all), 1);
+    EXPECT_EQ(count(steady.top, Fn::hydro_kick_all), 1);
+    // The evolve and the bottom kick keep their full work.
+    EXPECT_EQ(count(steady.evolve, Fn::grav_evolve), 1);
+    EXPECT_EQ(count(steady.evolve, Fn::hydro_evolve), 1);
+    EXPECT_EQ(count(steady.bottom, Fn::grav_get_state), 1);
+    EXPECT_EQ(count(steady.bottom, Fn::hydro_get_state), 1);
+    EXPECT_EQ(count(steady.bottom, Fn::field_accel_for), 2);
+
+    // Step 2 ended with a stellar mass update into the stars, so step 3's
+    // top kick fetches them again. The feedback fetch left the gas current
+    // and injected only thermal energy: no gas fetch.
+    StepCalls after_se = counted_step(bridge, log);
+    EXPECT_EQ(count(after_se.top, Fn::grav_get_state), 1);
+    EXPECT_EQ(count(after_se.top, Fn::hydro_get_state), 0);
+    rig.close();
+  });
+}
+
+TEST(Distributed, EveryStateMovingCallMakesTheNextCouplingFetch) {
+  // The cache-currency rule, entry by entry: after any client call that can
+  // move mass or position, the next coupling phase must fetch that system.
+  Lab lab;
+  lab.run([&] {
+    CallLog log;
+    BridgeRig rig(lab, 32, 96, &log);
+    GravityClient& stars = *rig.stars;
+    HydroClient& gas = *rig.gas;
+    Bridge::Config config;
+    config.dt = 1.0 / 128.0;
+    Bridge bridge({{"stars", &stars}, {"gas", &gas}},
+                  {{rig.coupler.get(), 0, 1, 1}}, {}, config);
+
+    // Reload a snapshot with raw RPCs, behind the client's back, so the
+    // only invalidating client call of its case is the one under test.
+    auto reload_raw = [&](const GravityCheckpoint& save) {
+      util::ByteWriter particles = RpcClient::request();
+      particles.put_span(std::span<const double>(save.state.mass));
+      particles.put_span(std::span<const Vec3>(save.state.position));
+      particles.put_span(std::span<const Vec3>(save.state.velocity));
+      stars.rpc().call_sync(Fn::grav_add_particles, std::move(particles));
+      util::ByteWriter dynamics = RpcClient::request();
+      dynamics.put<double>(save.model_time);
+      dynamics.put_span(std::span<const Vec3>(save.acc));
+      dynamics.put_span(std::span<const Vec3>(save.jerk));
+      stars.rpc().call_sync(Fn::grav_set_dynamics, std::move(dynamics));
+    };
+
+    struct Case {
+      std::string name;
+      Fn fetch;
+      std::function<void()> call;
+    };
+    const std::vector<Case> cases = {
+        {"gravity evolve_async", Fn::grav_get_state,
+         [&] { stars.evolve(bridge.time()); }},
+        {"add_particles", Fn::grav_get_state,
+         [&] { stars.add_particles({}, {}, {}); }},
+        {"set_masses", Fn::grav_get_state,
+         [&] {
+           std::vector<double> mass = stars.cached_state().mass;
+           stars.set_masses(mass);
+         }},
+        {"set_masses_sparse", Fn::grav_get_state,
+         [&] { stars.set_masses_sparse({}, {}); }},
+        {"set_dynamics", Fn::grav_get_state,
+         [&] {
+           GravityCheckpoint save = checkpoint_gravity(stars);
+           stars.set_dynamics(save.acc, save.jerk, save.model_time);
+         }},
+        {"reset_model", Fn::grav_get_state,
+         [&] {
+           GravityCheckpoint save = checkpoint_gravity(stars);
+           stars.reset_model();
+           reload_raw(save);
+         }},
+        {"set_shard", Fn::grav_get_state,
+         [&] { stars.set_shard(0, stars.cached_state().mass.size()); }},
+        {"ghost_update_async", Fn::grav_get_state,
+         [&] {
+           GravityState state = stars.get_state();
+           stars.ghost_update_async(0, state.position, state.velocity, false)
+               .get();
+         }},
+        {"gravity reset_delta_caches", Fn::grav_get_state,
+         [&] { stars.reset_delta_caches(); }},
+        {"gravity set_delta_exchange", Fn::grav_get_state,
+         [&] { stars.set_delta_exchange(true); }},
+        {"hydro evolve_async", Fn::hydro_get_state,
+         [&] { gas.evolve(bridge.time()); }},
+        {"add_gas", Fn::hydro_get_state,
+         [&] { gas.add_gas({}, {}, {}, {}); }},
+        {"hydro reset_delta_caches", Fn::hydro_get_state,
+         [&] { gas.reset_delta_caches(); }},
+        {"hydro set_delta_exchange", Fn::hydro_get_state,
+         [&] { gas.set_delta_exchange(true); }},
+    };
+
+    counted_step(bridge, log);  // the first step fetches the fresh load
+    for (const Case& entry : cases) {
+      StepCalls steady = counted_step(bridge, log);
+      ASSERT_EQ(count(steady.top, entry.fetch), 0)
+          << "not steady before " << entry.name;
+      entry.call();
+      StepCalls next = counted_step(bridge, log);
+      EXPECT_EQ(count(next.top, entry.fetch), 1) << entry.name;
+    }
+
+    // A reply to a request that an evolve overtook proves nothing.
+    Future reply = stars.request_state(state_field::coupling);
+    Future evolving = stars.evolve_async(bridge.time());
+    stars.merge_state(reply, state_field::coupling);
+    evolving.get();
+    EXPECT_FALSE(stars.coupling_current());
+    rig.close();
+  });
+}
+
+TEST(Distributed, DelayedTopKickAckAppliesTheKickOnceBeforeTheEvolve) {
+  // The top kick is sent ahead of the evolve and its ack collected during
+  // it. Hold that ack past the client's soft retry deadline: the client
+  // resends, the worker answers the resend from its replay cache, and the
+  // trajectory stays bit-identical to the undelayed run — the kick ran
+  // exactly once, and before the evolve queued behind it.
+  auto run = [](bool delay) {
+    Lab lab;
+    GravityState stars;
+    int resends = -1;
+    lab.run([&] {
+      CallLog log;
+      BridgeRig rig(lab, 32, 96, &log);
+      Bridge::Config config;
+      config.dt = 1.0 / 128.0;
+      config.se_every = 1000;
+      Bridge bridge = rig.bridge(config);
+      bridge.step();
+      if (delay) {
+        log.delay_fn = Fn::grav_kick_all;  // step 2's top kick
+        log.delay_s = 2.5;                 // soft deadline: 1 s +-50%
+      }
+      bridge.step();
+      bridge.step();
+      stars = rig.stars->get_state();
+      resends = log.resends;
+      rig.close();
+    });
+    return std::pair{stars, resends};
+  };
+  auto [plain, plain_resends] = run(false);
+  auto [delayed, delayed_resends] = run(true);
+  EXPECT_EQ(plain_resends, 0);
+  EXPECT_GE(delayed_resends, 1);
+  ASSERT_EQ(plain.position.size(), delayed.position.size());
+  for (std::size_t i = 0; i < plain.position.size(); ++i) {
+    EXPECT_EQ(plain.position[i].x, delayed.position[i].x) << i;
+    EXPECT_EQ(plain.position[i].y, delayed.position[i].y) << i;
+    EXPECT_EQ(plain.velocity[i].x, delayed.velocity[i].x) << i;
+    EXPECT_EQ(plain.velocity[i].z, delayed.velocity[i].z) << i;
+  }
 }

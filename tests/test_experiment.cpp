@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "amuse/experiment.hpp"
+#include "amuse/faultpoint.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/scenario.hpp"
+#include "obs/trace.hpp"
 
 using namespace jungle;
 using namespace jungle::amuse;
@@ -315,10 +318,10 @@ struct OldBridgeReference {
     const GravityState& s = stars.cached_state();
     const HydroState& g = gas.cached_state();
 
-    Future on_stars = coupler.accel_for_async(
+    std::optional<Future> on_stars = coupler.accel_for_async(
         FieldTag::gas_on_stars, gas.coupling_sources_id(), g.mass,
         g.position, stars.position_id(), s.position);
-    Future on_gas = coupler.accel_for_async(
+    std::optional<Future> on_gas = coupler.accel_for_async(
         FieldTag::stars_on_gas, stars.coupling_sources_id(), s.mass,
         s.position, gas.position_id(), g.position);
 
@@ -637,5 +640,60 @@ TEST(Experiment, CouplingCadenceRunsAndConservesMomentumShape) {
     com = com * (1.0 / mass);
     EXPECT_LT(std::abs(com.x), 3.0);
     EXPECT_LT(std::abs(com.y), 1.0);
+  }
+}
+
+TEST(Experiment, CheckpointCaptureHasAllReadsInFlightAtOnce) {
+  // The per-step checkpoint issues every model's state read and dynamics
+  // read before it consumes any reply: the capture costs one round trip.
+  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
+  ExperimentSpec spec = ExperimentSpec::from_config(config);
+  spec.checkpointing = true;
+  JungleTestbed bed(config);
+
+  // [first ckpt_capture, first ckpt_commit] of each checkpoint.
+  std::vector<std::pair<double, double>> windows;
+  obs::trace::reset();
+  obs::trace::set_enabled(true);
+  {
+    faultpoint::ScopedHook hook([&](const faultpoint::Context& at) {
+      double now = bed.simulation().now();
+      bool open = !windows.empty() && windows.back().second < 0.0;
+      if (at.point == faultpoint::Point::ckpt_capture && !open) {
+        windows.emplace_back(now, -1.0);
+      } else if (at.point == faultpoint::Point::ckpt_commit && open) {
+        windows.back().second = now;
+      }
+    });
+    run_experiment(bed, spec);
+  }
+  obs::trace::set_enabled(false);
+  std::vector<obs::trace::SpanRecord> spans = obs::trace::snapshot();
+  obs::trace::reset();
+
+  ASSERT_EQ(windows.size(), static_cast<std::size_t>(spec.iterations));
+  for (const auto& [capture, commit] : windows) {
+    int states = 0, dynamics = 0, other = 0;
+    double last_send = capture, first_reply = commit;
+    for (const obs::trace::SpanRecord& span : spans) {
+      if (span.category != "rpc" || span.sim_begin < capture ||
+          span.sim_begin >= commit) {
+        continue;
+      }
+      if (span.name == "rpc:grav_get_state") {
+        ++states;
+      } else if (span.name == "rpc:grav_get_dynamics") {
+        ++dynamics;
+      } else {
+        ++other;
+      }
+      last_send = std::max(last_send, span.sim_begin);
+      first_reply = std::min(first_reply, span.sim_end);
+    }
+    EXPECT_EQ(states, 3);  // three gravity models; the coupler is local
+    EXPECT_EQ(dynamics, 3);
+    EXPECT_EQ(other, 0);
+    EXPECT_LE(last_send, first_reply) << "a read waited for another's reply";
+    EXPECT_GT(first_reply, capture);  // the reads did cross the network
   }
 }

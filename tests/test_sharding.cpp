@@ -253,3 +253,40 @@ TEST(Sharding, MortonOrderingKeepsShardsCompact) {
   };
   EXPECT_LT(curve_length(sorted), curve_length(model.position) * 0.5);
 }
+
+TEST(Sharding, FacadeIsCurrentOnlyWhenEveryShardIs) {
+  // The bridge skips the coupling fetch of a current system. The facade
+  // may claim that only when every shard's owned slice is current.
+  LocalWorld w;
+  w.run([&] {
+    util::Rng rng(7);
+    auto model = ic::plummer_sphere(64, rng);
+    std::vector<std::unique_ptr<GravityClient>> subs;
+    for (int k = 0; k < 2; ++k) subs.push_back(local_gravity(w));
+    ShardedGravityClient gravity(std::move(subs));
+    gravity.set_params(1e-4, 0.02);
+    gravity.add_particles(model.mass, model.position, model.velocity);
+    EXPECT_FALSE(gravity.coupling_current());
+
+    Future reply = gravity.request_state(state_field::coupling);
+    gravity.merge_state(reply, state_field::coupling);
+    EXPECT_TRUE(gravity.coupling_current());
+
+    // A kick moves only velocities.
+    std::vector<Vec3> accel(model.mass.size(), Vec3{0.1, 0.0, 0.0});
+    gravity.kick_async(accel, 0.5).get();
+    EXPECT_TRUE(gravity.coupling_current());
+
+    // One shard moving is enough to make the whole model stale.
+    gravity.shard(1).set_masses_sparse({}, {});
+    EXPECT_TRUE(gravity.shard(0).coupling_current());
+    EXPECT_FALSE(gravity.coupling_current());
+
+    reply = gravity.request_state(state_field::coupling);
+    gravity.merge_state(reply, state_field::coupling);
+    EXPECT_TRUE(gravity.coupling_current());
+    gravity.evolve(1.0 / 32.0);
+    EXPECT_FALSE(gravity.coupling_current());
+    gravity.close();
+  });
+}

@@ -8,7 +8,10 @@ committed in the repository and fails when:
   * the delta exchange no longer saves >= 2x bytes over the synchronous
     baseline, or
   * the pipelined path is no longer faster than the synchronous one on the
-    deep-WAN topology.
+    deep-WAN topology, or
+  * the pipelined path's virtual seconds per bridge step on the deep-WAN
+    topology regressed beyond the tolerance (a virtual, deterministic
+    figure: the round trips a step waits on).
 
 Usage: check_datapath.py NEW_JSON REF_JSON
 """
@@ -16,7 +19,7 @@ Usage: check_datapath.py NEW_JSON REF_JSON
 import json
 import sys
 
-TOLERANCE = 1.05  # simulated byte counts are deterministic; 5% headroom
+TOLERANCE = 1.05  # simulated bytes and seconds are deterministic; 5% headroom
 
 
 def rows_by_name(doc):
@@ -52,6 +55,15 @@ def main():
     if speedup <= 1.0:
         failures.append(
             f"pipelined path not faster on deep WAN ({speedup:.2f}x)")
+
+    name = "deepwan_pipelined"
+    new_seconds = new_rows[name]["seconds_per_iteration"]
+    ref_seconds = ref_rows[name]["seconds_per_iteration"]
+    print(f"{name}: {new_seconds:.5f} virtual s/step (ref {ref_seconds:.5f})")
+    if new_seconds > ref_seconds * TOLERANCE:
+        failures.append(
+            f"deep-WAN seconds-per-bridge-step regressed: {new_seconds:.5f} > "
+            f"{ref_seconds:.5f} * {TOLERANCE}")
 
     if failures:
         for failure in failures:
