@@ -1185,12 +1185,7 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
     auto wan_link_bytes = [&] {
       std::map<std::string, double> by_link;
       for (const auto& link : bed.network().traffic_report()) {
-        if (link.name == "loopback" || link.name.rfind("lan:", 0) == 0) {
-          continue;
-        }
-        by_link[link.name] += link.bytes_by_class[0] +
-                              link.bytes_by_class[1] +
-                              link.bytes_by_class[2] + link.bytes_by_class[3];
+        if (link.wan()) by_link[link.name] += link.total_bytes();
       }
       return by_link;
     };
@@ -1515,11 +1510,8 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
   bed.simulation().run();
 
   for (const auto& link : bed.network().traffic_report()) {
-    // WAN = anything that is not a host loopback or an intra-site LAN.
-    bool wan = link.name != "loopback" && link.name.rfind("lan:", 0) != 0;
-    if (!wan) continue;
-    result.wan_bytes += link.bytes_by_class[0] + link.bytes_by_class[1] +
-                        link.bytes_by_class[2] + link.bytes_by_class[3];
+    if (!link.wan()) continue;
+    result.wan_bytes += link.total_bytes();
     result.wan_ipl_bytes +=
         link.bytes_by_class[static_cast<int>(sim::TrafficClass::ipl)];
   }
@@ -1560,6 +1552,20 @@ Result run_experiment(const ExperimentSpec& spec) {
 Result run_experiment_config(const util::Config& config) {
   JungleTestbed bed(config);
   return run_experiment(bed, ExperimentSpec::from_config(config));
+}
+
+std::uint64_t final_digest(const Result& result) {
+  GraphCheckpoint fin;
+  fin.epoch = result.iterations;
+  fin.resize(result.models.size());
+  for (std::size_t i = 0; i < result.models.size(); ++i) {
+    const ModelResult& model = result.models[i];
+    if (model.role == sched::Role::gravity)
+      fin.gravity[i].state = model.gravity;
+    else if (model.role == sched::Role::hydro)
+      fin.hydro[i].state = model.hydro;
+  }
+  return digest(fin);
 }
 
 }  // namespace jungle::amuse::experiment

@@ -245,4 +245,8 @@ Result run_experiment(const ExperimentSpec& spec);
 /// One INI, whole run: topology + resources + experiment graph.
 Result run_experiment_config(const util::Config& config);
 
+/// Hash of a finished run's final model states, through the checkpoint
+/// layer's digest: two runs with the same digest ended bit-for-bit alike.
+std::uint64_t final_digest(const Result& result);
+
 }  // namespace jungle::amuse::experiment

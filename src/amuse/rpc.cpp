@@ -53,74 +53,69 @@ double jitter_factor(const std::string& label, std::uint32_t request_id,
   return 0.5 + static_cast<double>(hash % 1024) / 1024.0;
 }
 
+// One row per function id. The names label trace spans (`rpc:<name>` on
+// the client, `<name>` on the worker), so they must not change. retry_safe
+// marks the calls a client may resend (see the declaration in rpc.hpp).
+constexpr FnInfo kFnTable[] = {
+    {Fn::ping, "ping", true},
+    {Fn::stop, "stop", false},
+    {Fn::grav_set_params, "grav_set_params", false},
+    {Fn::grav_add_particles, "grav_add_particles", false},
+    {Fn::grav_evolve, "grav_evolve", false},
+    {Fn::grav_get_state, "grav_get_state", true},
+    {Fn::grav_get_energies, "grav_get_energies", true},
+    // repeat-kick: the replay cache makes it exactly-once
+    {Fn::grav_kick_all, "grav_kick_all", true},
+    {Fn::grav_set_masses, "grav_set_masses", false},
+    {Fn::grav_get_time, "grav_get_time", true},
+    {Fn::grav_set_masses_sparse, "grav_set_masses_sparse", false},
+    {Fn::grav_get_dynamics, "grav_get_dynamics", true},
+    {Fn::grav_set_dynamics, "grav_set_dynamics", false},
+    {Fn::grav_reset, "grav_reset", false},
+    // last-write-wins range assignment
+    {Fn::grav_set_shard, "grav_set_shard", true},
+    // absolute-index overwrite, replay-cached
+    {Fn::grav_ghost_update, "grav_ghost_update", true},
+    {Fn::field_set_sources, "field_set_sources", false},
+    {Fn::field_accel_at, "field_accel_at", true},
+    {Fn::field_accel_for, "field_accel_for", true},
+    {Fn::hydro_set_params, "hydro_set_params", false},
+    {Fn::hydro_add_gas, "hydro_add_gas", false},
+    {Fn::hydro_evolve, "hydro_evolve", false},
+    {Fn::hydro_get_state, "hydro_get_state", true},
+    {Fn::hydro_get_energies, "hydro_get_energies", true},
+    {Fn::hydro_kick_all, "hydro_kick_all", true},
+    {Fn::hydro_inject, "hydro_inject", false},
+    {Fn::hydro_get_time, "hydro_get_time", true},
+    {Fn::hydro_set_time, "hydro_set_time", false},
+    {Fn::se_add_stars, "se_add_stars", false},
+    {Fn::se_evolve_to, "se_evolve_to", false},
+    {Fn::se_get_masses, "se_get_masses", true},
+    {Fn::se_get_supernovae, "se_get_supernovae", true},
+    {Fn::se_get_mass_loss, "se_get_mass_loss", true},
+    {Fn::se_get_luminosities, "se_get_luminosities", true},
+    {Fn::se_get_mass_updates, "se_get_mass_updates", true},
+};
+
+const FnInfo* find_fn(Fn fn) noexcept {
+  for (const FnInfo& row : kFnTable) {
+    if (row.fn == fn) return &row;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
+std::span<const FnInfo> fn_table() noexcept { return kFnTable; }
+
 bool retry_safe(Fn fn) noexcept {
-  switch (fn) {
-    case Fn::ping:
-    case Fn::grav_get_state:
-    case Fn::grav_get_energies:
-    case Fn::grav_get_time:
-    case Fn::grav_get_dynamics:
-    case Fn::grav_kick_all:  // repeat-kick: replay cache makes it exactly-once
-    case Fn::grav_set_shard:     // last-write-wins range assignment
-    case Fn::grav_ghost_update:  // absolute-index overwrite, replay-cached
-    case Fn::field_accel_at:
-    case Fn::field_accel_for:
-    case Fn::hydro_get_state:
-    case Fn::hydro_get_energies:
-    case Fn::hydro_get_time:
-    case Fn::hydro_kick_all:
-    case Fn::se_get_masses:
-    case Fn::se_get_supernovae:
-    case Fn::se_get_mass_loss:
-    case Fn::se_get_luminosities:
-    case Fn::se_get_mass_updates:
-      return true;
-    default:
-      return false;
-  }
+  const FnInfo* row = find_fn(fn);
+  return row != nullptr && row->retry_safe;
 }
 
 const char* fn_name(Fn fn) noexcept {
-  switch (fn) {
-    case Fn::ping: return "ping";
-    case Fn::stop: return "stop";
-    case Fn::grav_set_params: return "grav_set_params";
-    case Fn::grav_add_particles: return "grav_add_particles";
-    case Fn::grav_evolve: return "grav_evolve";
-    case Fn::grav_get_state: return "grav_get_state";
-    case Fn::grav_get_energies: return "grav_get_energies";
-    case Fn::grav_kick_all: return "grav_kick_all";
-    case Fn::grav_set_masses: return "grav_set_masses";
-    case Fn::grav_get_time: return "grav_get_time";
-    case Fn::grav_set_masses_sparse: return "grav_set_masses_sparse";
-    case Fn::grav_get_dynamics: return "grav_get_dynamics";
-    case Fn::grav_set_dynamics: return "grav_set_dynamics";
-    case Fn::grav_reset: return "grav_reset";
-    case Fn::grav_set_shard: return "grav_set_shard";
-    case Fn::grav_ghost_update: return "grav_ghost_update";
-    case Fn::field_set_sources: return "field_set_sources";
-    case Fn::field_accel_at: return "field_accel_at";
-    case Fn::field_accel_for: return "field_accel_for";
-    case Fn::hydro_set_params: return "hydro_set_params";
-    case Fn::hydro_add_gas: return "hydro_add_gas";
-    case Fn::hydro_evolve: return "hydro_evolve";
-    case Fn::hydro_get_state: return "hydro_get_state";
-    case Fn::hydro_get_energies: return "hydro_get_energies";
-    case Fn::hydro_kick_all: return "hydro_kick_all";
-    case Fn::hydro_inject: return "hydro_inject";
-    case Fn::hydro_get_time: return "hydro_get_time";
-    case Fn::hydro_set_time: return "hydro_set_time";
-    case Fn::se_add_stars: return "se_add_stars";
-    case Fn::se_evolve_to: return "se_evolve_to";
-    case Fn::se_get_masses: return "se_get_masses";
-    case Fn::se_get_supernovae: return "se_get_supernovae";
-    case Fn::se_get_mass_loss: return "se_get_mass_loss";
-    case Fn::se_get_luminosities: return "se_get_luminosities";
-    case Fn::se_get_mass_updates: return "se_get_mass_updates";
-  }
-  return "unknown";
+  const FnInfo* row = find_fn(fn);
+  return row != nullptr ? row->name : "unknown";
 }
 
 util::ByteReader Future::get() {

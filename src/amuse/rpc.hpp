@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,17 @@ enum class Fn : std::uint16_t {
 
 /// Short name of a function id, for span labels and log lines.
 const char* fn_name(Fn fn) noexcept;
+
+/// The descriptor of one function id. Adding an RPC adds one row to the
+/// table behind fn_table().
+struct FnInfo {
+  Fn fn;
+  const char* name;
+  bool retry_safe;
+};
+
+/// One row per Fn enumerator, in enum order.
+std::span<const FnInfo> fn_table() noexcept;
 
 /// Reply status on the wire.
 enum class RpcStatus : std::uint8_t { ok = 0, code_error = 1, worker_died = 2 };

@@ -43,7 +43,7 @@ struct WorkerSpec {
   /// Metrics series name for this worker's meters (empty = use `code`).
   /// The experiment runner sets the model name so two workers running the
   /// same code keep separate series.
-  std::string meter;
+  std::string meter = {};
 
   bool needs_gpu() const {
     return code == "phigrape-gpu" || code == "octgrav";

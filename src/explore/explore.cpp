@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "amuse/faults.hpp"
 #include "sim/network.hpp"
 #include "util/error.hpp"
 
@@ -237,8 +236,7 @@ Explorer::Explorer(util::Config config, Options options)
     add(Injection::Kind::worker, host);
   }
   for (const auto& link : bed.network().traffic_report()) {
-    if (link.name == "loopback" || link.name.rfind("lan:", 0) == 0) continue;
-    add(Injection::Kind::link, link.name);
+    if (link.wan()) add(Injection::Kind::link, link.name);
   }
 }
 
@@ -254,20 +252,11 @@ RunReport Explorer::run_schedule(const Schedule& schedule) {
       report.completed = true;
       report.restarts = result.restarts;
       report.placement = result.placement;
-      // Digest the final model states through the same hash the checkpoint
-      // layer uses — bit-for-bit comparison against the golden run.
-      amuse::GraphCheckpoint fin;
-      fin.epoch = result.iterations;
-      fin.resize(result.models.size());
-      for (std::size_t i = 0; i < result.models.size(); ++i) {
-        const auto& model = result.models[i];
-        if (model.role == sched::Role::gravity)
-          fin.gravity[i].state = model.gravity;
-        else if (model.role == sched::Role::hydro)
-          fin.hydro[i].state = model.hydro;
+      for (const auto& model : result.models) {
         report.energy += model.kinetic + model.potential + model.thermal;
       }
-      report.final_digest = amuse::digest(fin);
+      // Bit-for-bit comparison against the golden run.
+      report.final_digest = amuse::experiment::final_digest(result);
     } catch (const std::exception& error) {
       report.error = error.what();
     }

@@ -185,6 +185,17 @@ class Network {
     double bandwidth_Bps;
     std::array<double, kTrafficClasses> bytes_by_class;
     std::uint64_t messages;
+
+    /// A wide-area link: anything but a host loopback or an intra-site LAN.
+    bool wan() const noexcept {
+      return name != "loopback" && name.rfind("lan:", 0) != 0;
+    }
+    /// Bytes of every traffic class, summed in class order.
+    double total_bytes() const noexcept {
+      double total = 0.0;
+      for (double bytes : bytes_by_class) total += bytes;
+      return total;
+    }
   };
   std::vector<LinkReport> traffic_report() const;
   void reset_traffic();

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "amuse/clients.hpp"
 #include "amuse/daemon.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/particles.hpp"
+#include "amuse/rpc.hpp"
 #include "amuse/units.hpp"
 #include "amuse/workers.hpp"
 
@@ -409,4 +412,95 @@ TEST(AmuseLocal, ParallelGadgetMatchesSerialPhysics) {
   double serial = run_gadget(1);
   double parallel = run_gadget(4);
   EXPECT_NEAR(parallel, serial, std::abs(serial) * 1e-9);
+}
+
+// ---------------------------------------------------------- rpc descriptors
+
+// Every Fn enumerator next to its spelling: a row's name is its trace span
+// label, so it must stay the enumerator's own name.
+#define FN_ROW(id) std::pair<Fn, std::string>(Fn::id, #id)
+const std::pair<Fn, std::string> kEveryFn[] = {
+    FN_ROW(ping),
+    FN_ROW(stop),
+    FN_ROW(grav_set_params),
+    FN_ROW(grav_add_particles),
+    FN_ROW(grav_evolve),
+    FN_ROW(grav_get_state),
+    FN_ROW(grav_get_energies),
+    FN_ROW(grav_kick_all),
+    FN_ROW(grav_set_masses),
+    FN_ROW(grav_get_time),
+    FN_ROW(grav_set_masses_sparse),
+    FN_ROW(grav_get_dynamics),
+    FN_ROW(grav_set_dynamics),
+    FN_ROW(grav_reset),
+    FN_ROW(grav_set_shard),
+    FN_ROW(grav_ghost_update),
+    FN_ROW(field_set_sources),
+    FN_ROW(field_accel_at),
+    FN_ROW(field_accel_for),
+    FN_ROW(hydro_set_params),
+    FN_ROW(hydro_add_gas),
+    FN_ROW(hydro_evolve),
+    FN_ROW(hydro_get_state),
+    FN_ROW(hydro_get_energies),
+    FN_ROW(hydro_kick_all),
+    FN_ROW(hydro_inject),
+    FN_ROW(hydro_get_time),
+    FN_ROW(hydro_set_time),
+    FN_ROW(se_add_stars),
+    FN_ROW(se_evolve_to),
+    FN_ROW(se_get_masses),
+    FN_ROW(se_get_supernovae),
+    FN_ROW(se_get_mass_loss),
+    FN_ROW(se_get_luminosities),
+    FN_ROW(se_get_mass_updates),
+};
+#undef FN_ROW
+
+TEST(RpcDescriptors, EveryFunctionHasExactlyOneRowWithAUniqueName) {
+  auto table = fn_table();
+  ASSERT_EQ(table.size(), std::size(kEveryFn));
+  std::set<std::string> names;
+  for (const auto& [fn, name] : kEveryFn) {
+    auto rows = std::count_if(table.begin(), table.end(),
+                              [fn](const FnInfo& row) { return row.fn == fn; });
+    EXPECT_EQ(rows, 1) << name;
+    EXPECT_EQ(fn_name(fn), name);
+  }
+  for (const FnInfo& row : table) {
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+  }
+  EXPECT_STREQ(fn_name(static_cast<Fn>(9999)), "unknown");
+}
+
+TEST(RpcDescriptors, RetrySafeSetIsTheIdempotentCalls) {
+  const std::set<Fn> expected = {
+      Fn::ping,
+      Fn::grav_get_state,
+      Fn::grav_get_energies,
+      Fn::grav_get_time,
+      Fn::grav_get_dynamics,
+      Fn::grav_kick_all,
+      Fn::grav_set_shard,
+      Fn::grav_ghost_update,
+      Fn::field_accel_at,
+      Fn::field_accel_for,
+      Fn::hydro_get_state,
+      Fn::hydro_get_energies,
+      Fn::hydro_get_time,
+      Fn::hydro_kick_all,
+      Fn::se_get_masses,
+      Fn::se_get_supernovae,
+      Fn::se_get_mass_loss,
+      Fn::se_get_luminosities,
+      Fn::se_get_mass_updates,
+  };
+  ASSERT_EQ(expected.size(), 19u);
+  std::set<Fn> actual;
+  for (const auto& [fn, name] : kEveryFn) {
+    if (retry_safe(fn)) actual.insert(fn);
+  }
+  EXPECT_EQ(actual, expected);
+  EXPECT_FALSE(retry_safe(static_cast<Fn>(9999)));
 }

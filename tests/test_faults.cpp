@@ -117,20 +117,11 @@ Outcome run_triple_plummer(
       out.completed = true;
       out.restarts = result.restarts;
       out.placement = result.placement;
-      // Digest the final states through the checkpoint layer's own hash so
-      // "matches the fault-free run" means bit-for-bit, not approximately.
-      GraphCheckpoint fin;
-      fin.epoch = result.iterations;
-      fin.resize(result.models.size());
-      for (std::size_t i = 0; i < result.models.size(); ++i) {
-        const ModelResult& model = result.models[i];
-        if (model.role == sched::Role::gravity)
-          fin.gravity[i].state = model.gravity;
-        else if (model.role == sched::Role::hydro)
-          fin.hydro[i].state = model.hydro;
+      for (const ModelResult& model : result.models) {
         out.energy += model.kinetic + model.potential + model.thermal;
       }
-      out.digest = digest(fin);
+      // "Matches the fault-free run" means bit-for-bit, not approximately.
+      out.digest = final_digest(result);
     } catch (const std::exception& error) {
       out.error = error.what();
     }
