@@ -134,13 +134,9 @@ std::vector<int> Bridge::active_couplings(int step_index, bool bottom) const {
   return active;
 }
 
-std::vector<Future> Bridge::cross_kick(const std::vector<int>& active) {
-  if (config_.synchronous_datapath) {
-    cross_kick_synchronous(active);
-    return {};
-  }
-
-  // Which systems participate in this phase, in declaration order.
+std::vector<int> Bridge::involved_systems(
+    const std::vector<int>& active) const {
+  // Which systems participate in a phase, in declaration order.
   std::vector<int> involved;
   for (int i = 0; i < static_cast<int>(systems_.size()); ++i) {
     for (int c : active) {
@@ -150,25 +146,34 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active) {
       }
     }
   }
+  return involved;
+}
+
+std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
+                                       StateFetches fetched) {
+  if (config_.synchronous_datapath) {
+    cross_kick_synchronous(active);
+    return {};
+  }
+  std::vector<int> involved = involved_systems(active);
 
   // Phase 1 — the state of every involved system whose cached mass and
   // position may be stale, fetched concurrently: one round trip, and only
   // the coupling fields (mass+position) that changed since the cached copy.
   // A current system's fetch would carry nothing and is skipped — after a
-  // bottom kick that is every system, unless a mass update intervened.
+  // bottom kick that is every system, unless a mass update intervened. A
+  // fetch the caller already sent (the bottom kick's, behind the evolve)
+  // is merged instead of sent again.
   {
     obs::trace::Span phase = obs::trace::span("state_fetch", "bridge");
-    std::vector<int> stale;
-    std::vector<Future> state_replies;
+    fetched.resize(systems_.size());
     for (int i : involved) {
-      if (systems_[i].dynamics->coupling_current()) continue;
-      stale.push_back(i);
-      state_replies.push_back(
-          systems_[i].dynamics->request_state(state_field::coupling));
+      if (fetched[i] || systems_[i].dynamics->coupling_current()) continue;
+      fetched[i] = systems_[i].dynamics->request_state(state_field::coupling);
     }
-    for (std::size_t k = 0; k < stale.size(); ++k) {
-      systems_[stale[k]].dynamics->merge_state(state_replies[k],
-                                               state_field::coupling);
+    for (int i : involved) {
+      if (!fetched[i]) continue;
+      systems_[i].dynamics->merge_state(*fetched[i], state_field::coupling);
     }
   }
 
@@ -222,15 +227,7 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active) {
 void Bridge::cross_kick_synchronous(const std::vector<int>& active) {
   // The pre-overhaul data path, kept as the measured baseline: full state
   // fetches and strictly serial RPCs (one WAN round trip per call).
-  std::vector<int> involved;
-  for (int i = 0; i < static_cast<int>(systems_.size()); ++i) {
-    for (int c : active) {
-      if (couplings_[c].a == i || couplings_[c].b == i) {
-        involved.push_back(i);
-        break;
-      }
-    }
-  }
+  std::vector<int> involved = involved_systems(active);
   for (int i : involved) {
     DynamicsClient& sys = *systems_[i].dynamics;
     Future reply = sys.request_state(sys.full_mask());
@@ -274,30 +271,48 @@ void Bridge::step() {
   }
 
   // Parallel evolve: all systems advance concurrently; total wall time is
-  // max over the systems' evolves + messaging — the Jungle payoff. The top
-  // kicks are still in flight: each worker's pipe is FIFO, so it applies
-  // its kick before the evolve queued behind it, and their acks are
-  // collected while the evolves run.
+  // max over the systems' evolves + messaging — the Jungle payoff. Every
+  // call below rides a worker's FIFO pipe behind the one before it:
+  //  - the top kicks are still in flight, so each worker applies its kick
+  //    before the evolve queued behind it;
+  //  - each bottom-kick participant's coupling fetch follows its evolve,
+  //    so the reply carries the evolved state and lands right behind the
+  //    evolve's;
+  //  - the previous step's unacked calls ran before all of it.
+  // Their acks are collected while the evolves run.
+  std::vector<int> bottom = active_couplings(step_index, /*bottom=*/true);
+  std::vector<bool> fetch_bottom(systems_.size(), false);
+  if (!config_.synchronous_datapath) {
+    for (int i : involved_systems(bottom)) fetch_bottom[i] = true;
+  }
+  StateFetches fetched(systems_.size());
   faultpoint::reach(faultpoint::Point::step_evolve, step_index);
   {
     obs::trace::Span phase = obs::trace::span("evolve", "bridge");
     std::vector<Future> evolving;
     evolving.reserve(systems_.size());
-    for (System& system : systems_) {
-      evolving.push_back(system.dynamics->evolve_async(time_ + dt));
+    for (std::size_t i = 0; i < systems_.size(); ++i) {
+      DynamicsClient& system = *systems_[i].dynamics;
+      evolving.push_back(system.evolve_async(time_ + dt));
+      if (fetch_bottom[i]) {
+        fetched[i] = system.request_state(state_field::coupling);
+      }
     }
     trace_.push_back("evolve:parallel");
+    settle();
     for (Future& kick : top_kicks) kick.get();
     for (Future& future : evolving) future.get();
   }
 
+  // The bottom kick's acks are not waited on: nothing this step reads
+  // depends on them, and the next call on each pipe queues behind them.
+  // They are collected by the next step's evolve wait or by settle().
   faultpoint::reach(faultpoint::Point::step_bottom_kick, step_index);
-  std::vector<int> bottom = active_couplings(step_index, /*bottom=*/true);
   if (!bottom.empty()) {
     obs::trace::Span phase = obs::trace::span("cross_kick:bottom", "bridge");
-    std::vector<Future> bottom_kicks = cross_kick(bottom);
-    obs::trace::Span kicks_phase = obs::trace::span("kicks", "bridge");
-    for (Future& kick : bottom_kicks) kick.get();
+    for (Future& kick : cross_kick(bottom, std::move(fetched))) {
+      unacked_.push_back(std::move(kick));
+    }
   }
 
   time_ += dt;
@@ -309,6 +324,12 @@ void Bridge::step() {
     obs::trace::Span phase = obs::trace::span("stellar_update", "bridge");
     stellar_update();
   }
+}
+
+void Bridge::settle() {
+  std::vector<Future> acks = std::move(unacked_);
+  unacked_.clear();
+  for (Future& ack : acks) ack.get();
 }
 
 std::pair<std::vector<double>, std::vector<double>> Bridge::se_mapping(
@@ -325,6 +346,21 @@ void Bridge::set_se_mapping(std::vector<double> zams_se,
   }
   stellar_[link].zams_se = std::move(zams_se);
   stellar_[link].zams_dynamical = std::move(zams_dynamical);
+}
+
+template <typename Client>
+const auto& Bridge::current_state(Client& client) {
+  // The baseline path fetches full states, as before the overhaul. The
+  // pipelined path reads mass + position, the fields the update consumes,
+  // from the cache when it is provably current (after a bottom kick it is)
+  // and fetches only what changed otherwise.
+  if (config_.synchronous_datapath) {
+    Future reply = client.request_state(client.full_mask());
+    return client.finish_state(reply, client.full_mask());
+  }
+  if (client.coupling_current()) return client.cached_state();
+  Future reply = client.request_state(state_field::coupling);
+  return client.finish_state(reply, state_field::coupling);
 }
 
 void Bridge::stellar_update() {
@@ -346,13 +382,7 @@ void Bridge::stellar_update_one(StellarLink& link) {
   // delta-compressed: only stars whose mass changed since the previous
   // exchange travel.
   const std::vector<double>& se_masses = link.wiring.client->masses();
-  // The baseline path fetches full states here, as before the overhaul; the
-  // pipelined path only moves what the update consumes (mass + position).
-  std::uint64_t grav_mask = config_.synchronous_datapath
-                                ? state_field::gravity_all
-                                : state_field::coupling;
-  Future stars_reply = stars.request_state(grav_mask);
-  const GravityState& stars_state = stars.finish_state(stars_reply, grav_mask);
+  const GravityState& stars_state = current_state(stars);
   if (se_masses.size() != stars_state.mass.size()) {
     throw CodeError("bridge: SE and gravity particle counts differ");
   }
@@ -382,7 +412,7 @@ void Bridge::stellar_update_one(StellarLink& link) {
         values.push_back(new_masses[i]);
       }
     }
-    stars.set_masses_sparse(changed, values);
+    unacked_.push_back(stars.set_masses_sparse_async(changed, values));
   }
   trace_.push_back("se:masses->gravity");
 
@@ -392,11 +422,7 @@ void Bridge::stellar_update_one(StellarLink& link) {
 
   // Thermal feedback into the gas: winds (continuous) and supernovae
   // (discrete). Energy goes to the gas particle nearest each massive star.
-  std::uint64_t gas_mask = config_.synchronous_datapath
-                               ? state_field::hydro_all
-                               : state_field::coupling;
-  Future gas_reply = gas.request_state(gas_mask);
-  const HydroState& gas_state = gas.finish_state(gas_reply, gas_mask);
+  const HydroState& gas_state = current_state(gas);
   std::vector<std::int32_t> indices;
   std::vector<double> delta_u;
   auto nearest_gas = [&](const Vec3& where) {
@@ -433,7 +459,11 @@ void Bridge::stellar_update_one(StellarLink& link) {
                        << " heats gas particle " << target;
   }
   if (!indices.empty()) {
-    gas.inject(indices, delta_u);
+    if (config_.synchronous_datapath) {
+      gas.inject(indices, delta_u);
+    } else {
+      unacked_.push_back(gas.inject_async(indices, delta_u));
+    }
     trace_.push_back("se:feedback->gas");
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,13 +22,18 @@ namespace jungle::amuse {
 /// The coupling data path is pipelined: each cross-kick phase (state fetch,
 /// field queries, kicks) issues every system's calls as concurrent futures,
 /// and the delta state exchange keeps unchanged fields off the wire. A step
-/// only waits on round trips whose answer the client cannot already know:
-/// a fetch of a system whose cached coupling fields are current is skipped,
-/// a field query the coupler would answer "unchanged" is answered by the
-/// field client, and the top kicks ride ahead of the evolves on each
-/// worker's FIFO pipe with their acks collected during the evolve. A steady
-/// step therefore pays no round trip for its top half-kick, one for the
-/// evolve and three for the bottom half-kick. The pre-overhaul serial path
+/// only waits on a reply it consumes:
+///  - a fetch of a system whose cached coupling fields are current is
+///    skipped, and a field query the coupler would answer "unchanged" is
+///    answered by the field client;
+///  - the top kicks ride ahead of the evolves on each worker's FIFO pipe,
+///    and the bottom kick's state fetch rides right behind them;
+///  - the bottom kicks, the stellar mass update and the feedback are not
+///    waited on. Their acks are collected by the next step's evolve wait or
+///    by settle(), which a caller runs before it commits a checkpoint.
+/// A steady step therefore waits on one round trip for the evolve (with the
+/// fetch behind it) and one for the bottom kick's field queries; the
+/// stellar update adds none on a remote model. The pre-overhaul serial path
 /// is kept behind Config::synchronous_datapath as the baseline the
 /// data-path bench compares against (bit-identical physics, more round
 /// trips and bytes).
@@ -96,6 +102,13 @@ class Bridge {
   /// paper.
   void step();
 
+  /// Wait for the acks of every call the last step sent without waiting
+  /// (its bottom kicks, mass update and feedback), rethrowing the first
+  /// error. Each worker pipe is FIFO, so any later call to a worker already
+  /// sees their effect; this only proves they succeeded. Call it before
+  /// committing a checkpoint or ending a run.
+  void settle();
+
   double time() const noexcept { return time_; }
   int steps_done() const noexcept { return steps_; }
 
@@ -128,14 +141,25 @@ class Bridge {
     std::vector<double> zams_dynamical;
   };
 
+  /// Coupling-state replies in flight, indexed by system (nullopt: none).
+  using StateFetches = std::vector<std::optional<Future>>;
+
   /// Couplings that fire on a phase, given the step they belong to.
   std::vector<int> active_couplings(int step_index, bool bottom) const;
+  /// Systems that take part in the given couplings, in declaration order.
+  std::vector<int> involved_systems(const std::vector<int>& active) const;
   /// Runs one coupling phase up to sending its kicks and returns the kick
   /// acks still in flight (none on the synchronous path, which waits).
-  std::vector<Future> cross_kick(const std::vector<int>& active);
+  /// `fetched` holds coupling-state requests the caller already sent; the
+  /// phase sends the rest.
+  std::vector<Future> cross_kick(const std::vector<int>& active,
+                                 StateFetches fetched = {});
   void cross_kick_synchronous(const std::vector<int>& active);
   void stellar_update();
   void stellar_update_one(StellarLink& link);
+  /// The state a stellar update reads from `client` (gravity or hydro).
+  template <typename Client>
+  const auto& current_state(Client& client);
 
   std::vector<System> systems_;
   std::vector<Coupling> couplings_;
@@ -144,6 +168,9 @@ class Bridge {
   double time_ = 0.0;
   int steps_ = 0;
   std::vector<std::string> trace_;
+  /// Acks of calls sent but not yet waited on: bottom kicks, mass updates
+  /// and feedback. Collected by the next evolve wait or by settle().
+  std::vector<Future> unacked_;
 };
 
 }  // namespace jungle::amuse

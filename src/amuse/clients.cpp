@@ -167,13 +167,13 @@ void GravityClient::set_masses(std::span<const double> masses) {
   rpc_->call_sync(Fn::grav_set_masses, std::move(args));
 }
 
-void GravityClient::set_masses_sparse(std::span<const std::int32_t> indices,
-                                      std::span<const double> masses) {
+Future GravityClient::set_masses_sparse_async(
+    std::span<const std::int32_t> indices, std::span<const double> masses) {
   util::ByteWriter args = RpcClient::request();
   put_span_of(args, indices);
   put_span_of(args, masses);
   invalidate_coupling();
-  rpc_->call_sync(Fn::grav_set_masses_sparse, std::move(args));
+  return rpc_->call(Fn::grav_set_masses_sparse, std::move(args));
 }
 
 double GravityClient::model_time() {
@@ -385,12 +385,12 @@ Future HydroClient::kick_async(std::span<const Vec3> accel, double dt) {
   return send_kick(Fn::hydro_kick_all, accel, dt);
 }
 
-void HydroClient::inject(std::span<const std::int32_t> indices,
-                         std::span<const double> delta_u) {
+Future HydroClient::inject_async(std::span<const std::int32_t> indices,
+                                std::span<const double> delta_u) {
   util::ByteWriter args = RpcClient::request();
   put_span_of(args, indices);
   put_span_of(args, delta_u);
-  rpc_->call_sync(Fn::hydro_inject, std::move(args));
+  return rpc_->call(Fn::hydro_inject, std::move(args));
 }
 
 double HydroClient::model_time() {

@@ -234,8 +234,12 @@ class GravityClient : public DynamicsClient {
   }
   virtual void set_masses(std::span<const double> masses);
   /// Delta-compressed mass channel: update only the listed particles.
-  virtual void set_masses_sparse(std::span<const std::int32_t> indices,
-                                 std::span<const double> masses);
+  virtual Future set_masses_sparse_async(std::span<const std::int32_t> indices,
+                                         std::span<const double> masses);
+  void set_masses_sparse(std::span<const std::int32_t> indices,
+                         std::span<const double> masses) {
+    set_masses_sparse_async(indices, masses).get();
+  }
   double model_time() override;
   /// Fetch the integrator's dynamic state — corrector-stage forces plus the
   /// absolute model time — for checkpointing, in two halves so a checkpoint
@@ -357,8 +361,13 @@ class HydroClient : public DynamicsClient {
   Future kick_async(std::span<const Vec3> delta_v) {
     return kick_async(delta_v, 1.0);
   }
+  /// Add specific internal energy to the listed particles (feedback).
+  Future inject_async(std::span<const std::int32_t> indices,
+                      std::span<const double> delta_u);
   void inject(std::span<const std::int32_t> indices,
-              std::span<const double> delta_u);
+              std::span<const double> delta_u) {
+    inject_async(indices, delta_u).get();
+  }
   double model_time() override;
   /// The model_time read in two halves, for the one-round-trip checkpoint.
   Future request_time();

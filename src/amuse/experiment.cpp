@@ -1296,6 +1296,11 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
                 break;
             }
           }
+          // The step's unacked kicks and mass updates ran before these
+          // reads on each pipe; their acks land first. Collecting them here
+          // costs no extra round trip, and no snapshot commits over a
+          // failed one.
+          bridge->settle();
           for (std::size_t i = 0; i < n_models; ++i) {
             switch (models[i].role) {
               case Role::gravity:
@@ -1458,6 +1463,8 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
         iter_start = bed.simulation().now();
       }
     }
+    // Without checkpoints the last step's acks are still in flight.
+    bridge->settle();
     double wall = bed.simulation().now() - wall_start;
     result.seconds_per_iteration = wall / spec.iterations;
 

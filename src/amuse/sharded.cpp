@@ -210,14 +210,18 @@ void ShardedGravityClient::set_masses(std::span<const double> masses) {
   for (auto& sub : subs_) sub->set_masses(masses);
 }
 
-void ShardedGravityClient::set_masses_sparse(
+Future ShardedGravityClient::set_masses_sparse_async(
     std::span<const std::int32_t> indices, std::span<const double> masses) {
   drain_pending();
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const auto index = static_cast<std::size_t>(indices[i]);
     if (index < cache_.mass.size()) cache_.mass[index] = masses[i];
   }
-  for (auto& sub : subs_) sub->set_masses_sparse(indices, masses);
+  Future head = subs_[0]->set_masses_sparse_async(indices, masses);
+  for (std::size_t k = 1; k < subs_.size(); ++k) {
+    pending_.push_back(subs_[k]->set_masses_sparse_async(indices, masses));
+  }
+  return head;
 }
 
 double ShardedGravityClient::model_time() {

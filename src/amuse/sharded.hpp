@@ -58,8 +58,10 @@ class ShardedGravityClient : public GravityClient {
   Future kick_async(std::span<const Vec3> accel, double dt) override;
   using GravityClient::kick_async;
   void set_masses(std::span<const double> masses) override;
-  void set_masses_sparse(std::span<const std::int32_t> indices,
-                         std::span<const double> masses) override;
+  /// Returns shard 0's ack; the other shards' acks drain at the next
+  /// operation, like kick_async's.
+  Future set_masses_sparse_async(std::span<const std::int32_t> indices,
+                                 std::span<const double> masses) override;
   double model_time() override;
   /// Every shard's read in flight at once; finish concatenates the owned
   /// slices in shard order.

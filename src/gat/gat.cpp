@@ -185,18 +185,25 @@ std::shared_ptr<Job> Broker::submit(const JobDescription& desc,
 double FileService::copy(sim::Host& from, sim::Host& to, double bytes) {
   sim::Simulation& sim = net_.simulation();
   double start = sim.now();
-  sim::Signal done(sim);
-  bool delivered = false;
+  // The delivery callback can outlive this frame: a copier killed
+  // mid-transfer unwinds while its bytes are still on the wire. It shares
+  // ownership of what it writes.
+  struct Delivery {
+    explicit Delivery(sim::Simulation& sim) : done(sim) {}
+    sim::Signal done;
+    bool delivered = false;
+  };
+  auto delivery = std::make_shared<Delivery>(sim);
   // Ride out transient outages, but give up on a route that stays dark —
   // an unreachable stage-in must surface as a job error, not a hang.
   constexpr int kMaxRetries = 20;
   constexpr double kRetryDelay = 0.5;
   int retries = 0;
-  while (!delivered) {
+  while (!delivery->delivered) {
     auto arrival =
-        net_.send(from, to, bytes, sim::TrafficClass::file, [&] {
-          delivered = true;
-          done.notify_all();
+        net_.send(from, to, bytes, sim::TrafficClass::file, [delivery] {
+          delivery->delivered = true;
+          delivery->done.notify_all();
         });
     if (!arrival) {
       if (++retries > kMaxRetries) {
@@ -207,7 +214,7 @@ double FileService::copy(sim::Host& from, sim::Host& to, double bytes) {
       sim.sleep(kRetryDelay);  // link down: retry the copy
       continue;
     }
-    while (!delivered) done.wait();
+    while (!delivery->delivered) delivery->done.wait();
   }
   return sim.now() - start;
 }

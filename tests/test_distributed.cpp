@@ -178,6 +178,10 @@ namespace {
 /// and resends apart), plus an optional one-shot reply delay.
 struct CallLog {
   std::map<Fn, int> sent;
+  /// Replies that reached a client, by the function of their request.
+  std::map<Fn, int> replied;
+  /// Every first transmission and reply in wire order: (fn, is_reply).
+  std::vector<std::pair<Fn, bool>> order;
   int resends = 0;
   /// Hold the reply to the next `delay_fn` request for `delay_s` virtual
   /// seconds once it reaches the client.
@@ -204,6 +208,8 @@ class CountingPipe : public MessagePipe {
       ++log_.resends;
     } else {
       ++log_.sent[fn];
+      log_.order.emplace_back(fn, false);
+      request_fn_[id] = fn;
       if (log_.delay_fn == fn) {
         delayed_ = id;
         log_.delay_fn.reset();
@@ -214,13 +220,19 @@ class CountingPipe : public MessagePipe {
 
   std::optional<std::vector<std::uint8_t>> recv_bytes() override {
     auto bytes = inner_->recv_bytes();
-    if (bytes && delayed_ != 0) {
-      std::uint32_t id = 0;
-      std::memcpy(&id, bytes->data(), sizeof(id));
-      if (id == delayed_) {
-        delayed_ = 0;
-        sim_.sleep(log_.delay_s);  // the pump, and every reply behind, waits
-      }
+    if (!bytes) return bytes;
+    std::uint32_t id = 0;
+    std::memcpy(&id, bytes->data(), sizeof(id));
+    if (delayed_ != 0 && id == delayed_) {
+      delayed_ = 0;
+      sim_.sleep(log_.delay_s);  // the pump, and every reply behind, waits
+    }
+    // A resent request's duplicate reply is dropped by the client: count
+    // each request's first reply only.
+    if (auto it = request_fn_.find(id); it != request_fn_.end()) {
+      ++log_.replied[it->second];
+      log_.order.emplace_back(it->second, true);
+      request_fn_.erase(it);
     }
     return bytes;
   }
@@ -232,22 +244,26 @@ class CountingPipe : public MessagePipe {
   CallLog& log_;
   sim::Simulation& sim_;
   std::uint32_t delayed_ = 0;
+  std::map<std::uint32_t, Fn> request_fn_;  // requests awaiting a reply
 };
 
-/// start_local_worker with the client end wrapped in a CountingPipe.
+/// start_local_worker with the client end wrapped in a CountingPipe. The
+/// worker runs on `where` (the desktop by default).
 std::unique_ptr<RpcClient> start_counted_worker(Lab& lab,
                                                 const WorkerSpec& spec,
-                                                CallLog& log) {
+                                                CallLog& log,
+                                                sim::Host* where = nullptr) {
   static int sequence = 0;
+  sim::Host& host = where != nullptr ? *where : *lab.desktop;
   std::string service = "counted-worker-" + std::to_string(++sequence);
-  auto& listener = lab.sockets.listen(*lab.desktop, service);
-  lab.desktop->spawn("worker:" + spec.code, [&lab, &listener, spec, service] {
+  auto& listener = lab.sockets.listen(host, service);
+  host.spawn("worker:" + spec.code, [&lab, &listener, &host, spec, service] {
     auto connection = listener.accept();
-    lab.sockets.unlisten(*lab.desktop, service);
+    lab.sockets.unlisten(host, service);
     run_worker(std::make_unique<ConnectionPipe>(std::move(connection)), spec,
-               {lab.desktop}, lab.net);
+               {&host}, lab.net);
   });
-  auto connection = lab.sockets.connect(*lab.desktop, *lab.desktop, service,
+  auto connection = lab.sockets.connect(*lab.desktop, host, service,
                                         sim::TrafficClass::mpi);
   return std::make_unique<RpcClient>(
       *lab.desktop,
@@ -265,19 +281,23 @@ struct BridgeRig {
   std::unique_ptr<FieldClient> coupler;
   std::unique_ptr<StellarClient> se;
 
+  /// `dynamics_host`, when set, runs the stars and the gas there (their
+  /// calls then cross that host's WAN link); every worker runs on the
+  /// desktop otherwise.
   BridgeRig(Lab& lab, int n_stars = 32, int n_gas = 96,
-            CallLog* log = nullptr) {
+            CallLog* log = nullptr, sim::Host* dynamics_host = nullptr) {
     WorkerSpec grav{.code = "phigrape", .ncores = 2};
     WorkerSpec hydro{.code = "gadget"};
     WorkerSpec field{.code = "fi"};
     WorkerSpec sse{.code = "sse"};
-    auto start = [&](const WorkerSpec& spec) {
-      if (log != nullptr) return start_counted_worker(lab, spec, *log);
+    auto start = [&](const WorkerSpec& spec, sim::Host* where = nullptr) {
+      if (log != nullptr) return start_counted_worker(lab, spec, *log, where);
       return start_local_worker(lab.sockets, lab.net, *lab.desktop,
-                                *lab.desktop, spec, ChannelKind::mpi);
+                                where != nullptr ? *where : *lab.desktop,
+                                spec, ChannelKind::mpi);
     };
-    stars = std::make_unique<GravityClient>(start(grav));
-    gas = std::make_unique<HydroClient>(start(hydro));
+    stars = std::make_unique<GravityClient>(start(grav, dynamics_host));
+    gas = std::make_unique<HydroClient>(start(hydro, dynamics_host));
     coupler = std::make_unique<FieldClient>(start(field));
     se = std::make_unique<StellarClient>(start(sse));
 
@@ -324,9 +344,10 @@ Calls since(const Calls& now, const Calls& then) {
 }
 
 /// The requests of one bridge step, split at the faultpoints that open its
-/// phases: top kick, evolve, bottom kick (the stellar update is left out).
+/// phases: top kick, evolve, bottom kick and stellar update (empty when the
+/// step has none).
 struct StepCalls {
-  Calls top, evolve, bottom;
+  Calls top, evolve, bottom, stellar;
 };
 
 StepCalls counted_step(Bridge& bridge, const CallLog& log) {
@@ -345,7 +366,8 @@ StepCalls counted_step(Bridge& bridge, const CallLog& log) {
     bridge.step();
   }
   return {since(at_evolve, at_top), since(at_bottom, at_evolve),
-          since(at_stellar.value_or(log.sent), at_bottom)};
+          since(at_stellar.value_or(log.sent), at_bottom),
+          since(log.sent, at_stellar.value_or(log.sent))};
 }
 
 }  // namespace
@@ -692,6 +714,82 @@ TEST(Distributed, PipelinedBridgeMatchesSynchronousBitExact) {
   }
 }
 
+TEST(Distributed, WanBridgeWaitsOnlyOnTheDataItConsumes) {
+  // Stars and gas across the vu-leiden link. The bottom kick's coupling
+  // fetch goes out behind the evolve, before the evolve's reply lands, and
+  // a step returns with its bottom-kick acks still in flight; settle()
+  // collects them. The trajectory stays bit-identical to the serial path.
+  auto run_bridge = [](bool synchronous) {
+    Lab lab;
+    GravityState stars;
+    HydroState gas;
+    lab.run([&] {
+      CallLog log;
+      BridgeRig rig(lab, 32, 96, &log, lab.lgm_node);
+      Bridge::Config config;
+      config.dt = 1.0 / 64.0;
+      config.se_every = 2;
+      config.myr_per_nbody_time = 4.0;
+      config.feedback_efficiency = 0.5;
+      config.wind_specific_energy = 50.0;
+      config.supernova_energy = 50.0;
+      config.synchronous_datapath = synchronous;
+      rig.stars->set_delta_exchange(!synchronous);
+      rig.gas->set_delta_exchange(!synchronous);
+      rig.coupler->set_delta_exchange(!synchronous);
+      Bridge bridge = rig.bridge(config);
+      // Position of the first (fn, is_reply) entry at or after `from`.
+      auto find = [&](Fn fn, bool reply, std::size_t from) {
+        auto it = std::find(log.order.begin() + static_cast<long>(from),
+                            log.order.end(), std::pair{fn, reply});
+        return static_cast<std::size_t>(it - log.order.begin());
+      };
+      for (int i = 0; i < 4; ++i) {
+        std::size_t mark = log.order.size();
+        bridge.step();
+        if (synchronous) continue;
+        for (auto [evolve, fetch] : {std::pair{Fn::grav_evolve,
+                                               Fn::grav_get_state},
+                                     std::pair{Fn::hydro_evolve,
+                                               Fn::hydro_get_state}}) {
+          std::size_t sent = find(evolve, false, mark);
+          ASSERT_LT(sent, log.order.size()) << "step " << i;
+          EXPECT_LT(find(fetch, false, sent), find(evolve, true, sent))
+              << "step " << i << ": fetch waited for the evolve";
+        }
+        EXPECT_LT(log.replied[Fn::grav_kick_all], log.sent[Fn::grav_kick_all])
+            << "step " << i << " waited for its stars kick ack";
+        EXPECT_LT(log.replied[Fn::hydro_kick_all],
+                  log.sent[Fn::hydro_kick_all])
+            << "step " << i << " waited for its gas kick ack";
+      }
+      bridge.settle();
+      EXPECT_EQ(log.replied, log.sent);  // every call answered, none lost
+      stars = rig.stars->get_state();
+      gas = rig.gas->get_state();
+      rig.close();
+    });
+    return std::pair{stars, gas};
+  };
+  auto [stars_sync, gas_sync] = run_bridge(true);
+  auto [stars_pipe, gas_pipe] = run_bridge(false);
+  ASSERT_EQ(stars_sync.position.size(), stars_pipe.position.size());
+  ASSERT_EQ(gas_sync.position.size(), gas_pipe.position.size());
+  for (std::size_t i = 0; i < stars_sync.position.size(); ++i) {
+    EXPECT_EQ(stars_sync.mass[i], stars_pipe.mass[i]);
+    EXPECT_EQ(stars_sync.position[i].x, stars_pipe.position[i].x);
+    EXPECT_EQ(stars_sync.position[i].y, stars_pipe.position[i].y);
+    EXPECT_EQ(stars_sync.position[i].z, stars_pipe.position[i].z);
+    EXPECT_EQ(stars_sync.velocity[i].x, stars_pipe.velocity[i].x);
+  }
+  for (std::size_t i = 0; i < gas_sync.position.size(); ++i) {
+    EXPECT_EQ(gas_sync.position[i].x, gas_pipe.position[i].x);
+    EXPECT_EQ(gas_sync.velocity[i].x, gas_pipe.velocity[i].x);
+    EXPECT_EQ(gas_sync.internal_energy[i], gas_pipe.internal_energy[i]);
+    EXPECT_EQ(gas_sync.density[i], gas_pipe.density[i]);
+  }
+}
+
 TEST(Distributed, ResourceSelectorFindsReplacement) {
   Lab lab;
   zorilla::Overlay overlay(lab.net, 7);
@@ -730,7 +828,9 @@ TEST(Distributed, DashboardReflectsWorkerJobs) {
 TEST(Distributed, SteadyTopKickIssuesNoDataFreeRoundTrips) {
   // The top half-kick of a steady step waits on no round trip: both caches
   // are current since the previous bottom kick, the coupler would answer
-  // "unchanged", and the kick acks are collected during the evolve.
+  // "unchanged", and the kick acks are collected during the evolve. The
+  // bottom kick's state fetch goes out behind the evolve, so the bottom
+  // window itself sends only the field queries and the kicks.
   Lab lab;
   lab.run([&] {
     CallLog log;
@@ -757,9 +857,15 @@ TEST(Distributed, SteadyTopKickIssuesNoDataFreeRoundTrips) {
     // The evolve and the bottom kick keep their full work.
     EXPECT_EQ(count(steady.evolve, Fn::grav_evolve), 1);
     EXPECT_EQ(count(steady.evolve, Fn::hydro_evolve), 1);
-    EXPECT_EQ(count(steady.bottom, Fn::grav_get_state), 1);
-    EXPECT_EQ(count(steady.bottom, Fn::hydro_get_state), 1);
+    EXPECT_EQ(count(steady.evolve, Fn::grav_get_state), 1);
+    EXPECT_EQ(count(steady.evolve, Fn::hydro_get_state), 1);
+    EXPECT_EQ(count(steady.bottom, Fn::grav_get_state), 0);
+    EXPECT_EQ(count(steady.bottom, Fn::hydro_get_state), 0);
     EXPECT_EQ(count(steady.bottom, Fn::field_accel_for), 2);
+    // Its stellar update reads both current caches instead of fetching.
+    EXPECT_EQ(count(steady.stellar, Fn::grav_get_state), 0);
+    EXPECT_EQ(count(steady.stellar, Fn::hydro_get_state), 0);
+    EXPECT_EQ(count(steady.stellar, Fn::grav_set_masses_sparse), 1);
 
     // Step 2 ended with a stellar mass update into the stars, so step 3's
     // top kick fetches them again. The feedback fetch left the gas current

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "amuse/experiment.hpp"
@@ -671,13 +672,28 @@ TEST(Experiment, CheckpointCaptureHasAllReadsInFlightAtOnce) {
   std::vector<obs::trace::SpanRecord> spans = obs::trace::snapshot();
   obs::trace::reset();
 
+  // The bridge's last kick frames leave at the capture's virtual instant
+  // (their acks are collected inside the checkpoint): count only the RPCs
+  // the checkpoint itself issued.
+  std::map<obs::trace::SpanId, const obs::trace::SpanRecord*> by_id;
+  for (const obs::trace::SpanRecord& span : spans) by_id[span.id] = &span;
+  auto under_checkpoint = [&](const obs::trace::SpanRecord& span) {
+    for (obs::trace::SpanId at = span.parent; at != 0;) {
+      auto it = by_id.find(at);
+      if (it == by_id.end()) return false;
+      if (it->second->name == "checkpoint") return true;
+      at = it->second->parent;
+    }
+    return false;
+  };
+
   ASSERT_EQ(windows.size(), static_cast<std::size_t>(spec.iterations));
   for (const auto& [capture, commit] : windows) {
     int states = 0, dynamics = 0, other = 0;
     double last_send = capture, first_reply = commit;
     for (const obs::trace::SpanRecord& span : spans) {
       if (span.category != "rpc" || span.sim_begin < capture ||
-          span.sim_begin >= commit) {
+          span.sim_begin >= commit || !under_checkpoint(span)) {
         continue;
       }
       if (span.name == "rpc:grav_get_state") {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "amuse/experiment.hpp"
 #include "amuse/faultpoint.hpp"
 #include "amuse/faults.hpp"
+#include "amuse/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
 
@@ -30,14 +32,17 @@ using namespace jungle::amuse::experiment;
 
 namespace {
 
-std::string example_ini(const std::string& name) {
-  std::string path =
-      std::string(JUNGLE_SOURCE_DIR) + "/examples/experiments/" + name;
+std::string source_file(const std::string& relative) {
+  std::string path = std::string(JUNGLE_SOURCE_DIR) + "/" + relative;
   std::ifstream in(path);
   if (!in) throw ConfigError("cannot open " + path);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+std::string example_ini(const std::string& name) {
+  return source_file("examples/experiments/" + name);
 }
 
 /// One injection: crash a host (or cut a WAN link) the `occurrence`-th time
@@ -351,4 +356,94 @@ TEST(Faults, ProxyKillMidStripedTransferDegradesAndRecovers) {
   EXPECT_GE(out.degraded_iterations, 1.0);
   EXPECT_EQ(out.digest, baseline.digest);
   EXPECT_LE(out.live, baseline.live);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred acks: a bridge step returns with its bottom-kick and mass-update
+// acks still in flight, and the checkpoint collects them (Bridge::settle)
+// before it commits. A death that lands in that window must roll back like
+// any other, and without checkpoints it must surface, not hang.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct ClassicOutcome {
+  bool completed = false;
+  bool worker_died = false;
+  std::string error;
+  int restarts = 0;
+  int fired = 0;
+  std::uint64_t digest = 0;
+};
+
+/// The classic embedded cluster (stars, gas, coupler, SE) autoplaced on the
+/// 3-hop deep-WAN topology with the stars on its core cluster and a
+/// stellar update every step. With a shot, the stars' host crashes the
+/// first time the run reaches it.
+ClassicOutcome run_deep_wan_classic(
+    bool checkpointing,
+    std::optional<std::pair<faultpoint::Point, int>> shot = std::nullopt) {
+  util::Config config = util::Config::parse(
+      source_file("examples/topologies/deep-wan-3hop.ini"));
+  scenario::Options options;
+  options.n_stars = 64;
+  options.n_gas = 256;
+  options.iterations = 3;
+  options.se_every = 1;
+  ExperimentSpec spec =
+      scenario::classic_spec(scenario::Kind::autoplace, options);
+  spec.checkpointing = checkpointing;
+  // Off the client, so their host can die, and on the CPU kernel, so a
+  // re-placed worker runs the same numerics wherever it lands.
+  const std::string victim = "core0";
+  spec.models[0].place = "core-cluster/" + victim;
+  spec.models[0].kernel = "phigrape";
+
+  JungleTestbed bed(config);
+  ClassicOutcome out;
+  faultpoint::ScopedHook guard([&](const faultpoint::Context& ctx) {
+    if (!shot || out.fired > 0) return;
+    if (ctx.point != shot->first || ctx.iteration != shot->second) return;
+    ++out.fired;
+    bed.network().host(victim).crash();
+  });
+  try {
+    Result result = run_experiment(bed, spec);
+    out.completed = true;
+    out.restarts = result.restarts;
+    out.digest = final_digest(result);
+  } catch (const WorkerDiedError& death) {
+    out.worker_died = true;
+    out.error = death.what();
+  } catch (const std::exception& error) {
+    out.error = error.what();
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Faults, StarsCrashWithAcksInFlightRollsBackOnGolden) {
+  // At the first capture the step's bottom kicks and its stellar mass
+  // update are unacked. The stars' host dies there: the checkpoint must
+  // not commit, and the rollback to the initial conditions replays onto
+  // the fault-free digest.
+  ClassicOutcome gold = run_deep_wan_classic(true);
+  ASSERT_TRUE(gold.completed) << gold.error;
+  ClassicOutcome out = run_deep_wan_classic(
+      true, std::pair{faultpoint::Point::ckpt_capture, 0});
+  EXPECT_EQ(out.fired, 1);
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_GE(out.restarts, 1);
+  EXPECT_EQ(out.digest, gold.digest);
+}
+
+TEST(Faults, StarsCrashWithAcksInFlightWithoutCheckpointsThrows) {
+  // No checkpoints: the step after the crash finds the stars' acks poisoned
+  // and the run ends with the worker's death instead of waiting forever.
+  ClassicOutcome out = run_deep_wan_classic(
+      false, std::pair{faultpoint::Point::step_top_kick, 1});
+  EXPECT_EQ(out.fired, 1);
+  EXPECT_FALSE(out.completed);
+  EXPECT_TRUE(out.worker_died) << out.error;
 }

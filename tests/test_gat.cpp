@@ -380,3 +380,20 @@ TEST(Gat, FileServiceRetriesOverDownLink) {
   w.sim.run();
   EXPECT_GE(took, 2.0);  // waited out the outage, then copied
 }
+
+TEST(Gat, CopyKilledMidTransferOutlivesItsDelivery) {
+  // A copier killed while its bytes are still on the wire unwinds its
+  // frame (a crashed frontend does this to a stage-in). The delivery that
+  // lands afterwards must not write into that frame.
+  World w;
+  FileService files(w.net);
+  bool returned = false;
+  w.client->spawn("copier", [&] {
+    files.copy(*w.client, *w.frontend, 1e9);  // ~8 s at 1 Gbit/s
+    returned = true;
+  });
+  w.sim.after(1.0, [&] { EXPECT_TRUE(w.client->kill_process("copier")); });
+  w.sim.run();
+  EXPECT_FALSE(returned);
+  EXPECT_GT(w.sim.now(), 8.0);  // the simulation ran past the arrival
+}
