@@ -278,8 +278,11 @@ class KernelsReporter : public benchmark::ConsoleReporter {
     rows.push_back(sweep_sph(4000));
     rows.push_back(sweep_bhtree(8192));
 
-    std::printf("\n=== SIMD (%s, %zu lanes) vs scalar reference ===\n",
-                kernels::simd::kIsa, kernels::simd::kWidth);
+    const char* hermite_rows =
+        HermiteIntegrator::pairs_rows() ? "avx-pairs" : "single";
+    std::printf("\n=== SIMD (%s, %zu lanes, hermite rows %s) vs scalar "
+                "reference ===\n",
+                kernels::simd::kIsa, kernels::simd::kWidth, hermite_rows);
     for (const SimdRow& row : rows) {
       std::printf("  %-16s scalar=%8.3f ms  simd=%8.3f ms  %.2fx  "
                   "dev=%.3g\n",
@@ -290,6 +293,7 @@ class KernelsReporter : public benchmark::ConsoleReporter {
     std::ofstream json("BENCH_kernels.json");
     json << "{\n  \"isa\": \"" << kernels::simd::kIsa << "\",\n";
     json << "  \"lanes\": " << kernels::simd::kWidth << ",\n";
+    json << "  \"hermite_rows\": \"" << hermite_rows << "\",\n";
     json << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       json << "    {\"name\": \"" << rows[i].name

@@ -86,6 +86,10 @@ class HermiteIntegrator {
   /// always scalar.
   void set_simd(bool enabled) noexcept { simd_ = enabled; }
   bool simd_enabled() const noexcept { return simd_; }
+  /// Whether the vectorized tiled path computes two i rows per register on
+  /// this host (2-lane SSE2 builds on AVX hardware). Every row's sums are
+  /// bit-identical either way; only the speed differs.
+  static bool pairs_rows() noexcept;
 
   /// Domain-decomposed (sharded) operation: this instance holds *all* N
   /// particles but integrates only the owned rows [lo, hi) — forces for

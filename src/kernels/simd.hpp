@@ -70,7 +70,7 @@ inline VecD select(VecD mask, VecD a, VecD b) noexcept {
 inline double hsum(VecD v) noexcept {
   __m128d lo = _mm256_castpd256_pd128(v.raw);
   __m128d hi = _mm256_extractf128_pd(v.raw, 1);
-  // Fixed reduction tree (0+1) + (2+3): deterministic regardless of data.
+  // Fixed reduction tree (0+2) + (1+3): deterministic regardless of data.
   __m128d pair = _mm_add_pd(lo, hi);
   __m128d swap = _mm_unpackhi_pd(pair, pair);
   return _mm_cvtsd_f64(_mm_add_sd(pair, swap));

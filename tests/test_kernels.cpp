@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "amuse/ic.hpp"
 #include "kernels/bhtree.hpp"
 #include "kernels/hermite.hpp"
+#include "kernels/simd.hpp"
 #include "kernels/sph.hpp"
 #include "kernels/sse.hpp"
 #include "kernels/treefield.hpp"
@@ -280,6 +284,161 @@ TEST(Hermite, ForcesIndependentOfThreadCount) {
     EXPECT_NEAR(one.positions()[i].z, four_a.positions()[i].z, 1e-12) << i;
     EXPECT_NEAR(one.velocities()[i].x, four_a.velocities()[i].x, 1e-12) << i;
   }
+}
+
+namespace {
+
+// FNV-1a over the bit patterns of a Hermite system's dynamic state.
+std::uint64_t state_digest(const HermiteIntegrator& nbody) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const auto* rows : {&nbody.positions(), &nbody.velocities(),
+                           &nbody.accelerations(), &nbody.jerks()}) {
+    for (const Vec3& v : *rows) {
+      mix(v.x);
+      mix(v.y);
+      mix(v.z);
+    }
+  }
+  return hash;
+}
+
+// The tiled force path's arithmetic for row i, written out lane by lane:
+// simd::kWidth lane accumulators per j-tile in j order, the lane block
+// holding i and the tail through the scalar sums, the lanes folded by
+// halves (simd.hpp's hsum trees) and added last, tiles summed in order.
+void reference_row(const HermiteIntegrator& nbody, double eps2,
+                   std::size_t i, Vec3& acc, Vec3& jerk) {
+  constexpr std::size_t kTile = 512;  // hermite.cpp's kJTile
+  constexpr std::size_t W = simd::kWidth;
+  const auto& pos = nbody.positions();
+  const auto& vel = nbody.velocities();
+  const auto& mass = nbody.masses();
+  const std::size_t n = pos.size();
+  // One pair term, in the kernel's expression order.
+  auto term = [&](std::size_t j, Vec3& a, Vec3& jk) {
+    double dx = pos[j].x - pos[i].x;
+    double dy = pos[j].y - pos[i].y;
+    double dz = pos[j].z - pos[i].z;
+    double dvx = vel[j].x - vel[i].x;
+    double dvy = vel[j].y - vel[i].y;
+    double dvz = vel[j].z - vel[i].z;
+    double r2 = dx * dx + dy * dy + dz * dz + eps2;
+    double inv_r = 1.0 / std::sqrt(r2);
+    double inv_r2 = inv_r * inv_r;
+    double inv_r3 = inv_r2 * inv_r;
+    double rv = dx * dvx + dy * dvy + dz * dvz;
+    double alpha = 3.0 * rv * inv_r2;
+    double m_r3 = mass[j] * inv_r3;
+    a.x += m_r3 * dx;
+    a.y += m_r3 * dy;
+    a.z += m_r3 * dz;
+    jk.x += m_r3 * (dvx - alpha * dx);
+    jk.y += m_r3 * (dvy - alpha * dy);
+    jk.z += m_r3 * (dvz - alpha * dz);
+  };
+  acc = {};
+  jerk = {};
+  for (std::size_t jb = 0; jb < n; jb += kTile) {
+    const std::size_t jend = std::min(n, jb + kTile);
+    Vec3 sum_a, sum_j;                    // the scalar sums
+    Vec3 lane_a[W] = {}, lane_j[W] = {};  // the vector lanes
+    std::size_t j = jb;
+    for (; j + W <= jend; j += W) {
+      const bool self = i >= j && i < j + W;
+      for (std::size_t l = 0; l < W; ++l) {
+        if (j + l == i) continue;
+        term(j + l, self ? sum_a : lane_a[l], self ? sum_j : lane_j[l]);
+      }
+    }
+    for (; j < jend; ++j) {
+      if (j != i) term(j, sum_a, sum_j);
+    }
+    for (std::size_t w = W; w > 1; w /= 2) {
+      for (std::size_t l = 0; l < w / 2; ++l) {
+        lane_a[l] += lane_a[l + w / 2];
+        lane_j[l] += lane_j[l + w / 2];
+      }
+    }
+    sum_a += lane_a[0];
+    sum_j += lane_j[0];
+    acc += sum_a;
+    jerk += sum_j;
+  }
+}
+
+}  // namespace
+
+TEST(Hermite, TiledForcesMatchLaneEmulationBitForBit) {
+  // 1037 bodies cross the 512-body j-tile and leave an odd tail; 301 fit
+  // one tile, where the order of the self block, the tail and the lane sums
+  // shows in every row's result. Odd range starts and ends give the kernel
+  // rows it cannot pair. The kernel may put one or two rows in a register;
+  // every row's bits must match the emulation either way.
+  struct Case {
+    std::size_t n, lo, hi;
+    unsigned lanes;
+  };
+  const Case cases[] = {
+      {1037, 0, 1037, 2}, {1037, 0, 1037, 3}, {1037, 3, 700, 1},
+      {1037, 3, 700, 2},  {1037, 3, 700, 3},  {1037, 0, 517, 1},
+      {1037, 0, 517, 2},  {1037, 0, 517, 3},  {301, 0, 301, 2},
+      {301, 1, 300, 1}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.n << " bodies, rows [" << c.lo
+                                    << ", " << c.hi << ") on " << c.lanes
+                                    << " lanes");
+    util::Rng rng(29);
+    auto model = amuse::ic::plummer_sphere(c.n, rng);
+    util::ThreadPool pool(c.lanes);
+    HermiteIntegrator nbody;
+    nbody.set_thread_pool(&pool);
+    for (std::size_t i = 0; i < c.n; ++i) {
+      nbody.add_particle(model.mass[i], model.position[i], model.velocity[i]);
+    }
+    nbody.set_owned_range(c.lo, c.hi);
+    nbody.evolve(0.0);  // one force evaluation, no substep
+    nbody.set_thread_pool(nullptr);
+    for (std::size_t i = 0; i < c.n; ++i) {
+      Vec3 acc, jerk;  // rows outside the owned range stay zero
+      if (i >= c.lo && i < c.hi) {
+        reference_row(nbody, nbody.params().eps2, i, acc, jerk);
+      }
+      EXPECT_EQ(nbody.accelerations()[i].x, acc.x) << i;
+      EXPECT_EQ(nbody.accelerations()[i].y, acc.y) << i;
+      EXPECT_EQ(nbody.accelerations()[i].z, acc.z) << i;
+      EXPECT_EQ(nbody.jerks()[i].x, jerk.x) << i;
+      EXPECT_EQ(nbody.jerks()[i].y, jerk.y) << i;
+      EXPECT_EQ(nbody.jerks()[i].z, jerk.z) << i;
+    }
+  }
+}
+
+TEST(Hermite, TiledPathMatchesGoldenDigest) {
+  // The 2-lane build's tiled force path, pinned bit for bit: any change to
+  // its summation order or arithmetic moves this value.
+  if (simd::kWidth != 2) {
+    GTEST_SKIP() << "golden digest recorded for 2-lane SIMD builds";
+  }
+  const std::size_t n = 1024;
+  util::Rng rng(21);
+  auto model = amuse::ic::plummer_sphere(n, rng);
+  util::ThreadPool pool(2);
+  HermiteIntegrator nbody;
+  nbody.set_thread_pool(&pool);
+  for (std::size_t i = 0; i < n; ++i) {
+    nbody.add_particle(model.mass[i], model.position[i], model.velocity[i]);
+  }
+  nbody.evolve(1.0 / 64.0);
+  nbody.set_thread_pool(nullptr);
+  EXPECT_EQ(state_digest(nbody), 0x9e5e1c7b225498eeULL);
 }
 
 TEST(TreeField, CrossForcesAreSymmetricInMass) {

@@ -12,6 +12,9 @@ committed in the repository and fails when:
     the whole evolve is small, so they gate on non-regression, not on a
     large speedup).
 
+It also prints which Hermite row path ran, in the new run and in the
+reference: "avx-pairs" (two i rows per AVX register) or "single".
+
 Wall-clock speedups are noisy on shared CI runners, so the speedup floors
 carry generous headroom below the committed reference values; the deviation
 gate is exact arithmetic and carries none.
@@ -43,6 +46,8 @@ def main():
         ref = json.load(handle)
     new_rows, ref_rows = rows_by_name(new), rows_by_name(ref)
     failures = []
+    print(f"hermite rows: {new.get('hermite_rows', 'unreported')} "
+          f"(ref {ref.get('hermite_rows', 'unreported')})")
 
     for name, floor in SPEEDUP_FLOORS.items():
         if name not in new_rows:
