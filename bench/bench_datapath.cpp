@@ -1,13 +1,16 @@
-// E-datapath — the wide-area data path overhaul, measured: bytes on the
-// wire per bridge step and virtual seconds per iteration, for the
-// pre-overhaul synchronous path vs the pipelined/delta/striped one, on
+// E-datapath — the wide-area data path, measured: bytes on the wire per
+// bridge step and virtual seconds per iteration of the pipelined/delta/
+// striped path, on
 //   * the Fig-6 embedded-cluster run on the jungle testbed (Fig 12 map) —
 //     where the delta exchange halves-and-more the per-step WAN volume, and
 //   * a deep-WAN 3-hop topology (examples/topologies/deep-wan-3hop.ini) —
 //     where pipelining hides the triple latency and striping fills the
 //     stream-capped lightpaths,
-// plus a single-site LAN reference. Writes BENCH_datapath.json; CI fails if
-// the delta path's bytes-per-step regress against the committed numbers.
+// plus a single-site LAN reference. Writes BENCH_datapath.json;
+// tools/check_datapath.py fails if the bytes or seconds regress against the
+// committed numbers, or if the gains over the retired serial full-fetch
+// path (its `_sync` rows, frozen in bench/BENCH_datapath.ref.json) shrink
+// below their gates.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -39,21 +42,19 @@ jungle::util::Config load_topology(const char* name) {
   return jungle::util::Config::parse(text.str());
 }
 
-Options fig6_options(Datapath datapath) {
+Options fig6_options() {
   Options options;  // the production embedded-cluster workload
   options.n_stars = 1000;
   options.n_gas = 10000;
   options.iterations = 4;  // enough steps for the delta caches to settle
-  options.datapath = datapath;
   return options;
 }
 
-Options wan_options(Datapath datapath) {
+Options wan_options() {
   Options options;
   options.n_stars = 400;
   options.n_gas = 3000;
   options.iterations = 4;
-  options.datapath = datapath;
   return options;
 }
 
@@ -64,10 +65,9 @@ struct Row {
   double items_per_second;  // real bridge iterations per wall second
 };
 
-Row run_row(const std::string& name, Result (*runner)(Datapath),
-            Datapath datapath) {
+Row run_row(const std::string& name, Result (*runner)()) {
   auto wall_start = std::chrono::steady_clock::now();
-  Result result = runner(datapath);
+  Result result = runner();
   double wall = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - wall_start)
                     .count();
@@ -76,18 +76,15 @@ Row run_row(const std::string& name, Result (*runner)(Datapath),
              static_cast<double>(result.iterations) / wall};
 }
 
-Result run_fig6(Datapath datapath) {
-  return run_scenario(Kind::jungle, fig6_options(datapath));
-}
+Result run_fig6() { return run_scenario(Kind::jungle, fig6_options()); }
 
-Result run_deepwan(Datapath datapath) {
+Result run_deepwan() {
   return run_scenario_config(load_topology("deep-wan-3hop.ini"),
-                             wan_options(datapath));
+                             wan_options());
 }
 
-Result run_lan(Datapath datapath) {
-  return run_scenario_config(load_topology("lan-dense.ini"),
-                             wan_options(datapath));
+Result run_lan() {
+  return run_scenario_config(load_topology("lan-dense.ini"), wan_options());
 }
 
 // Real-time microbench of the scatter-gather framing itself: a worker
@@ -125,15 +122,9 @@ class DatapathReporter : public benchmark::ConsoleReporter {
  public:
   void Finalize() override {
     std::vector<Row> rows;
-    rows.push_back(run_row("fig6_jungle_sync", run_fig6,
-                           Datapath::synchronous));
-    rows.push_back(run_row("fig6_jungle_delta", run_fig6,
-                           Datapath::pipelined));
-    rows.push_back(run_row("deepwan_sync", run_deepwan,
-                           Datapath::synchronous));
-    rows.push_back(run_row("deepwan_pipelined", run_deepwan,
-                           Datapath::pipelined));
-    rows.push_back(run_row("lan_pipelined", run_lan, Datapath::pipelined));
+    rows.push_back(run_row("fig6_jungle_delta", run_fig6));
+    rows.push_back(run_row("deepwan_pipelined", run_deepwan));
+    rows.push_back(run_row("lan_pipelined", run_lan));
 
     std::printf("\n=== data path: bytes per bridge step / virtual s per "
                 "iteration ===\n");
@@ -142,14 +133,6 @@ class DatapathReporter : public benchmark::ConsoleReporter {
                   row.name.c_str(), row.wan_ipl_bytes_per_step,
                   row.seconds_per_iteration);
     }
-    double bytes_ratio =
-        rows[0].wan_ipl_bytes_per_step / rows[1].wan_ipl_bytes_per_step;
-    double wan_speedup =
-        rows[2].seconds_per_iteration / rows[3].seconds_per_iteration;
-    std::printf("  delta exchange: %.2fx fewer bytes/step (fig6 jungle)\n",
-                bytes_ratio);
-    std::printf("  pipelining+striping: %.2fx faster iterations (deep WAN)\n",
-                wan_speedup);
 
     std::ofstream json("BENCH_datapath.json");
     json << "{\n  \"benchmarks\": [\n";
@@ -162,11 +145,7 @@ class DatapathReporter : public benchmark::ConsoleReporter {
            << ", \"items_per_second\": " << rows[i].items_per_second << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    json << "  ],\n";
-    json << "  \"fig6_bytes_ratio_sync_over_delta\": " << bytes_ratio
-         << ",\n";
-    json << "  \"deepwan_speedup_sync_over_pipelined\": " << wan_speedup
-         << "\n}\n";
+    json << "  ]\n}\n";
     std::printf("\nwrote BENCH_datapath.json (%zu rows)\n", rows.size());
     benchmark::ConsoleReporter::Finalize();
   }

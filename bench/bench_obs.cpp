@@ -27,7 +27,6 @@ Options fig6_options() {
   options.n_stars = 400;
   options.n_gas = 3000;
   options.iterations = 3;
-  options.datapath = Datapath::pipelined;
   return options;
 }
 

@@ -29,8 +29,6 @@ struct PendingQuery {
 /// the coupler's accel span as-is with the worker multiplying by dt;
 /// multiple directions keep a raw sum while their cadences agree, and
 /// pre-scale client-side (dt = 1 on the wire) the moment they differ.
-/// Shared by the pipelined and synchronous paths so the trickiest kick
-/// arithmetic cannot drift between them.
 class KickSum {
  public:
   void add(std::span<const Vec3> accel, double dt,
@@ -56,14 +54,6 @@ class KickSum {
     ++directions_;
   }
 
-  /// Same, keeping an owned accel alive behind the span (the synchronous
-  /// path's accel_at returns vectors).
-  void add_owned(std::vector<Vec3> accel, double dt,
-                 const std::string& target) {
-    owned_.push_back(std::move(accel));
-    add(owned_.back(), dt, target);
-  }
-
   bool empty() const { return directions_ == 0; }
   std::span<const Vec3> accel() const {
     return directions_ == 1 ? single_ : std::span<const Vec3>(sum_);
@@ -73,7 +63,6 @@ class KickSum {
  private:
   std::span<const Vec3> single_;
   std::vector<Vec3> sum_;
-  std::vector<std::vector<Vec3>> owned_;
   double dt_ = 0.0;
   int directions_ = 0;
   bool mixed_ = false;
@@ -151,10 +140,6 @@ std::vector<int> Bridge::involved_systems(
 
 std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
                                        StateFetches fetched) {
-  if (config_.synchronous_datapath) {
-    cross_kick_synchronous(active);
-    return {};
-  }
   std::vector<int> involved = involved_systems(active);
 
   // Phase 1 — the state of every involved system whose cached mass and
@@ -224,40 +209,6 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
   return kicks_done;
 }
 
-void Bridge::cross_kick_synchronous(const std::vector<int>& active) {
-  // The pre-overhaul data path, kept as the measured baseline: full state
-  // fetches and strictly serial RPCs (one WAN round trip per call).
-  std::vector<int> involved = involved_systems(active);
-  for (int i : involved) {
-    DynamicsClient& sys = *systems_[i].dynamics;
-    Future reply = sys.request_state(sys.full_mask());
-    sys.merge_state(reply, sys.full_mask());
-  }
-
-  // One serial field query per coupling direction, ordered by target.
-  std::vector<KickSum> kicks(systems_.size());
-  for (int target : involved) {
-    for (int c : active) {
-      const Coupling& coupling = couplings_[c];
-      if (coupling.a != target && coupling.b != target) continue;
-      int source = coupling.a == target ? coupling.b : coupling.a;
-      DynamicsClient& src = *systems_[source].dynamics;
-      DynamicsClient& tgt = *systems_[target].dynamics;
-      coupling.field->set_sources(src.mass(), src.position());
-      kicks[static_cast<std::size_t>(target)].add_owned(
-          coupling.field->accel_at(tgt.position()),
-          coupling.every * config_.dt / 2.0, systems_[target].name);
-      trace_.push_back("kick:" + systems_[source].name + "->" +
-                       systems_[target].name);
-    }
-  }
-  for (int target : involved) {
-    KickSum& kick = kicks[static_cast<std::size_t>(target)];
-    if (kick.empty()) continue;
-    systems_[target].dynamics->kick_async(kick.accel(), kick.dt()).get();
-  }
-}
-
 void Bridge::step() {
   double dt = config_.dt;
   int step_index = config_.step_offset + steps_;
@@ -282,9 +233,7 @@ void Bridge::step() {
   // Their acks are collected while the evolves run.
   std::vector<int> bottom = active_couplings(step_index, /*bottom=*/true);
   std::vector<bool> fetch_bottom(systems_.size(), false);
-  if (!config_.synchronous_datapath) {
-    for (int i : involved_systems(bottom)) fetch_bottom[i] = true;
-  }
+  for (int i : involved_systems(bottom)) fetch_bottom[i] = true;
   StateFetches fetched(systems_.size());
   faultpoint::reach(faultpoint::Point::step_evolve, step_index);
   {
@@ -350,14 +299,9 @@ void Bridge::set_se_mapping(std::vector<double> zams_se,
 
 template <typename Client>
 const auto& Bridge::current_state(Client& client) {
-  // The baseline path fetches full states, as before the overhaul. The
-  // pipelined path reads mass + position, the fields the update consumes,
-  // from the cache when it is provably current (after a bottom kick it is)
-  // and fetches only what changed otherwise.
-  if (config_.synchronous_datapath) {
-    Future reply = client.request_state(client.full_mask());
-    return client.finish_state(reply, client.full_mask());
-  }
+  // Mass + position, the fields the update consumes: from the cache when it
+  // is provably current (after a bottom kick it is), and only what changed
+  // otherwise.
   if (client.coupling_current()) return client.cached_state();
   Future reply = client.request_state(state_field::coupling);
   return client.finish_state(reply, state_field::coupling);
@@ -397,23 +341,19 @@ void Bridge::stellar_update_one(StellarLink& link) {
     new_masses[i] = link.zams_dynamical[i] * se_masses[i] / link.zams_se[i];
     wind_mass_nbody += std::max(0.0, stars_state.mass[i] - new_masses[i]);
   }
-  if (config_.synchronous_datapath) {
-    stars.set_masses(new_masses);
-  } else {
-    // Delta-compressed mass channel: ship only the masses that differ from
-    // what the integrator holds. The (possibly empty) sparse update always
-    // travels so the worker keeps the full channel's force-refresh side
-    // effect — quiet SE steps cost a header, not the whole array.
-    std::vector<std::int32_t> changed;
-    std::vector<double> values;
-    for (std::size_t i = 0; i < new_masses.size(); ++i) {
-      if (new_masses[i] != stars_state.mass[i]) {
-        changed.push_back(static_cast<std::int32_t>(i));
-        values.push_back(new_masses[i]);
-      }
+  // Delta-compressed mass channel: ship only the masses that differ from
+  // what the integrator holds. The (possibly empty) sparse update always
+  // travels so the worker keeps the full channel's force-refresh side
+  // effect — quiet SE steps cost a header, not the whole array.
+  std::vector<std::int32_t> changed;
+  std::vector<double> values;
+  for (std::size_t i = 0; i < new_masses.size(); ++i) {
+    if (new_masses[i] != stars_state.mass[i]) {
+      changed.push_back(static_cast<std::int32_t>(i));
+      values.push_back(new_masses[i]);
     }
-    unacked_.push_back(stars.set_masses_sparse_async(changed, values));
   }
+  unacked_.push_back(stars.set_masses_sparse_async(changed, values));
   trace_.push_back("se:masses->gravity");
 
   if (config_.feedback_efficiency <= 0.0) return;
@@ -459,11 +399,7 @@ void Bridge::stellar_update_one(StellarLink& link) {
                        << " heats gas particle " << target;
   }
   if (!indices.empty()) {
-    if (config_.synchronous_datapath) {
-      gas.inject(indices, delta_u);
-    } else {
-      unacked_.push_back(gas.inject_async(indices, delta_u));
-    }
+    unacked_.push_back(gas.inject_async(indices, delta_u));
     trace_.push_back("se:feedback->gas");
   }
 }

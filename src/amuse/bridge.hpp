@@ -33,10 +33,7 @@ namespace jungle::amuse {
 ///    by settle(), which a caller runs before it commits a checkpoint.
 /// A steady step therefore waits on one round trip for the evolve (with the
 /// fetch behind it) and one for the bottom kick's field queries; the
-/// stellar update adds none on a remote model. The pre-overhaul serial path
-/// is kept behind Config::synchronous_datapath as the baseline the
-/// data-path bench compares against (bit-identical physics, more round
-/// trips and bytes).
+/// stellar update adds none on a remote model.
 class Bridge {
  public:
   /// One evolving model in the graph. The name feeds the call trace
@@ -86,9 +83,6 @@ class Bridge {
     /// fault-free run's. Both stay 0 for a fresh run.
     double t_start = 0.0;
     int step_offset = 0;
-    /// Run the pre-overhaul serial coupling path (full state fetches, one
-    /// RPC at a time). Benchmarks and the bit-exactness test use it.
-    bool synchronous_datapath = false;
   };
 
   /// The classic Fig-7 bridge is the two-system instance: systems
@@ -149,12 +143,10 @@ class Bridge {
   /// Systems that take part in the given couplings, in declaration order.
   std::vector<int> involved_systems(const std::vector<int>& active) const;
   /// Runs one coupling phase up to sending its kicks and returns the kick
-  /// acks still in flight (none on the synchronous path, which waits).
-  /// `fetched` holds coupling-state requests the caller already sent; the
-  /// phase sends the rest.
+  /// acks still in flight. `fetched` holds coupling-state requests the
+  /// caller already sent; the phase sends the rest.
   std::vector<Future> cross_kick(const std::vector<int>& active,
                                  StateFetches fetched = {});
-  void cross_kick_synchronous(const std::vector<int>& active);
   void stellar_update();
   void stellar_update_one(StellarLink& link);
   /// The state a stellar update reads from `client` (gravity or hydro).

@@ -51,8 +51,8 @@ Future DynamicsClient::send_state_request(Fn fn, std::uint64_t want_mask) {
     want_mask |= state_field::fp32_positions;
   }
   util::ByteWriter args = RpcClient::request();
-  args.put<StateId>(info_.delta_enabled ? info_.id : 0);
-  args.put<std::uint64_t>(info_.delta_enabled ? info_.mask : 0);
+  args.put<StateId>(info_.id);
+  args.put<std::uint64_t>(info_.mask);
   args.put<std::uint64_t>(want_mask);
   moved_since_request_ = false;
   return rpc_->call(fn, std::move(args));
@@ -93,7 +93,7 @@ Future DynamicsClient::send_kick(Fn fn, std::span<const Vec3> accel,
                                  double dt) {
   // Kicks travel as accel + dt; the worker multiplies Δv_i = a_i * dt.
   util::ByteWriter args = RpcClient::request();
-  if (info_.delta_enabled && kick_primed_ && same_content(last_kick_, accel)) {
+  if (kick_primed_ && same_content(last_kick_, accel)) {
     args.put<std::uint64_t>(kick_flags::repeat);
     args.put<double>(dt);
   } else {
@@ -266,10 +266,6 @@ std::optional<Future> FieldClient::accel_for_async(
     FieldTag tag, StateId sources_id, std::span<const double> source_mass,
     std::span<const Vec3> source_position, StateId points_id,
     std::span<const Vec3> points) {
-  if (!delta_enabled_) {
-    sources_id = 0;
-    points_id = 0;
-  }
   TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
   // The worker would find the same nonzero ids its cached accel was
   // computed for and reply "unchanged": answer that here, without the RPC.
@@ -421,10 +417,6 @@ void StellarClient::evolve_to(double age_myr) {
 }
 
 const std::vector<double>& StellarClient::masses() {
-  if (!delta_enabled_) {
-    mass_cache_ = rpc_->call_sync(Fn::se_get_masses, {}).get_vector<double>();
-    return mass_cache_;
-  }
   // Delta exchange: tell the worker how many masses we hold; only changed
   // ones (usually the handful of evolved stars) come back.
   util::ByteWriter args = RpcClient::request();

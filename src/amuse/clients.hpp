@@ -25,8 +25,8 @@ using kernels::Vec3;
 /// bridge can skip a fetch whose reply would carry nothing. The field proxy
 /// keeps per-direction source/point/accel caches mirroring the coupler
 /// worker's and answers a query whose reply would be "unchanged" itself.
-/// `set_delta_exchange(false)` restores the pre-delta full-fetch wire
-/// behaviour (the synchronous baseline the benches compare against).
+/// The delta exchange is always on; a client with empty caches simply asks
+/// for, and receives, everything.
 
 struct GravityState {
   std::vector<double> mass;
@@ -52,14 +52,13 @@ struct DeltaCacheInfo {
   StateId id = 0;
   std::uint64_t mask = 0;
   std::array<StateId, state_field::kCount> field_ids{};
-  bool delta_enabled = true;
 };
 
 /// Lifecycle surface every model client shares, whatever its role: the
 /// worker RPC, the channel the fault machinery watches, shutdown, and the
-/// delta-exchange switches. The Experiment runner owns each model through
-/// one pointer to this base; only IC generation, checkpoints and final
-/// observables need the typed client.
+/// delta-cache reset after a worker restart. The Experiment runner owns
+/// each model through one pointer to this base; only IC generation,
+/// checkpoints and final observables need the typed client.
 class ModelClient {
  public:
   virtual ~ModelClient() = default;
@@ -73,9 +72,6 @@ class ModelClient {
   virtual RpcClient& fault_rpc() { return rpc(); }
   virtual void close() { rpc_->close(); }
 
-  /// `false` restores the pre-delta full-fetch wire behaviour (the
-  /// synchronous baseline the benches compare against).
-  virtual void set_delta_exchange(bool enabled) = 0;
   /// Forget everything the delta protocol believes the *worker* holds —
   /// called after a supervised in-place worker restart (cause=
   /// process_crash), where the client object survives but the worker came
@@ -117,8 +113,6 @@ class DynamicsClient : public ModelClient {
   /// every such call clears it. A coupling fetch of a current system would
   /// carry no field, so the bridge skips it.
   virtual bool coupling_current() const noexcept { return coupling_current_; }
-  /// Every state field this model exchanges (the full-fetch mask).
-  virtual std::uint64_t full_mask() const = 0;
 
   /// Views over the cached coupling fields (valid until the next merge).
   virtual std::span<const double> mass() const = 0;
@@ -142,17 +136,10 @@ class DynamicsClient : public ModelClient {
   /// cached state is still held as f64, only the wire format narrows.
   virtual void set_fp32_positions(bool enabled) { fp32_positions_ = enabled; }
 
-  void set_delta_exchange(bool enabled) override {
-    info_.delta_enabled = enabled;
-    kick_primed_ = false;
-    invalidate_coupling();
-  }
   /// The state cache itself is kept: it is what gets restored into the
   /// fresh worker.
   void reset_delta_caches() override {
-    bool delta = info_.delta_enabled;
     info_ = DeltaCacheInfo{};
-    info_.delta_enabled = delta;
     last_kick_.clear();
     kick_primed_ = false;
     invalidate_coupling();
@@ -220,7 +207,6 @@ class GravityClient : public DynamicsClient {
   void merge_state(Future& reply, std::uint64_t want_mask) override {
     finish_state(reply, want_mask);
   }
-  std::uint64_t full_mask() const override { return state_field::gravity_all; }
   const GravityState& cached_state() const noexcept { return cache_; }
   std::span<const double> mass() const override { return cache_.mass; }
   std::span<const Vec3> position() const override { return cache_.position; }
@@ -232,7 +218,9 @@ class GravityClient : public DynamicsClient {
   Future kick_async(std::span<const Vec3> delta_v) {
     return kick_async(delta_v, 1.0);
   }
-  virtual void set_masses(std::span<const double> masses);
+  /// Full-array mass update, on a plain worker (the bridge ships sparse
+  /// updates).
+  void set_masses(std::span<const double> masses);
   /// Delta-compressed mass channel: update only the listed particles.
   virtual Future set_masses_sparse_async(std::span<const std::int32_t> indices,
                                          std::span<const double> masses);
@@ -308,7 +296,6 @@ class FieldClient : public ModelClient {
   const std::vector<Vec3>& finish_accel(FieldTag tag,
                                         std::optional<Future>& reply);
 
-  void set_delta_exchange(bool enabled) override { delta_enabled_ = enabled; }
   /// The last sources sent survive: they are the checkpoint to restore from.
   void reset_delta_caches() override { tags_.clear(); }
 
@@ -326,7 +313,6 @@ class FieldClient : public ModelClient {
   std::vector<double> last_mass_;
   std::vector<Vec3> last_position_;
   std::map<std::uint64_t, TagRecord> tags_;
-  bool delta_enabled_ = true;
 };
 
 /// Hydrodynamics interface (Gadget worker).
@@ -349,7 +335,6 @@ class HydroClient : public DynamicsClient {
   void merge_state(Future& reply, std::uint64_t want_mask) override {
     finish_state(reply, want_mask);
   }
-  std::uint64_t full_mask() const override { return state_field::hydro_all; }
   const HydroState& cached_state() const noexcept { return cache_; }
   std::span<const double> mass() const override { return cache_.mass; }
   std::span<const Vec3> position() const override { return cache_.position; }
@@ -398,14 +383,12 @@ class StellarClient : public ModelClient {
   std::vector<std::int32_t> supernovae();
   double mass_loss();
 
-  void set_delta_exchange(bool enabled) override { delta_enabled_ = enabled; }
   /// Drops the mass cache: the next masses() exchange fetches the full
   /// array from the restarted (blank) worker.
   void reset_delta_caches() override { mass_cache_.clear(); }
 
  private:
   std::vector<double> mass_cache_;
-  bool delta_enabled_ = true;
 };
 
 }  // namespace jungle::amuse

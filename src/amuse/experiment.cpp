@@ -413,7 +413,7 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
     const std::string s = "experiment";
     reject_unknown_keys(
         config, s,
-        {"name", "dt", "iterations", "se_every", "seed", "datapath",
+        {"name", "dt", "iterations", "se_every", "seed",
          "myr_per_nbody_time", "feedback_efficiency", "wind_specific_energy",
          "supernova_energy", "checkpointing", "kill_host",
          "kill_after_iteration", "kill_process", "flap_link",
@@ -427,14 +427,6 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
         static_cast<int>(config.get_int_or(s, "se_every", spec.se_every));
     spec.seed = static_cast<std::uint64_t>(
         config.get_int_or(s, "seed", static_cast<long>(spec.seed)));
-    std::string path = config.get_or(s, "datapath", "pipelined");
-    if (path == "pipelined") {
-      spec.datapath = Datapath::pipelined;
-    } else if (path == "synchronous") {
-      spec.datapath = Datapath::synchronous;
-    } else {
-      throw ConfigError("experiment: unknown datapath '" + path + "'");
-    }
     spec.myr_per_nbody_time =
         config.get_double_or(s, "myr_per_nbody_time", spec.myr_per_nbody_time);
     spec.feedback_efficiency = config.get_double_or(s, "feedback_efficiency",
@@ -899,16 +891,6 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
     // Initial deployment already deviated from the planned placement.
     if (result.restarts > 0) publish_placement();
 
-    // The baseline mode turns the delta exchange off end to end so the
-    // wire behaves exactly like the pre-overhaul full-fetch path.
-    bool delta_exchange = spec.datapath != Datapath::synchronous;
-    auto apply_datapath = [&] {
-      for (ModelRuntime& model : models) {
-        model.client->set_delta_exchange(delta_exchange);
-      }
-    };
-    apply_datapath();
-
     // The last committed graph-wide checkpoint: one object, installed by a
     // single move after every model captured — all models commit or none.
     GraphCheckpoint committed;
@@ -1026,7 +1008,6 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
       Bridge::Config config;
       config.dt = spec.dt;
       config.se_every = spec.se_every;
-      config.synchronous_datapath = spec.datapath == Datapath::synchronous;
       config.myr_per_nbody_time = spec.myr_per_nbody_time;
       config.feedback_efficiency = spec.feedback_efficiency;
       config.wind_specific_energy = spec.wind_specific_energy;
@@ -1129,11 +1110,11 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
         }
       }
 
-      // Fresh clients start with empty delta caches, and restarted workers
-      // mint a fresh state-id instance: nothing cached before the rollback
-      // (client states, coupler sources/accels) can be mistaken for
-      // current content during the replay.
-      apply_datapath();
+      // Nothing to invalidate here: fresh clients start with empty delta
+      // caches, a revived one has reset them, and restarted workers mint a
+      // fresh state-id instance. Nothing cached before the rollback (client
+      // states, coupler sources/accels) can be mistaken for current content
+      // during the replay.
 
       faultpoint::reach(faultpoint::Point::recover_rebuild, committed.epoch);
       // The rollback target is the clock of the checkpoint we restore

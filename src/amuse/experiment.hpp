@@ -28,13 +28,6 @@ using kernels::Vec3;
 /// classic paper configurations are canned specs flowing through this one
 /// path (scenario::classic_spec).
 
-/// Which client<->worker data path the coupling script runs.
-///   pipelined   — concurrent per-phase RPCs, delta state exchange, striped
-///                 bulk transfers (the wide-area data path overhaul).
-///   synchronous — the pre-overhaul serial path with full state fetches;
-///                 kept as the measured baseline (bit-identical physics).
-enum class Datapath { pipelined, synchronous };
-
 /// One model of the graph.
 struct ModelSpec {
   std::string name;
@@ -98,7 +91,6 @@ struct ExperimentSpec {
   int iterations = 2;
   int se_every = 4;
   std::uint64_t seed = 20120301;
-  Datapath datapath = Datapath::pipelined;
   double myr_per_nbody_time = 0.47;
   double feedback_efficiency = 0.1;
   double wind_specific_energy = 5.0;

@@ -46,7 +46,6 @@ experiment::ExperimentSpec classic_spec(Kind kind, const Options& options) {
   spec.iterations = options.iterations;
   spec.se_every = options.se_every;
   spec.seed = options.seed;
-  spec.datapath = options.datapath;
   // time scale: ~0.47 Myr per N-body time for 1000 MSun / 1 pc; SN energy
   // scaled into N-body units for a 2 M_cluster gas cloud.
   spec.myr_per_nbody_time = 0.47;

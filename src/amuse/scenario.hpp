@@ -14,7 +14,6 @@ namespace jungle::amuse::scenario {
 /// experiment::ExperimentSpec (or an INI with [model ...] / [coupling ...]
 /// sections) directly instead of adding kinds here.
 
-using experiment::Datapath;
 using experiment::JungleTestbed;
 using experiment::Result;
 
@@ -41,7 +40,6 @@ struct Options {
   bool with_stellar_evolution = true;
   int se_every = 4;
   std::uint64_t seed = 20120301;
-  Datapath datapath = Datapath::pipelined;
   /// Fault injection, honored by Kind::autoplace only (the one kind with a
   /// recovery path). Setting it on any other kind is a ConfigError — a
   /// silently ignored kill switch is option loss, not a default.

@@ -204,12 +204,6 @@ Future ShardedGravityClient::kick_async(std::span<const Vec3> accel,
   return head;
 }
 
-void ShardedGravityClient::set_masses(std::span<const double> masses) {
-  drain_pending();
-  cache_.mass.assign(masses.begin(), masses.end());
-  for (auto& sub : subs_) sub->set_masses(masses);
-}
-
 Future ShardedGravityClient::set_masses_sparse_async(
     std::span<const std::int32_t> indices, std::span<const double> masses) {
   drain_pending();
@@ -271,11 +265,6 @@ void ShardedGravityClient::set_dynamics(std::span<const Vec3> acc,
 void ShardedGravityClient::set_fp32_positions(bool enabled) {
   fp32_positions_ = enabled;
   for (auto& sub : subs_) sub->set_fp32_positions(enabled);
-}
-
-void ShardedGravityClient::set_delta_exchange(bool enabled) {
-  GravityClient::set_delta_exchange(enabled);
-  for (auto& sub : subs_) sub->set_delta_exchange(enabled);
 }
 
 void ShardedGravityClient::reset_delta_caches() {

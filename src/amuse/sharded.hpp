@@ -57,7 +57,6 @@ class ShardedGravityClient : public GravityClient {
   std::pair<double, double> energies() override;
   Future kick_async(std::span<const Vec3> accel, double dt) override;
   using GravityClient::kick_async;
-  void set_masses(std::span<const double> masses) override;
   /// Returns shard 0's ack; the other shards' acks drain at the next
   /// operation, like kick_async's.
   Future set_masses_sparse_async(std::span<const std::int32_t> indices,
@@ -72,7 +71,6 @@ class ShardedGravityClient : public GravityClient {
                     double model_time) override;
 
   void set_fp32_positions(bool enabled) override;
-  void set_delta_exchange(bool enabled) override;
   void reset_delta_caches() override;
   RpcClient& rpc() noexcept override;
   RpcClient& fault_rpc() override;

@@ -130,6 +130,34 @@ KickFrame read_kick(util::ByteReader& args, std::vector<Vec3>& cache) {
   return {cache, dt};
 }
 
+// A malformed update frame is rejected whole, before any of it is applied:
+// the client gets an error reply and the model is left as it was.
+
+/// A frame of `rows` consecutive rows must fit the `count` rows it targets.
+void check_rows(const char* what, std::size_t rows, std::size_t count) {
+  if (rows > count) {
+    throw CodeError(std::string(what) + ": " + std::to_string(rows) +
+                    " rows for " + std::to_string(count) + " particles");
+  }
+}
+
+/// An indexed frame needs one value per index, each index a particle.
+void check_indexed(const char* what, std::span<const std::int32_t> indices,
+                   std::size_t values, std::size_t count) {
+  if (indices.size() != values) {
+    throw CodeError(std::string(what) + ": " +
+                    std::to_string(indices.size()) + " indices but " +
+                    std::to_string(values) + " values");
+  }
+  for (std::int32_t index : indices) {
+    if (index < 0 || static_cast<std::size_t>(index) >= count) {
+      throw CodeError(std::string(what) + ": index " + std::to_string(index) +
+                      " out of range for " + std::to_string(count) +
+                      " particles");
+    }
+  }
+}
+
 }  // namespace
 
 Dispatcher make_gravity_dispatcher(
@@ -211,6 +239,8 @@ Dispatcher make_gravity_dispatcher(
         // Sharded: the frame carries the owned slice of the full accel
         // array, applied at the owned offset.
         KickFrame kick = read_kick(args, *kick_cache);
+        check_rows("grav_kick_all", kick.accel.size(),
+                   integrator->owned_count());
         const std::size_t base = integrator->owned_lo();
         for (std::size_t i = 0; i < kick.accel.size(); ++i) {
           integrator->kick(static_cast<int>(base + i),
@@ -221,6 +251,7 @@ Dispatcher make_gravity_dispatcher(
       }
       case Fn::grav_set_masses: {
         auto masses = args.get_span<double>();
+        check_rows("grav_set_masses", masses.size(), integrator->size());
         for (std::size_t i = 0; i < masses.size(); ++i) {
           integrator->set_mass(static_cast<int>(i), masses[i]);
         }
@@ -231,6 +262,8 @@ Dispatcher make_gravity_dispatcher(
         auto indices = args.get_span<std::int32_t>();
         // An odd index count leaves the next span 4-byte aligned; copy out.
         auto masses = args.get_vector<double>();
+        check_indexed("grav_set_masses_sparse", indices, masses.size(),
+                      integrator->size());
         for (std::size_t i = 0; i < indices.size(); ++i) {
           integrator->set_mass(indices[i], masses[i]);
         }
@@ -567,6 +600,7 @@ util::ByteWriter hydro_common(kernels::SphSystem& sph, Fn fn,
     }
     case Fn::hydro_kick_all: {
       KickFrame kick = read_kick(args, kick_cache);
+      check_rows("hydro_kick_all", kick.accel.size(), sph.size());
       for (std::size_t i = 0; i < kick.accel.size(); ++i) {
         sph.kick(static_cast<int>(i), kick.accel[i] * kick.dt);
       }
@@ -577,6 +611,7 @@ util::ByteWriter hydro_common(kernels::SphSystem& sph, Fn fn,
       auto indices = args.get_span<std::int32_t>();
       // An odd index count leaves the next span 4-byte aligned; copy out.
       auto amounts = args.get_vector<double>();
+      check_indexed("hydro_inject", indices, amounts.size(), sph.size());
       for (std::size_t i = 0; i < indices.size(); ++i) {
         sph.inject_energy(indices[i], amounts[i]);
       }

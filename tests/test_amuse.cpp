@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "amuse/clients.hpp"
@@ -322,6 +323,109 @@ TEST(AmuseLocal, WorkerErrorPropagatesAsCodeError) {
     stellar.close();
   });
   EXPECT_TRUE(threw);
+}
+
+TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
+  // Hand-built mass, feedback and kick frames that do not fit the model:
+  // an index past the particles, fewer values than indices, more kick rows
+  // than particles. Each is rejected whole with a CodeError reply, nothing
+  // of it is applied, and the worker keeps serving.
+  LocalWorld w;
+  w.run([&] {
+    WorkerSpec grav{.code = "phigrape", .ncores = 1};
+    WorkerSpec hydro{.code = "gadget"};
+    GravityClient stars(start_local_worker(w.sockets, w.net, *w.desktop,
+                                           *w.desktop, grav,
+                                           ChannelKind::mpi));
+    HydroClient gas(start_local_worker(w.sockets, w.net, *w.desktop,
+                                       *w.desktop, hydro, ChannelKind::mpi));
+    util::Rng rng(6);
+    auto model = ic::plummer_sphere(4, rng);
+    stars.add_particles(model.mass, model.position, model.velocity);
+    auto cloud = ic::gas_sphere(8, rng, 2.0, 1.5);
+    gas.add_gas(cloud.mass, cloud.position, cloud.velocity,
+                cloud.internal_energy);
+    // A full fetch every time: forget what the delta exchange holds.
+    auto stars_now = [&] {
+      stars.reset_delta_caches();
+      return stars.get_state();
+    };
+    auto gas_now = [&] {
+      gas.reset_delta_caches();
+      return gas.get_state();
+    };
+    GravityState stars_before = stars_now();
+    HydroState gas_before = gas_now();
+
+    auto indexed = [](std::vector<std::int32_t> indices,
+                      std::vector<double> values) {
+      util::ByteWriter args = RpcClient::request();
+      args.put_span(std::span<const std::int32_t>(indices));
+      args.put_span(std::span<const double>(values));
+      return args;
+    };
+    auto kick = [](std::size_t rows) {
+      util::ByteWriter args = RpcClient::request();
+      args.put<std::uint64_t>(0);  // a fresh accel, not a repeat
+      args.put<double>(1.0);
+      args.put_span(std::span<const Vec3>(std::vector<Vec3>(rows, {1, 1, 1})));
+      return args;
+    };
+    auto full_masses = [](std::size_t rows) {
+      util::ByteWriter args = RpcClient::request();
+      args.put_span(std::span<const double>(std::vector<double>(rows, 0.5)));
+      return args;
+    };
+    struct Frame {
+      std::string name;
+      RpcClient& rpc;
+      Fn fn;
+      util::ByteWriter args;
+    };
+    std::vector<Frame> frames;
+    frames.push_back({"mass index out of range", stars.rpc(),
+                      Fn::grav_set_masses_sparse, indexed({7}, {0.5})});
+    frames.push_back({"3 mass indices, 1 value", stars.rpc(),
+                      Fn::grav_set_masses_sparse,
+                      indexed({0, 1, 2}, {0.5})});
+    frames.push_back({"5 masses for 4 stars", stars.rpc(),
+                      Fn::grav_set_masses, full_masses(5)});
+    frames.push_back({"5-row stars kick", stars.rpc(), Fn::grav_kick_all,
+                      kick(5)});
+    frames.push_back({"feedback index out of range", gas.rpc(),
+                      Fn::hydro_inject, indexed({8}, {0.5})});
+    frames.push_back({"3 feedback indices, 1 value", gas.rpc(),
+                      Fn::hydro_inject, indexed({0, 1, 2}, {0.5})});
+    frames.push_back({"9-row gas kick", gas.rpc(), Fn::hydro_kick_all,
+                      kick(9)});
+    for (Frame& frame : frames) {
+      EXPECT_THROW(frame.rpc.call_sync(frame.fn, std::move(frame.args)),
+                   CodeError)
+          << frame.name;
+    }
+
+    // Bit for bit, every field.
+    auto same = [](const auto& a, const auto& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+    };
+    GravityState stars_after = stars_now();
+    EXPECT_TRUE(same(stars_after.mass, stars_before.mass));
+    EXPECT_TRUE(same(stars_after.position, stars_before.position));
+    EXPECT_TRUE(same(stars_after.velocity, stars_before.velocity));
+    HydroState gas_after = gas_now();
+    EXPECT_TRUE(same(gas_after.mass, gas_before.mass));
+    EXPECT_TRUE(same(gas_after.position, gas_before.position));
+    EXPECT_TRUE(same(gas_after.velocity, gas_before.velocity));
+    EXPECT_TRUE(same(gas_after.internal_energy, gas_before.internal_energy));
+    EXPECT_TRUE(same(gas_after.density, gas_before.density));
+    // Still serving: a well-formed update goes through.
+    stars.set_masses_sparse(std::vector<std::int32_t>{3},
+                            std::vector<double>{0.5});
+    EXPECT_EQ(stars_now().mass[3], 0.5);
+    stars.close();
+    gas.close();
+  });
 }
 
 TEST(AmuseLocal, AsyncCallsOverlapOnDistinctWorkers) {

@@ -328,6 +328,54 @@ struct BridgeRig {
   }
 };
 
+/// The bridge of the trajectory tests: SE every other step, with strong
+/// wind and supernova feedback so the mass and feedback channels both fire.
+Bridge::Config feedback_config() {
+  Bridge::Config config;
+  config.dt = 1.0 / 64.0;
+  config.se_every = 2;
+  config.myr_per_nbody_time = 4.0;
+  config.feedback_efficiency = 0.5;
+  config.wind_specific_energy = 50.0;
+  config.supernova_energy = 50.0;
+  return config;
+}
+
+/// FNV-1a over the bit patterns of every field of the final star and gas
+/// states.
+std::uint64_t trajectory_digest(const GravityState& stars,
+                                const HydroState& gas) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  auto mix = [&](double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const auto* values : {&stars.mass, &gas.mass, &gas.internal_energy,
+                             &gas.density}) {
+    for (double value : *values) mix(value);
+  }
+  for (const auto* rows : {&stars.position, &stars.velocity, &gas.position,
+                           &gas.velocity}) {
+    for (const Vec3& row : *rows) {
+      mix(row.x);
+      mix(row.y);
+      mix(row.z);
+    }
+  }
+  return hash;
+}
+
+/// trajectory_digest of a BridgeRig run of four feedback_config steps,
+/// recorded from the synchronous full-fetch data path (serial RPCs, full
+/// state fetches, full-array mass updates) at commit c943bd4, where the
+/// pipelined path matched it bit for bit. The serial path was retired
+/// after that commit; this value is what it proved.
+constexpr std::uint64_t kSynchronousTrajectoryDigest = 0x4566125471a4adb0ULL;
+
 using Calls = std::map<Fn, int>;
 
 int count(const Calls& calls, Fn fn) {
@@ -667,51 +715,23 @@ TEST(Distributed, RestartedWorkerMintsFreshStateIds) {
 }
 
 TEST(Distributed, PipelinedBridgeMatchesSynchronousBitExact) {
-  // Acceptance: the pipelined/delta data path must be a pure wire
-  // optimization — the physics trajectory is bit-identical to the serial
-  // full-fetch baseline, stellar feedback and all.
-  auto run_bridge = [](bool synchronous) {
-    Lab lab;
-    GravityState stars;
-    HydroState gas;
-    lab.run([&] {
-      BridgeRig rig(lab);
-      Bridge::Config config;
-      config.dt = 1.0 / 64.0;
-      config.se_every = 2;
-      config.myr_per_nbody_time = 4.0;
-      config.feedback_efficiency = 0.5;
-      config.wind_specific_energy = 50.0;
-      config.supernova_energy = 50.0;
-      config.synchronous_datapath = synchronous;
-      rig.stars->set_delta_exchange(!synchronous);
-      rig.gas->set_delta_exchange(!synchronous);
-      rig.coupler->set_delta_exchange(!synchronous);
-      Bridge bridge = rig.bridge(config);
-      for (int i = 0; i < 4; ++i) bridge.step();
-      stars = rig.stars->get_state();
-      gas = rig.gas->get_state();
-      rig.close();
-    });
-    return std::pair{stars, gas};
-  };
-  auto [stars_sync, gas_sync] = run_bridge(true);
-  auto [stars_pipe, gas_pipe] = run_bridge(false);
-  ASSERT_EQ(stars_sync.position.size(), stars_pipe.position.size());
-  ASSERT_EQ(gas_sync.position.size(), gas_pipe.position.size());
-  for (std::size_t i = 0; i < stars_sync.position.size(); ++i) {
-    EXPECT_EQ(stars_sync.mass[i], stars_pipe.mass[i]);
-    EXPECT_EQ(stars_sync.position[i].x, stars_pipe.position[i].x);
-    EXPECT_EQ(stars_sync.position[i].y, stars_pipe.position[i].y);
-    EXPECT_EQ(stars_sync.position[i].z, stars_pipe.position[i].z);
-    EXPECT_EQ(stars_sync.velocity[i].x, stars_pipe.velocity[i].x);
-  }
-  for (std::size_t i = 0; i < gas_sync.position.size(); ++i) {
-    EXPECT_EQ(gas_sync.position[i].x, gas_pipe.position[i].x);
-    EXPECT_EQ(gas_sync.velocity[i].x, gas_pipe.velocity[i].x);
-    EXPECT_EQ(gas_sync.internal_energy[i], gas_pipe.internal_energy[i]);
-    EXPECT_EQ(gas_sync.density[i], gas_pipe.density[i]);
-  }
+  // Acceptance: the pipelined/delta data path is a pure wire optimization —
+  // the physics trajectory, stellar feedback and all, lands bit for bit on
+  // the serial full-fetch one.
+  Lab lab;
+  GravityState stars;
+  HydroState gas;
+  lab.run([&] {
+    BridgeRig rig(lab);
+    Bridge bridge = rig.bridge(feedback_config());
+    for (int i = 0; i < 4; ++i) bridge.step();
+    stars = rig.stars->get_state();
+    gas = rig.gas->get_state();
+    rig.close();
+  });
+  ASSERT_EQ(stars.mass.size(), 32u);
+  ASSERT_EQ(gas.mass.size(), 96u);
+  EXPECT_EQ(trajectory_digest(stars, gas), kSynchronousTrajectoryDigest);
 }
 
 TEST(Distributed, WanBridgeWaitsOnlyOnTheDataItConsumes) {
@@ -719,75 +739,45 @@ TEST(Distributed, WanBridgeWaitsOnlyOnTheDataItConsumes) {
   // fetch goes out behind the evolve, before the evolve's reply lands, and
   // a step returns with its bottom-kick acks still in flight; settle()
   // collects them. The trajectory stays bit-identical to the serial path.
-  auto run_bridge = [](bool synchronous) {
-    Lab lab;
-    GravityState stars;
-    HydroState gas;
-    lab.run([&] {
-      CallLog log;
-      BridgeRig rig(lab, 32, 96, &log, lab.lgm_node);
-      Bridge::Config config;
-      config.dt = 1.0 / 64.0;
-      config.se_every = 2;
-      config.myr_per_nbody_time = 4.0;
-      config.feedback_efficiency = 0.5;
-      config.wind_specific_energy = 50.0;
-      config.supernova_energy = 50.0;
-      config.synchronous_datapath = synchronous;
-      rig.stars->set_delta_exchange(!synchronous);
-      rig.gas->set_delta_exchange(!synchronous);
-      rig.coupler->set_delta_exchange(!synchronous);
-      Bridge bridge = rig.bridge(config);
-      // Position of the first (fn, is_reply) entry at or after `from`.
-      auto find = [&](Fn fn, bool reply, std::size_t from) {
-        auto it = std::find(log.order.begin() + static_cast<long>(from),
-                            log.order.end(), std::pair{fn, reply});
-        return static_cast<std::size_t>(it - log.order.begin());
-      };
-      for (int i = 0; i < 4; ++i) {
-        std::size_t mark = log.order.size();
-        bridge.step();
-        if (synchronous) continue;
-        for (auto [evolve, fetch] : {std::pair{Fn::grav_evolve,
-                                               Fn::grav_get_state},
-                                     std::pair{Fn::hydro_evolve,
-                                               Fn::hydro_get_state}}) {
-          std::size_t sent = find(evolve, false, mark);
-          ASSERT_LT(sent, log.order.size()) << "step " << i;
-          EXPECT_LT(find(fetch, false, sent), find(evolve, true, sent))
-              << "step " << i << ": fetch waited for the evolve";
-        }
-        EXPECT_LT(log.replied[Fn::grav_kick_all], log.sent[Fn::grav_kick_all])
-            << "step " << i << " waited for its stars kick ack";
-        EXPECT_LT(log.replied[Fn::hydro_kick_all],
-                  log.sent[Fn::hydro_kick_all])
-            << "step " << i << " waited for its gas kick ack";
+  Lab lab;
+  GravityState stars;
+  HydroState gas;
+  lab.run([&] {
+    CallLog log;
+    BridgeRig rig(lab, 32, 96, &log, lab.lgm_node);
+    Bridge bridge = rig.bridge(feedback_config());
+    // Position of the first (fn, is_reply) entry at or after `from`.
+    auto find = [&](Fn fn, bool reply, std::size_t from) {
+      auto it = std::find(log.order.begin() + static_cast<long>(from),
+                          log.order.end(), std::pair{fn, reply});
+      return static_cast<std::size_t>(it - log.order.begin());
+    };
+    for (int i = 0; i < 4; ++i) {
+      std::size_t mark = log.order.size();
+      bridge.step();
+      for (auto [evolve, fetch] : {std::pair{Fn::grav_evolve,
+                                             Fn::grav_get_state},
+                                   std::pair{Fn::hydro_evolve,
+                                             Fn::hydro_get_state}}) {
+        std::size_t sent = find(evolve, false, mark);
+        ASSERT_LT(sent, log.order.size()) << "step " << i;
+        EXPECT_LT(find(fetch, false, sent), find(evolve, true, sent))
+            << "step " << i << ": fetch waited for the evolve";
       }
-      bridge.settle();
-      EXPECT_EQ(log.replied, log.sent);  // every call answered, none lost
-      stars = rig.stars->get_state();
-      gas = rig.gas->get_state();
-      rig.close();
-    });
-    return std::pair{stars, gas};
-  };
-  auto [stars_sync, gas_sync] = run_bridge(true);
-  auto [stars_pipe, gas_pipe] = run_bridge(false);
-  ASSERT_EQ(stars_sync.position.size(), stars_pipe.position.size());
-  ASSERT_EQ(gas_sync.position.size(), gas_pipe.position.size());
-  for (std::size_t i = 0; i < stars_sync.position.size(); ++i) {
-    EXPECT_EQ(stars_sync.mass[i], stars_pipe.mass[i]);
-    EXPECT_EQ(stars_sync.position[i].x, stars_pipe.position[i].x);
-    EXPECT_EQ(stars_sync.position[i].y, stars_pipe.position[i].y);
-    EXPECT_EQ(stars_sync.position[i].z, stars_pipe.position[i].z);
-    EXPECT_EQ(stars_sync.velocity[i].x, stars_pipe.velocity[i].x);
-  }
-  for (std::size_t i = 0; i < gas_sync.position.size(); ++i) {
-    EXPECT_EQ(gas_sync.position[i].x, gas_pipe.position[i].x);
-    EXPECT_EQ(gas_sync.velocity[i].x, gas_pipe.velocity[i].x);
-    EXPECT_EQ(gas_sync.internal_energy[i], gas_pipe.internal_energy[i]);
-    EXPECT_EQ(gas_sync.density[i], gas_pipe.density[i]);
-  }
+      EXPECT_LT(log.replied[Fn::grav_kick_all], log.sent[Fn::grav_kick_all])
+          << "step " << i << " waited for its stars kick ack";
+      EXPECT_LT(log.replied[Fn::hydro_kick_all], log.sent[Fn::hydro_kick_all])
+          << "step " << i << " waited for its gas kick ack";
+    }
+    bridge.settle();
+    EXPECT_EQ(log.replied, log.sent);  // every call answered, none lost
+    stars = rig.stars->get_state();
+    gas = rig.gas->get_state();
+    rig.close();
+  });
+  ASSERT_EQ(stars.mass.size(), 32u);
+  ASSERT_EQ(gas.mass.size(), 96u);
+  EXPECT_EQ(trajectory_digest(stars, gas), kSynchronousTrajectoryDigest);
 }
 
 TEST(Distributed, ResourceSelectorFindsReplacement) {
@@ -944,16 +934,12 @@ TEST(Distributed, EveryStateMovingCallMakesTheNextCouplingFetch) {
          }},
         {"gravity reset_delta_caches", Fn::grav_get_state,
          [&] { stars.reset_delta_caches(); }},
-        {"gravity set_delta_exchange", Fn::grav_get_state,
-         [&] { stars.set_delta_exchange(true); }},
         {"hydro evolve_async", Fn::hydro_get_state,
          [&] { gas.evolve(bridge.time()); }},
         {"add_gas", Fn::hydro_get_state,
          [&] { gas.add_gas({}, {}, {}, {}); }},
         {"hydro reset_delta_caches", Fn::hydro_get_state,
          [&] { gas.reset_delta_caches(); }},
-        {"hydro set_delta_exchange", Fn::hydro_get_state,
-         [&] { gas.set_delta_exchange(true); }},
     };
 
     counted_step(bridge, log);  // the first step fetches the fresh load

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -49,7 +50,6 @@ dt = 0.015625
 iterations = 4
 se_every = 2
 seed = 7
-datapath = synchronous
 checkpointing = true
 
 [model one]
@@ -97,7 +97,6 @@ every = 2
   EXPECT_EQ(spec.name, "merger");
   EXPECT_DOUBLE_EQ(spec.dt, 0.015625);
   EXPECT_EQ(spec.iterations, 4);
-  EXPECT_EQ(spec.datapath, Datapath::synchronous);
   EXPECT_TRUE(spec.checkpointing);
   ASSERT_EQ(spec.models.size(), 5u);
   EXPECT_EQ(spec.models[0].name, "one");
@@ -148,7 +147,7 @@ TEST(Experiment, SpecIniRejectsUnknownKeys) {
 
   // Retired knobs are unknown keys too, not silently ignored.
   for (const char* retired : {"replan = true", "replan_drift = 2",
-                              "rpc_timeout = 10"}) {
+                              "rpc_timeout = 10", "datapath = synchronous"}) {
     EXPECT_THROW(ExperimentSpec::from_config(util::Config::parse(
                      "[experiment]\n" + std::string(retired) + "\n" + graph)),
                  ConfigError)
@@ -156,11 +155,17 @@ TEST(Experiment, SpecIniRejectsUnknownKeys) {
   }
 
   // Every shipped experiment INI uses only known keys.
-  for (const char* name : {"triple-plummer.ini", "sharded-plummer.ini"}) {
+  int shipped = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(JUNGLE_SOURCE_DIR) + "/examples/experiments")) {
+    if (entry.path().extension() != ".ini") continue;
+    std::string name = entry.path().filename().string();
     EXPECT_NO_THROW(ExperimentSpec::from_config(
         util::Config::parse(example_ini(name))))
         << name;
+    ++shipped;
   }
+  EXPECT_GE(shipped, 3);
 }
 
 TEST(Experiment, ValidationRejectsDanglingCouplingReferences) {
@@ -348,7 +353,10 @@ struct OldBridgeReference {
   void stellar_update() {
     double age = time * config.myr_per_nbody_time;
     stellar->evolve_to(age);
-    std::vector<double> se_masses = stellar->masses();
+    // The full SE mass array, fetched raw: the reference must not go
+    // through the delta mass channel it checks.
+    std::vector<double> se_masses =
+        stellar->rpc().call_sync(Fn::se_get_masses, {}).get_vector<double>();
     Future reply = stars.request_state(state_field::coupling);
     const GravityState& state =
         stars.finish_state(reply, state_field::coupling);
@@ -458,9 +466,6 @@ TEST(Experiment, ClassicPairBitIdenticalToOldBridgePath) {
                                        ChannelKind::mpi));
     StellarClient stellar(start_local_worker(sockets, net, desktop, desktop,
                                              sse, ChannelKind::mpi));
-    // The old full-array SE mass channel.
-    stellar.set_delta_exchange(false);
-
     util::Rng rng(options.seed);
     auto model = ic::plummer_sphere(options.n_stars, rng);
     stars.add_particles(model.mass, model.position, model.velocity);

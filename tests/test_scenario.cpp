@@ -151,17 +151,20 @@ client = desktop
 TEST(Scenario, PipelinedDataPathShipsFarFewerWanBytes) {
   // The delta exchange + combined coupler queries against the serial
   // full-fetch baseline, on the jungle map where coupling crosses WANs.
+  // The baseline's figures were recorded from the synchronous data path
+  // (full state fetches, one RPC at a time) at commit c943bd4, before that
+  // path was retired.
+  const double sync_wan_ipl_bytes_per_step = 0x1.655fp+18;  // 365948 B
+  const double sync_seconds_per_iteration = 0x1.5d6977a6e8e1p-4;  // 0.0853 s
+  const double sync_bound_gas_fraction = 0x1p+0;
   Options options = small_options();
   options.iterations = 4;  // let the delta caches settle past the cold start
-  options.datapath = Datapath::synchronous;
-  Result sync = run_scenario(Kind::jungle, options);
-  options.datapath = Datapath::pipelined;
   Result pipelined = run_scenario(Kind::jungle, options);
   EXPECT_LT(pipelined.wan_ipl_bytes_per_step,
-            0.6 * sync.wan_ipl_bytes_per_step);
-  EXPECT_LE(pipelined.seconds_per_iteration, sync.seconds_per_iteration);
+            0.6 * sync_wan_ipl_bytes_per_step);
+  EXPECT_LE(pipelined.seconds_per_iteration, sync_seconds_per_iteration);
   // A pure wire optimization: the trajectory observable is bit-identical.
-  EXPECT_DOUBLE_EQ(pipelined.bound_gas_fraction, sync.bound_gas_fraction);
+  EXPECT_DOUBLE_EQ(pipelined.bound_gas_fraction, sync_bound_gas_fraction);
 }
 
 TEST(Scenario, TopologyCorpusPlacesAndRunsSanely) {
@@ -206,13 +209,12 @@ TEST(Scenario, DeepWanPlacementGoesRemoteAndStripes) {
   }
   EXPECT_GE(remote_roles, 2);
 
-  options.datapath = Datapath::synchronous;
-  Result sync = run_scenario_config(load_topology("deep-wan-3hop.ini"),
-                                    options);
-  options.datapath = Datapath::pipelined;
+  // The serial full-fetch path's figure on the same run, recorded from the
+  // synchronous data path at commit c943bd4, before it was retired.
+  const double sync_seconds_per_iteration = 0x1.a0774d7527a21p+1;  // 3.254 s
   Result pipelined = run_scenario_config(load_topology("deep-wan-3hop.ini"),
                                          options);
-  EXPECT_LT(pipelined.seconds_per_iteration, sync.seconds_per_iteration);
+  EXPECT_LT(pipelined.seconds_per_iteration, sync_seconds_per_iteration);
 }
 
 TEST(Scenario, NatEdgeNeverPlacesOnUnreachableFrontend) {
@@ -261,11 +263,10 @@ TEST(Scenario, AutoplaceFaultReplacementCompletesRun) {
   // Delta caches must be invalidated across the rollback/replay: the
   // recovered pipelined run lands bit-exactly on the synchronous baseline
   // recovering from the same fault — a stale client state cache or coupler
-  // source/accel cache would diverge the replayed trajectory.
-  Options faulty_sync = faulty;
-  faulty_sync.datapath = Datapath::synchronous;
-  Result recovered_sync = run_scenario(Kind::autoplace, faulty_sync);
-  EXPECT_EQ(recovered_sync.restarts, 1);
+  // source/accel cache would diverge the replayed trajectory. The
+  // baseline's value was recorded from the synchronous data path at commit
+  // c943bd4, before that path was retired.
+  const double recovered_sync_bound_gas_fraction = 0x1p+0;
   EXPECT_DOUBLE_EQ(recovered.bound_gas_fraction,
-                   recovered_sync.bound_gas_fraction);
+                   recovered_sync_bound_gas_fraction);
 }

@@ -265,7 +265,6 @@ TEST(Sched, CommTermMatchesMeasuredSteadyStateWanBytes) {
   // data path actually ships. Measure the steady-state bytes per step on a
   // remote-coupler run by differencing two run lengths (cancels the cold
   // start), and require the model to land within 25%.
-  using jungle::amuse::scenario::Datapath;
   using jungle::amuse::scenario::Options;
   using jungle::amuse::scenario::Result;
   using jungle::amuse::scenario::run_scenario;
