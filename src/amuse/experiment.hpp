@@ -162,7 +162,7 @@ struct Result {
   double wan_bytes = 0.0;               // bytes that crossed any WAN link
   double wan_ipl_bytes = 0.0;
   /// Coupling traffic (IPL class) that crossed a WAN link, per bridge step
-  /// — the wire cost the delta exchange minimizes (bench_datapath's gate).
+  /// — the wire cost the delta exchange minimizes (reproduce's ext rows).
   double wan_ipl_bytes_per_step = 0.0;
   double bound_gas_fraction = 1.0;      // after the run (1.0 when no gas)
   std::string dashboard;                // Figs 10/11 text analog

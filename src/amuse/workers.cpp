@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 
 #include "amuse/delta.hpp"
@@ -133,11 +134,28 @@ KickFrame read_kick(util::ByteReader& args, std::vector<Vec3>& cache) {
 // A malformed update frame is rejected whole, before any of it is applied:
 // the client gets an error reply and the model is left as it was.
 
-/// A frame of `rows` consecutive rows must fit the `count` rows it targets.
-void check_rows(const char* what, std::size_t rows, std::size_t count) {
-  if (rows > count) {
+/// A frame of `rows` consecutive rows from `base` on must fit the `count`
+/// rows it targets.
+void check_rows(const char* what, std::size_t rows, std::size_t count,
+                std::size_t base = 0) {
+  if (base > count || rows > count - base) {
     throw CodeError(std::string(what) + ": " + std::to_string(rows) +
-                    " rows for " + std::to_string(count) + " particles");
+                    " rows from row " + std::to_string(base) + " for " +
+                    std::to_string(count) + " particles");
+  }
+}
+
+/// The parallel arrays of one frame need one entry per row each.
+void check_columns(const char* what, std::initializer_list<std::size_t> sizes) {
+  for (std::size_t size : sizes) {
+    if (size != *sizes.begin()) {
+      std::string lengths;
+      for (std::size_t each : sizes) {
+        lengths += (lengths.empty() ? "" : "/") + std::to_string(each);
+      }
+      throw CodeError(std::string(what) + ": column lengths " + lengths +
+                      " differ");
+    }
   }
 }
 
@@ -177,6 +195,8 @@ Dispatcher make_gravity_dispatcher(
         auto masses = args.get_span<double>();
         auto positions = args.get_span<Vec3>();
         auto velocities = args.get_span<Vec3>();
+        check_columns("grav_add_particles",
+                      {masses.size(), positions.size(), velocities.size()});
         for (std::size_t i = 0; i < masses.size(); ++i) {
           integrator->add_particle(masses[i], positions[i], velocities[i]);
         }
@@ -293,6 +313,10 @@ Dispatcher make_gravity_dispatcher(
         double time = args.get<double>();
         auto acc = args.get_vector<Vec3>();
         auto jerk = args.get_vector<Vec3>();
+        // Installed forces mark the integrator clean: the next evolve reads
+        // and writes a row of each for every particle.
+        check_columns("grav_set_dynamics",
+                      {acc.size(), jerk.size(), integrator->size()});
         if (integrator->sharded()) {
           // A running shard keeps zero acc/jerk in ghost rows (the force
           // pass never fills them); a restored shard must match, or the
@@ -329,33 +353,34 @@ Dispatcher make_gravity_dispatcher(
         // forces dirty so the next evolve sees the new neighbours.
         auto base = args.get<std::uint64_t>();
         auto flags = args.get<std::uint64_t>();
+        std::vector<Vec3> unpacked;
+        std::span<const Vec3> positions;
         if (flags & 1) {  // f32-truncated positions (low-bandwidth link)
           auto packed = args.get_vector<float>();
+          if (packed.size() % 3 != 0) {
+            throw CodeError("grav_ghost_update: " +
+                            std::to_string(packed.size()) +
+                            " floats are not whole positions");
+          }
           const std::size_t count = packed.size() / 3;
           if (count % 2 != 0) args.get<std::uint32_t>();  // realign pad
           for (std::size_t i = 0; i < count; ++i) {
-            integrator->set_position(
-                static_cast<int>(base + i),
-                Vec3{static_cast<double>(packed[3 * i]),
-                     static_cast<double>(packed[3 * i + 1]),
-                     static_cast<double>(packed[3 * i + 2])});
+            unpacked.push_back(Vec3{static_cast<double>(packed[3 * i]),
+                                    static_cast<double>(packed[3 * i + 1]),
+                                    static_cast<double>(packed[3 * i + 2])});
           }
-          auto velocities = args.get_vector<Vec3>();
-          for (std::size_t i = 0; i < velocities.size(); ++i) {
-            integrator->set_velocity(static_cast<int>(base + i),
-                                     velocities[i]);
-          }
+          positions = unpacked;
         } else {
-          auto positions = args.get_span<Vec3>();
-          auto velocities = args.get_span<Vec3>();
-          for (std::size_t i = 0; i < positions.size(); ++i) {
-            integrator->set_position(static_cast<int>(base + i),
-                                     positions[i]);
-          }
-          for (std::size_t i = 0; i < velocities.size(); ++i) {
-            integrator->set_velocity(static_cast<int>(base + i),
-                                     velocities[i]);
-          }
+          positions = args.get_span<Vec3>();
+        }
+        auto velocities = args.get_vector<Vec3>();
+        check_columns("grav_ghost_update",
+                      {positions.size(), velocities.size()});
+        check_rows("grav_ghost_update", positions.size(), integrator->size(),
+                   base);
+        for (std::size_t i = 0; i < positions.size(); ++i) {
+          integrator->set_position(static_cast<int>(base + i), positions[i]);
+          integrator->set_velocity(static_cast<int>(base + i), velocities[i]);
         }
         return result;
       }
@@ -396,6 +421,7 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
       case Fn::field_set_sources: {
         auto masses = args.get_vector<double>();
         auto positions = read_vec3s(args);
+        check_columns("field_set_sources", {masses.size(), positions.size()});
         field->set_sources(masses, positions);
         charge(cost, static_cast<double>(positions.size()) *
                          kernels::BarnesHutTree::kBuildFlopsPerParticle);
@@ -419,6 +445,7 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
         if (flags & accel_flags::has_sources) {
           auto mass = args.get_span<double>();
           auto position = args.get_span<Vec3>();
+          check_columns("field_accel_for", {mass.size(), position.size()});
           cache.source_mass.assign(mass.begin(), mass.end());
           cache.source_position.assign(position.begin(), position.end());
           cache.sources_id = sources_id;
@@ -555,6 +582,8 @@ util::ByteWriter hydro_common(kernels::SphSystem& sph, Fn fn,
       auto positions = args.get_span<Vec3>();
       auto velocities = args.get_span<Vec3>();
       auto energies = args.get_span<double>();
+      check_columns("hydro_add_gas", {masses.size(), positions.size(),
+                                      velocities.size(), energies.size()});
       for (std::size_t i = 0; i < masses.size(); ++i) {
         sph.add_particle(masses[i], positions[i], velocities[i], energies[i]);
       }

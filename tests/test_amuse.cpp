@@ -326,54 +326,102 @@ TEST(AmuseLocal, WorkerErrorPropagatesAsCodeError) {
 }
 
 TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
-  // Hand-built mass, feedback and kick frames that do not fit the model:
+  // Hand-built update and state-loading frames that do not fit the model:
   // an index past the particles, fewer values than indices, more kick rows
-  // than particles. Each is rejected whole with a CodeError reply, nothing
-  // of it is applied, and the worker keeps serving.
+  // than particles, parallel arrays of different lengths, dynamics shorter
+  // than the model, ghost blocks past the last row or short of velocities.
+  // Each is rejected whole with a CodeError reply, nothing of it is
+  // applied, and every worker keeps serving.
   LocalWorld w;
   w.run([&] {
-    WorkerSpec grav{.code = "phigrape", .ncores = 1};
-    WorkerSpec hydro{.code = "gadget"};
-    GravityClient stars(start_local_worker(w.sockets, w.net, *w.desktop,
-                                           *w.desktop, grav,
-                                           ChannelKind::mpi));
-    HydroClient gas(start_local_worker(w.sockets, w.net, *w.desktop,
-                                       *w.desktop, hydro, ChannelKind::mpi));
+    auto local = [&](WorkerSpec spec) {
+      return start_local_worker(w.sockets, w.net, *w.desktop, *w.desktop,
+                                spec, ChannelKind::mpi);
+    };
+    GravityClient stars(local({.code = "phigrape", .ncores = 1}));
+    HydroClient gas(local({.code = "gadget"}));
+    FieldClient field(local({.code = "fi", .ncores = 1}));
     util::Rng rng(6);
     auto model = ic::plummer_sphere(4, rng);
     stars.add_particles(model.mass, model.position, model.velocity);
+    stars.evolve(1.0 / 64.0);  // forces and a clock worth restoring over
     auto cloud = ic::gas_sphere(8, rng, 2.0, 1.5);
     gas.add_gas(cloud.mass, cloud.position, cloud.velocity,
                 cloud.internal_energy);
-    // A full fetch every time: forget what the delta exchange holds.
-    auto stars_now = [&] {
-      stars.reset_delta_caches();
-      return stars.get_state();
-    };
-    auto gas_now = [&] {
-      gas.reset_delta_caches();
-      return gas.get_state();
-    };
-    GravityState stars_before = stars_now();
-    HydroState gas_before = gas_now();
+    field.set_sources(cloud.mass, cloud.position);
 
-    auto indexed = [](std::vector<std::int32_t> indices,
-                      std::vector<double> values) {
+    struct Snapshot {
+      GravityState stars;
+      std::vector<Vec3> acc, jerk;
+      double time = 0;
+      HydroState gas;
+      std::vector<Vec3> field_accel;
+    };
+    // A full fetch every time: forget what the delta exchange holds.
+    auto snapshot = [&] {
+      Snapshot now;
+      stars.reset_delta_caches();
+      now.stars = stars.get_state();
+      Future dynamics = stars.request_dynamics();
+      stars.finish_dynamics(dynamics, now.acc, now.jerk, now.time);
+      gas.reset_delta_caches();
+      now.gas = gas.get_state();
+      now.field_accel = field.accel_at(model.position);
+      return now;
+    };
+    Snapshot before = snapshot();
+
+    auto vec3s = [](std::size_t rows) {
+      return std::vector<Vec3>(rows, Vec3{0.5, 0.5, 0.5});
+    };
+    auto doubles = [](std::size_t rows) {
+      return std::vector<double>(rows, 0.5);
+    };
+    using Indices = std::vector<std::int32_t>;
+    // One array after another, each with its length prefix.
+    auto columns = [](auto... arrays) {
       util::ByteWriter args = RpcClient::request();
-      args.put_span(std::span<const std::int32_t>(indices));
-      args.put_span(std::span<const double>(values));
+      (args.put_vector(arrays), ...);
       return args;
     };
-    auto kick = [](std::size_t rows) {
+    auto kick = [&](std::size_t rows) {
       util::ByteWriter args = RpcClient::request();
       args.put<std::uint64_t>(0);  // a fresh accel, not a repeat
       args.put<double>(1.0);
-      args.put_span(std::span<const Vec3>(std::vector<Vec3>(rows, {1, 1, 1})));
+      args.put_vector(vec3s(rows));
       return args;
     };
-    auto full_masses = [](std::size_t rows) {
+    auto dynamics = [&](std::size_t rows) {
       util::ByteWriter args = RpcClient::request();
-      args.put_span(std::span<const double>(std::vector<double>(rows, 0.5)));
+      args.put<double>(1.0);
+      args.put_vector(vec3s(rows));
+      args.put_vector(vec3s(rows));
+      return args;
+    };
+    auto ghosts = [&](std::uint64_t base, std::size_t rows,
+                      std::size_t velocities, bool fp32) {
+      util::ByteWriter args = RpcClient::request();
+      args.put<std::uint64_t>(base);
+      args.put<std::uint64_t>(fp32 ? 1 : 0);
+      if (fp32) {
+        args.put_vector(std::vector<float>(3 * rows, 0.5f));
+        if (rows % 2 != 0) args.put<std::uint32_t>(0);  // realign
+      } else {
+        args.put_vector(vec3s(rows));
+      }
+      args.put_vector(vec3s(velocities));
+      return args;
+    };
+    auto accel_for = [&](std::size_t masses, std::size_t positions) {
+      util::ByteWriter args = RpcClient::request();
+      args.put<std::uint64_t>(9);  // a tag of its own
+      args.put<StateId>(make_state_id(1, 1));
+      args.put<StateId>(make_state_id(2, 1));
+      args.put<std::uint64_t>(accel_flags::has_sources |
+                              accel_flags::has_points);
+      args.put_vector(doubles(masses));
+      args.put_vector(vec3s(positions));
+      args.put_vector(vec3s(2));
       return args;
     };
     struct Frame {
@@ -384,20 +432,38 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     };
     std::vector<Frame> frames;
     frames.push_back({"mass index out of range", stars.rpc(),
-                      Fn::grav_set_masses_sparse, indexed({7}, {0.5})});
+                      Fn::grav_set_masses_sparse,
+                      columns(Indices{7}, doubles(1))});
     frames.push_back({"3 mass indices, 1 value", stars.rpc(),
                       Fn::grav_set_masses_sparse,
-                      indexed({0, 1, 2}, {0.5})});
+                      columns(Indices{0, 1, 2}, doubles(1))});
     frames.push_back({"5 masses for 4 stars", stars.rpc(),
-                      Fn::grav_set_masses, full_masses(5)});
+                      Fn::grav_set_masses, columns(doubles(5))});
     frames.push_back({"5-row stars kick", stars.rpc(), Fn::grav_kick_all,
                       kick(5)});
     frames.push_back({"feedback index out of range", gas.rpc(),
-                      Fn::hydro_inject, indexed({8}, {0.5})});
+                      Fn::hydro_inject, columns(Indices{8}, doubles(1))});
     frames.push_back({"3 feedback indices, 1 value", gas.rpc(),
-                      Fn::hydro_inject, indexed({0, 1, 2}, {0.5})});
+                      Fn::hydro_inject,
+                      columns(Indices{0, 1, 2}, doubles(1))});
     frames.push_back({"9-row gas kick", gas.rpc(), Fn::hydro_kick_all,
                       kick(9)});
+    frames.push_back({"3 stars, 1 position", stars.rpc(),
+                      Fn::grav_add_particles,
+                      columns(doubles(3), vec3s(1), vec3s(3))});
+    frames.push_back({"3 gas particles, 1 energy", gas.rpc(),
+                      Fn::hydro_add_gas,
+                      columns(doubles(3), vec3s(3), vec3s(3), doubles(1))});
+    frames.push_back({"2-row dynamics for 4 stars", stars.rpc(),
+                      Fn::grav_set_dynamics, dynamics(2)});
+    frames.push_back({"ghost rows 3..4 of 4", stars.rpc(),
+                      Fn::grav_ghost_update, ghosts(3, 2, 2, false)});
+    frames.push_back({"f32 ghosts: 2 positions, 1 velocity", stars.rpc(),
+                      Fn::grav_ghost_update, ghosts(0, 2, 1, true)});
+    frames.push_back({"field: 1 source mass, 3 positions", field.rpc(),
+                      Fn::field_set_sources, columns(doubles(1), vec3s(3))});
+    frames.push_back({"accel_for: 1 source mass, 3 positions", field.rpc(),
+                      Fn::field_accel_for, accel_for(1, 3)});
     for (Frame& frame : frames) {
       EXPECT_THROW(frame.rpc.call_sync(frame.fn, std::move(frame.args)),
                    CodeError)
@@ -409,22 +475,33 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
       return a.size() == b.size() &&
              std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
     };
-    GravityState stars_after = stars_now();
-    EXPECT_TRUE(same(stars_after.mass, stars_before.mass));
-    EXPECT_TRUE(same(stars_after.position, stars_before.position));
-    EXPECT_TRUE(same(stars_after.velocity, stars_before.velocity));
-    HydroState gas_after = gas_now();
-    EXPECT_TRUE(same(gas_after.mass, gas_before.mass));
-    EXPECT_TRUE(same(gas_after.position, gas_before.position));
-    EXPECT_TRUE(same(gas_after.velocity, gas_before.velocity));
-    EXPECT_TRUE(same(gas_after.internal_energy, gas_before.internal_energy));
-    EXPECT_TRUE(same(gas_after.density, gas_before.density));
-    // Still serving: a well-formed update goes through.
+    Snapshot after = snapshot();
+    EXPECT_TRUE(same(after.stars.mass, before.stars.mass));
+    EXPECT_TRUE(same(after.stars.position, before.stars.position));
+    EXPECT_TRUE(same(after.stars.velocity, before.stars.velocity));
+    EXPECT_TRUE(same(after.acc, before.acc));
+    EXPECT_TRUE(same(after.jerk, before.jerk));
+    EXPECT_EQ(after.time, before.time);
+    EXPECT_TRUE(same(after.gas.mass, before.gas.mass));
+    EXPECT_TRUE(same(after.gas.position, before.gas.position));
+    EXPECT_TRUE(same(after.gas.velocity, before.gas.velocity));
+    EXPECT_TRUE(
+        same(after.gas.internal_energy, before.gas.internal_energy));
+    EXPECT_TRUE(same(after.gas.density, before.gas.density));
+    EXPECT_TRUE(same(after.field_accel, before.field_accel));
+    // Still serving: each worker takes a well-formed call.
     stars.set_masses_sparse(std::vector<std::int32_t>{3},
                             std::vector<double>{0.5});
-    EXPECT_EQ(stars_now().mass[3], 0.5);
+    EXPECT_EQ(snapshot().stars.mass[3], 0.5);
+    stars.evolve(2.0 / 64.0);
+    EXPECT_EQ(stars.model_time(), 2.0 / 64.0);
+    gas.evolve(1.0 / 64.0);
+    EXPECT_EQ(gas.get_state().mass.size(), 8u);
+    field.set_sources(model.mass, model.position);
+    EXPECT_EQ(field.accel_at(cloud.position).size(), 8u);
     stars.close();
     gas.close();
+    field.close();
   });
 }
 

@@ -502,7 +502,8 @@ TEST(Distributed, WorkerHostCrashPoisonsFutures) {
     util::Rng rng(1);
     auto model = ic::plummer_sphere(256, rng);
     gravity.add_particles(model.mass, model.position, model.velocity);
-    Future future = gravity.evolve_async(5.0);  // long-running
+    // ~0.019 virtual s on the LGM GPU: still running when the host dies.
+    Future future = gravity.evolve_async(0.5);
     lab.sim.sleep(0.01);
     lab.lgm_node->crash();
     try {
@@ -580,8 +581,9 @@ TEST(Distributed, DeathNoticePoisonsInFlightBatch) {
     util::Rng rng(1);
     auto model = ic::plummer_sphere(256, rng);
     gravity.add_particles(model.mass, model.position, model.velocity);
-    // A long evolve plus a pipelined batch queued behind it.
-    Future evolving = gravity.evolve_async(5.0);
+    // An evolve that outlasts the sleep below (~0.019 virtual s on the LGM
+    // GPU) plus a pipelined batch queued behind it.
+    Future evolving = gravity.evolve_async(0.5);
     Future state = gravity.request_state(jungle::amuse::state_field::coupling);
     std::vector<Vec3> kicks(model.mass.size(), Vec3{1e-3, 0, 0});
     Future kicked = gravity.kick_async(kicks);

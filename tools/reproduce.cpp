@@ -4,7 +4,9 @@
 //
 // Runs each paper experiment (E1–E10) once on the simulated jungle and
 // prints one table: the claim, the paper's value, ours, and whether the
-// paper's shape holds in our run. Every value is either on the simulator's
+// paper's shape holds in our run. A last section ("ext") checks what this
+// implementation adds beyond the paper: the delta/pipelined data path and
+// f32 uplink positions. Every value is either on the simulator's
 // virtual clock or clock-free (bytes, fractions, radii), so it is
 // deterministic and independent of the kernel thread count. Each row pins
 // our value to ±1% and its expected status. Exits 1, naming the row, when
@@ -13,9 +15,11 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -317,6 +321,41 @@ double gadget_evolve_s(int nranks) {
   return evolve_s;
 }
 
+/// An INI file of the source tree, parsed.
+util::Config load_ini(const std::string& relative_path) {
+  std::string path = std::string(JUNGLE_SOURCE_DIR) + "/" + relative_path;
+  std::ifstream in(path);
+  if (!in) throw ConfigError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return util::Config::parse(text.str());
+}
+
+/// Ext: the data path at the sizes its retired synchronous figures were
+/// measured at — fig6 on the jungle, and the deep-WAN 3-hop topology.
+scenario::Result delta_fig6() {
+  scenario::Options options = paper_options();
+  options.iterations = 4;  // enough steps for the delta caches to settle
+  return scenario::run_scenario(Kind::jungle, options);
+}
+
+scenario::Result pipelined_deep_wan() {
+  scenario::Options options;
+  options.n_stars = 400;
+  options.n_gas = 3000;
+  options.iterations = 4;
+  return scenario::run_scenario_config(
+      load_ini("examples/topologies/deep-wan-3hop.ini"), options);
+}
+
+/// Ext: WAN bytes of the sharded ring, its edge uplink flagged fp_truncate
+/// (as shipped) or not.
+double sharded_wan_bytes(bool fp_truncate) {
+  util::Config config = load_ini("examples/experiments/sharded-plummer.ini");
+  if (!fp_truncate) config.set("link edge farm", "fp_truncate", "false");
+  return experiment::run_experiment_config(config).wan_bytes;
+}
+
 /// Everything the table reads, each experiment run once.
 struct Measured {
   // E1, in Kind order; E3 reuses the jungle run.
@@ -330,6 +369,9 @@ struct Measured {
   std::array<double, 3> kick_remote_mb{};
   std::array<scenario::Result, 4> size;   // N_stars 250, 500, 1000, 2000
   std::array<double, 4> gadget_s{};       // 1, 2, 4, 8 ranks
+  scenario::Result fig6_delta;            // ext: jungle, 4 iterations
+  scenario::Result deep_wan;              // ext: deep-WAN 3-hop
+  std::array<double, 2> uplink_wan_bytes{};  // ext: f32 uplink, f64 uplink
 
   double s_per_iter(Kind kind) const {
     return e1[static_cast<int>(kind)].seconds_per_iteration;
@@ -370,6 +412,9 @@ Measured measure() {
     m.size[i] = scenario::run_scenario(Kind::jungle, options);
   }
   for (int i = 0; i < 4; ++i) m.gadget_s[i] = gadget_evolve_s(1 << i);
+  m.fig6_delta = delta_fig6();
+  m.deep_wan = pipelined_deep_wan();
+  m.uplink_wan_bytes = {sharded_wan_bytes(true), sharded_wan_bytes(false)};
   return m;
 }
 
@@ -379,6 +424,14 @@ using M = Measured;
 constexpr double kNone = std::numeric_limits<double>::quiet_NaN();
 constexpr bool kHolds = true;
 constexpr bool kDiffers = false;
+
+// The retired synchronous data path (a full state fetch before each
+// coupling, every call waited on), on the two ext runs: fig6 coupling WAN
+// bytes per bridge step and deep-WAN virtual seconds per iteration. That
+// path is deleted; both figures reproduce exactly at commit c943bd4, its
+// last, and are never regenerated.
+constexpr double kSyncFig6BytesPerStep = 4236814;
+constexpr double kSyncDeepWanSecondsPerIter = 3.41806;
 
 /// |x - target| within `rel` of target.
 bool near(double x, double target, double rel) {
@@ -679,6 +732,25 @@ const Row kRows[] = {
      "virtual", ">= 6 (75% of 8)",
      [](const M& m) { return m.gadget_s[0] / m.gadget_s[3]; },
      [](double x, const M&) { return x >= 6.0; }, 7.137, kHolds},
+
+    // Ext — beyond the paper: the data path that replaced the synchronous
+    // one, and f32 positions across a low-bandwidth uplink.
+    {"X.fig6-delta-bytes", "ext", "delta exchange: coupling WAN per step",
+     kNone, "B/step", "none", "<= 1/2 sync 4236814",
+     [](const M& m) { return m.fig6_delta.wan_ipl_bytes_per_step; },
+     [](double x, const M&) { return x <= kSyncFig6BytesPerStep / 2; },
+     1893040, kHolds},
+    {"X.deepwan-pipelined", "ext", "pipelined bridge step, 3 WAN hops", kNone,
+     "s/iter", "virtual", "< sync 3.41806",
+     [](const M& m) { return m.deep_wan.seconds_per_iteration; },
+     [](double x, const M&) { return x < kSyncDeepWanSecondsPerIter; },
+     1.11846, kHolds},
+    {"X.f32-uplink-bytes", "ext", "f32 uplink positions: f64/f32 WAN bytes",
+     kNone, "x", "none", "> 1",
+     [](const M& m) {
+       return m.uplink_wan_bytes[1] / m.uplink_wan_bytes[0];
+     },
+     [](double x, const M&) { return x > 1.0; }, 1.201, kHolds},
 };
 
 const char* status_name(bool holds) { return holds ? "holds" : "differs"; }
