@@ -123,9 +123,14 @@ void SphSystem::build_grid() {
 void SphSystem::neighbours(const Vec3& p, double radius,
                            std::vector<int>& out) const {
   int span = static_cast<int>(radius / cell_size_) + 1;
-  int cx = static_cast<int>((p.x - grid_origin_.x) / cell_size_);
-  int cy = static_cast<int>((p.y - grid_origin_.y) / cell_size_);
-  int cz = static_cast<int>((p.z - grid_origin_.z) / cell_size_);
+  // Clamped like build_grid() clamps particles: past the 128-cell cap, the
+  // last cell holds everything beyond it.
+  auto clamped_cell = [&](double offset, int dim) {
+    return std::clamp(static_cast<int>(offset / cell_size_), 0, dim - 1);
+  };
+  int cx = clamped_cell(p.x - grid_origin_.x, grid_dim_[0]);
+  int cy = clamped_cell(p.y - grid_origin_.y, grid_dim_[1]);
+  int cz = clamped_cell(p.z - grid_origin_.z, grid_dim_[2]);
   double r2 = radius * radius;
   for (int z = std::max(0, cz - span);
        z <= std::min(grid_dim_[2] - 1, cz + span); ++z) {

@@ -48,15 +48,14 @@ void bind_clock(const void* owner, std::function<double()> now,
                 std::function<std::string()> process);
 void unbind_clock(const void* owner);
 
-/// The current span id on this thread (0 = none). Each simulated process is
-/// a real thread, and exactly one thread holds the simulator's baton at a
-/// time, handed on through semaphores that order it — thread_local context
-/// is race-free.
+/// The current span id on this thread (0 = none). Simulated processes are
+/// fibers sharing their run() caller's thread; the simulator saves and
+/// restores this value for each of them at every switch.
 SpanId current_span() noexcept;
 
 /// Make `id` this thread's current span; returns the previous one. The
-/// simulator runs event callbacks on whichever thread holds the baton, and
-/// swaps in the run() caller's span around them.
+/// simulator swaps it at every fiber switch, and swaps in the run()
+/// caller's span around event callbacks.
 SpanId exchange_current(SpanId id) noexcept;
 
 class Span {

@@ -4,12 +4,9 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -54,14 +51,15 @@ class Signal {
 
 /// Deterministic discrete-event simulator with cooperative processes.
 ///
-/// Exactly one thread holds the "baton" at any moment: the run() caller or
+/// Exactly one context holds the "baton" at any moment: the run() caller or
 /// one simulated process. Whoever gives it up — a process that blocks or
 /// finishes, or run() starting — pops the event queue itself, runs due
 /// callbacks inline and hands the baton straight to the process owning the
-/// next live wake (itself included, with no thread switch). Events at equal
-/// times fire in scheduling order, so runs are replayable. Processes are
-/// real threads, which lets protocol code (RPC, MPI, sockets) be written as
-/// straight-line blocking code (CP.4: think in tasks).
+/// next live wake (itself included, with no context switch). Events at equal
+/// times fire in scheduling order, so runs are replayable. Each process is a
+/// stackful fiber on the thread that calls run(), which lets protocol code
+/// (RPC, MPI, sockets) be written as straight-line blocking code (CP.4:
+/// think in tasks); a handoff is a user-space context switch.
 class Simulation {
  public:
   Simulation();
@@ -73,15 +71,17 @@ class Simulation {
   double now() const noexcept { return now_; }
 
   /// Create a process; it becomes runnable at the current time (or at
-  /// `start_at` if given). The body runs on its own thread, one at a time.
+  /// `start_at` if given). The body runs on its own stack, as a fiber of the
+  /// run() caller's thread.
   ProcessId spawn(std::string name, std::function<void()> body);
   ProcessId spawn_at(double start_at, std::string name,
                      std::function<void()> body);
 
   /// Schedule a non-blocking callback (timers, message delivery). Callbacks
-  /// run on whichever thread holds the baton, but always in the run()
-  /// caller's context: in_process() is false, current_name() is empty and
-  /// the trace span is the caller's. They must not call blocking primitives.
+  /// run on the stack of whichever context holds the baton, but always in
+  /// the run() caller's context: in_process() is false, current_name() is
+  /// empty and the trace span is the caller's. They must not call blocking
+  /// primitives.
   void at(double time, std::function<void()> callback);
   void after(double delay, std::function<void()> callback);
 
@@ -156,10 +156,15 @@ class Simulation {
 
   enum class PState { created, runnable, blocked, finished };
 
+  // A saved execution context: the registers, stack and per-context thread
+  // state of a process fiber or of the run() caller. Defined in the source
+  // file, which alone deals in ucontext and sanitizer hooks.
+  struct Context;
+  using ContextPtr = std::unique_ptr<Context>;
+
   struct Pcb {
     std::string name;
-    std::thread thread;
-    std::binary_semaphore resume{0};  // released to hand it the baton
+    ContextPtr context;        // its fiber; released once it finishes
     bool kill = false;         // raise ProcessKilled at next wait
     std::uint64_t wake_gen = 0;  // invalidates stale wake events
     PState state = PState::created;
@@ -184,11 +189,6 @@ class Simulation {
     }
   };
 
-  // Locked lookup of a process control block. The vector reallocates on
-  // spawn; every cross-thread access must resolve the (stable, heap-owned)
-  // Pcb pointer under the mutex rather than index the vector unlocked.
-  Pcb* pcb_of(ProcessId pid) const;
-
   // Schedule a wake event for `pid` at `time`, tagged with its current wake
   // generation. The generation is bumped when the process resumes, so every
   // other wake still pending for the same block turns stale.
@@ -200,23 +200,36 @@ class Simulation {
   // kill arrives while blocked.
   void block_current(std::optional<double> wake_at = std::nullopt);
 
-  // Called by the baton holder with mutex_ held: pops events in (time, seq)
-  // order, running due callbacks inline, until it finds a live wake.
-  // Returns that process, or nullptr when the baton goes back to the run()
-  // caller: queue drained, `until` reached, a failure to rethrow, or no
-  // run() driving (shutdown).
-  Pcb* next_holder(std::unique_lock<std::mutex>& lock);
+  // Called by the baton holder: pops events in (time, seq) order, running
+  // due callbacks inline, until it finds a live wake. Returns that process,
+  // or nullptr when the baton goes back to the run() caller: queue drained,
+  // `until` reached, a failure to rethrow, or no run() driving (shutdown).
+  Pcb* next_holder();
   // Run an event callback in the run() caller's context; returns what it
   // threw, for run_until() to rethrow.
   std::exception_ptr run_callback(const std::function<void()>& callback);
-  // Give the baton to `next` (nullptr: the run() caller).
-  void grant(Pcb* next);
 
-  void trampoline(ProcessId pid);
+  // Give the baton to `next` (nullptr: the run() caller) and suspend the
+  // running context until it gets the baton back.
+  void switch_to(Pcb* next);
+  // Give the baton away from a finished process, never to return. Its
+  // context is released after the switch, by whoever resumes.
+  [[noreturn]] void exit_to(Pcb* next);
+  // First thing a context does on getting the baton: finish the switch and
+  // release the context of a process that finished on the way.
+  void land(Context& self);
+  Context& context_of(Pcb* pcb) const;
+
+  // Body of every process fiber: runs the process, then passes the baton on.
+  [[noreturn]] void trampoline();
+  static void fiber_entry();
   void notify_kill_observers(ProcessId pid);
 
-  mutable std::mutex mutex_;
-  std::binary_semaphore driver_{0};  // released to hand the baton back
+  ContextPtr driver_;                // the run() or shutdown() caller
+  Pcb* running_ = nullptr;           // baton holder (nullptr: the driver)
+  Context* leaving_ = nullptr;       // context of the switch in progress
+  ContextPtr finished_;              // a finished fiber, released on landing
+  std::vector<ContextPtr> spare_;    // finished fibers' stacks, for reuse
   bool driving_ = false;             // inside run_until()
   double until_ = 0.0;               // horizon of the current run_until()
   obs::trace::SpanId driver_span_ = 0;  // run()'s caller's span, for callbacks

@@ -655,6 +655,40 @@ TEST(Sph, GridNeighboursMatchBruteForce) {
       ASSERT_EQ(grid, brute) << "particle " << i << " radius " << radius;
     }
   }
+
+  // Two tight clumps 100 apart: 500 cells of 2h = 0.2 are capped to 128 per
+  // axis, so the far clump lies beyond the last cell and shares it.
+  SphSystem::Params params;
+  params.self_gravity = false;
+  SphSystem clumps(params);
+  for (double offset : {0.0, 100.0}) {
+    for (int k = 0; k < 27; ++k) {
+      Vec3 p{offset + 0.01 * (k % 3), 0.01 * (k / 3 % 3), 0.01 * (k / 9)};
+      clumps.add_particle(1.0 / 54.0, p, Vec3{}, 0.05);
+    }
+  }
+  clumps.prepare_step();
+  for (double radius : {0.015, 0.2}) {
+    for (int i = 0; i < static_cast<int>(clumps.size()); ++i) {
+      std::vector<int> brute;
+      for (int j = 0; j < static_cast<int>(clumps.size()); ++j) {
+        if ((clumps.positions()[j] - clumps.positions()[i]).norm2() <=
+            radius * radius) {
+          brute.push_back(j);
+        }
+      }
+      ASSERT_EQ(clumps.neighbours_of(i, radius), brute)
+          << "clump particle " << i << " radius " << radius;
+    }
+  }
+  clumps.compute_density(0, clumps.size());
+  for (int k = 0; k < 27; ++k) {
+    const double near = clumps.densities()[k];
+    EXPECT_NEAR(clumps.densities()[k + 27], near, 1e-9 * near) << k;
+    EXPECT_NEAR(clumps.smoothing()[k + 27], clumps.smoothing()[k],
+                1e-9 * clumps.smoothing()[k])
+        << k;
+  }
 }
 
 TEST(Sph, ResultsIndependentOfThreadCount) {

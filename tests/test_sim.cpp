@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -299,6 +305,117 @@ TEST(Simulation, BlockedProcessesAreKilledAtDestruction) {
   EXPECT_EQ(sim->live_processes(), 1u);
   sim.reset();  // must not deadlock
   SUCCEED();
+}
+
+TEST(Simulation, ExceptionStateIsPerProcess) {
+  // All processes share one thread, so the C++ runtime's exception state
+  // (the caught-exception stack `throw;` reads and the uncaught count) must
+  // travel with each process across switches.
+  Simulation sim;
+  std::string a_rethrew;
+  std::string b_rethrew;
+  int c_uncaught = -1;
+  sim.spawn("a", [&] {
+    try {
+      try {
+        throw std::runtime_error("a");
+      } catch (...) {
+        sim.sleep(2.0);  // b catches its own exception meanwhile
+        throw;
+      }
+    } catch (const std::runtime_error& e) {
+      a_rethrew = e.what();
+    }
+  });
+  sim.spawn_at(1.0, "b", [&] {
+    try {
+      try {
+        throw std::logic_error("b");
+      } catch (...) {
+        sim.sleep(3.0);  // a rethrows and finishes meanwhile
+        throw;
+      }
+    } catch (const std::logic_error& e) {
+      b_rethrew = e.what();
+    }
+  });
+  sim.spawn("c", [&] {
+    struct SleepsWhileUnwinding {
+      Simulation& sim;
+      int& uncaught;
+      ~SleepsWhileUnwinding() {
+        sim.sleep(1.0);
+        uncaught = std::uncaught_exceptions();
+      }
+    };
+    try {
+      SleepsWhileUnwinding guard{sim, c_uncaught};
+      throw std::runtime_error("c");
+    } catch (const std::runtime_error&) {
+    }
+  });
+  sim.run();
+  EXPECT_EQ(a_rethrew, "a");
+  EXPECT_EQ(b_rethrew, "b");
+  EXPECT_EQ(c_uncaught, 1);
+}
+
+namespace {
+// Each process stack is 8 MiB above a PROT_NONE guard page (DESIGN.md,
+// "Simulator scheduling").
+constexpr std::uintptr_t kProcessStackBytes = std::uintptr_t{8} << 20;
+volatile std::uintptr_t g_first_frame = 0;
+
+// Recurses until the stack runs out. The volatile frame is written on every
+// level and read after the call, so it can be neither elided nor turned
+// into a loop.
+int recurse_forever(int depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) g_first_frame = reinterpret_cast<std::uintptr_t>(&frame);
+  if (depth < 0) return frame[0];  // never: keeps the recursion finite
+  return recurse_forever(depth + 1) + frame[0];
+}
+
+// The fault must land within a page below the recursing process's stack,
+// not in memory beyond it. On the guard page, fall back to the default
+// action and let the faulting write kill the process with SIGSEGV.
+void on_overflow(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const std::uintptr_t page = static_cast<std::uintptr_t>(getpagesize());
+  const std::uintptr_t top = g_first_frame;
+  if (addr < top && top - addr > kProcessStackBytes - 64 * page &&
+      top - addr <= kProcessStackBytes + page) {
+    signal(SIGSEGV, SIG_DFL);
+    return;
+  }
+  _exit(3);
+}
+}  // namespace
+
+TEST(Simulation, StackOverflowHitsTheGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        static char alt_stack[64 * 1024];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof alt_stack;
+        sigaltstack(&ss, nullptr);
+        struct sigaction action {};
+        action.sa_sigaction = on_overflow;
+        action.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &action, nullptr);
+        Simulation sim;
+        sim.spawn("deep", [] { recurse_forever(0); });
+        // Spawned later, so their stacks are likely mapped right below the
+        // deep one: without a guard page the overflow would run into them.
+        for (int i = 0; i < 3; ++i) {
+          sim.spawn("neighbour", [&sim] { sim.sleep(1.0); });
+        }
+        sim.run();
+      },
+      testing::KilledBySignal(SIGSEGV), "");
 }
 
 // ----------------------------------------------------------------- signal
