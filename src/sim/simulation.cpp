@@ -35,8 +35,6 @@ thread_local bool t_in_process = false;
 // A process stack: the glibc default for a thread's, reserved without swap
 // backing so only touched pages count, above one PROT_NONE guard page.
 constexpr std::size_t kStackSize = std::size_t{8} << 20;
-// Finished fibers kept for reuse; the rest are unmapped on the next switch.
-constexpr std::size_t kSpareFibers = 8;
 
 // libstdc++'s per-thread exception state behind abi::__cxa_get_globals(): the
 // stack of caught exceptions (what `throw;` rethrows) and the uncaught count
@@ -118,7 +116,8 @@ struct Simulation::Context {
     registers.uc_link = nullptr;
     makecontext(&registers, &Simulation::fiber_entry, 0);
 #if defined(__SANITIZE_ADDRESS__)
-    // A reused stack may still carry the redzones of its last process.
+    // The mapping may sit where an unmapped fiber's stack was, whose frames
+    // never returned to clear their redzones.
     ASAN_UNPOISON_MEMORY_REGION(stack, stack_size);
 #endif
 #if defined(__SANITIZE_THREAD__)
@@ -243,12 +242,7 @@ ProcessId Simulation::spawn_at(double start_at, std::string name,
     processes_.push_back(std::move(pcb));
     return pid;
   }
-  if (spare_.empty()) {
-    pcb->context = Context::fiber();
-  } else {
-    pcb->context = std::move(spare_.back());
-    spare_.pop_back();
-  }
+  pcb->context = Context::fiber();
   pcb->context->launch(this, pid);
   events_.push(Event{std::max(start_at, now_), next_seq_++, {}, pid,
                      pcb->wake_gen, true});
@@ -371,11 +365,7 @@ void Simulation::land(Context& self) {
   if (finished_ == nullptr) return;
   // The stack that just switched here for the last time is free to go.
   finished_->retire();
-  if (spare_.size() < kSpareFibers) {
-    spare_.push_back(std::move(finished_));
-  } else {
-    finished_.reset();
-  }
+  finished_.reset();
 }
 
 void Simulation::fiber_entry() { t_sim->trampoline(); }

@@ -229,7 +229,6 @@ class Simulation {
   Pcb* running_ = nullptr;           // baton holder (nullptr: the driver)
   Context* leaving_ = nullptr;       // context of the switch in progress
   ContextPtr finished_;              // a finished fiber, released on landing
-  std::vector<ContextPtr> spare_;    // finished fibers' stacks, for reuse
   bool driving_ = false;             // inside run_until()
   double until_ = 0.0;               // horizon of the current run_until()
   obs::trace::SpanId driver_span_ = 0;  // run()'s caller's span, for callbacks
