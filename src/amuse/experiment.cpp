@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -293,34 +294,6 @@ void ExperimentSpec::validate() const {
            "' is not referenced by any coupling");
     }
   }
-
-  // Fault policy: a kill switch on a spec that cannot recover would be
-  // silently ignored — make it a validation error instead.
-  if (!kill_host.empty() && !checkpointing) {
-    fail("kill_host is set but checkpointing is off — the fault policy "
-         "would be silently ignored");
-  }
-  if (!kill_host.empty() && kill_after_iteration < 1) {
-    fail("kill_host is set but kill_after_iteration names no step");
-  }
-  if (!kill_host.empty() && kill_after_iteration > iterations) {
-    fail("kill_after_iteration (" + std::to_string(kill_after_iteration) +
-         ") is past the end of the run (" + std::to_string(iterations) +
-         " iterations) — the fault would silently never fire");
-  }
-  if (kill_host.empty() && kill_after_iteration >= 1) {
-    fail("kill_after_iteration is set but kill_host names no host");
-  }
-  if (!kill_process.empty() && kill_host.empty()) {
-    fail("kill_process is set but kill_host names no host to kill it on");
-  }
-  if (!flap_link.empty() && flap_after_iteration < 1) {
-    fail("flap_link is set but flap_after_iteration names no step");
-  }
-  if (flap_link.empty() &&
-      (flap_after_iteration >= 1 || flap_streams > 0)) {
-    fail("flap injection is configured but flap_link names no link");
-  }
 }
 
 sched::Workload ExperimentSpec::workload() const {
@@ -415,10 +388,7 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
         config, s,
         {"name", "dt", "iterations", "se_every", "seed",
          "myr_per_nbody_time", "feedback_efficiency", "wind_specific_energy",
-         "supernova_energy", "checkpointing", "kill_host",
-         "kill_after_iteration", "kill_process", "flap_link",
-         "flap_after_iteration", "flap_down_s", "flap_streams",
-         "flap_streams_heal_s", "client"});
+         "supernova_energy", "checkpointing", "client"});
     spec.name = config.get_or(s, "name", spec.name);
     spec.dt = config.get_double_or(s, "dt", spec.dt);
     spec.iterations =
@@ -437,19 +407,6 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
         config.get_double_or(s, "supernova_energy", spec.supernova_energy);
     spec.checkpointing =
         config.get_bool_or(s, "checkpointing", spec.checkpointing);
-    spec.kill_host = config.get_or(s, "kill_host", "");
-    spec.kill_after_iteration = static_cast<int>(
-        config.get_int_or(s, "kill_after_iteration", -1));
-    spec.kill_process = config.get_or(s, "kill_process", "");
-    spec.flap_link = config.get_or(s, "flap_link", "");
-    spec.flap_after_iteration = static_cast<int>(
-        config.get_int_or(s, "flap_after_iteration", -1));
-    spec.flap_down_s =
-        config.get_double_or(s, "flap_down_s", spec.flap_down_s);
-    spec.flap_streams = static_cast<int>(
-        config.get_int_or(s, "flap_streams", spec.flap_streams));
-    spec.flap_streams_heal_s = config.get_double_or(
-        s, "flap_streams_heal_s", spec.flap_streams_heal_s);
     spec.client = config.get_or(s, "client", "");
   }
 
@@ -584,6 +541,18 @@ sim::Host& client_of(JungleTestbed& bed, const ExperimentSpec& spec) {
                              : bed.network().host(spec.client);
 }
 
+/// The spec's numeric kernel parameters always win, at first placement and
+/// at every re-place (they are physics, not placement; codes and widths
+/// were already constrained via the workload). Worker-side metrics carry
+/// the model name, not the kernel code, so worker.<name>.* lines up with
+/// the plan's roles and rpc.<name>.*.
+void install_physics(sched::Assignment& assignment, const ModelSpec& model) {
+  assignment.spec.eps2 = model.eps2;
+  assignment.spec.eta = model.eta;
+  assignment.spec.theta = model.theta;
+  assignment.spec.meter = model.name;
+}
+
 sched::Placement plan_in(JungleTestbed& bed, const ExperimentSpec& spec,
                          sim::Host& client,
                          const sched::Scheduler& scheduler) {
@@ -594,15 +563,8 @@ sched::Placement plan_in(JungleTestbed& bed, const ExperimentSpec& spec,
     pins.push_back(resolve_pin(bed, model, client));
   }
   sched::Placement plan = scheduler.plan(load, pins);
-  // The spec's numeric kernel parameters always win (they are physics, not
-  // placement); codes and widths were already constrained via the workload.
   for (std::size_t i = 0; i < spec.models.size(); ++i) {
-    plan.roles[i].spec.eps2 = spec.models[i].eps2;
-    plan.roles[i].spec.eta = spec.models[i].eta;
-    plan.roles[i].spec.theta = spec.models[i].theta;
-    // Worker-side metrics carry the model name, not the kernel code, so
-    // worker.<name>.* lines up with the plan's roles and rpc.<name>.*.
-    plan.roles[i].spec.meter = spec.models[i].name;
+    install_physics(plan.roles[i], spec.models[i]);
   }
   return plan;
 }
@@ -651,256 +613,129 @@ struct ModelRuntime {
   RpcClient& rpc() { return client->fault_rpc(); }
 };
 
-}  // namespace
+/// Observability cursor: every per-iteration figure is a delta of monotone
+/// counters (the registry is process-global and never reset by a run), so
+/// reports stay correct across rollbacks and repeated runs.
+struct MetricCursor {
+  double time = 0.0;              // virtual clock at the read
+  std::vector<double> compute_s;  // per model, worker-side
+  double flops = 0.0;
+  double compute_total = 0.0;
+  double substeps = 0.0;
+  double rpc_calls = 0.0;
+  double rpc_retries = 0.0;
+  double degraded_transfers = 0.0;
+  std::map<std::string, double> wan_bytes;  // per WAN link
+};
 
-Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
-  spec.validate();
-  sim::Host& client = client_of(bed, spec);
-  bed.daemon(client);  // paper step 3: "start the Ibis-Daemon"
+double wan_total(const std::map<std::string, double>& by_link) {
+  double total = 0.0;
+  for (const auto& [name, bytes] : by_link) total += bytes;
+  return total;
+}
 
-  sched::Scheduler scheduler(bed.network(), client,
-                             bed.deployer().resources());
-  sched::Workload load = spec.workload();
-  sched::Placement plan = plan_in(bed, spec, client, scheduler);
+/// One run of an experiment graph: the paper's coupling script. script()
+/// runs inside the simulation and goes through the phases in order:
+/// start and load every model (bring_up), then step, each step followed by
+/// a checkpoint and an iteration report, with recover on a worker's death
+/// and calibrate after the first clean step, and finally finish, which
+/// reads the final states. report() builds the dashboard once the
+/// simulation has drained.
+class GraphRun {
+ public:
+  GraphRun(JungleTestbed& bed, const ExperimentSpec& spec)
+      : bed_(bed),
+        spec_(spec),
+        client_(client_of(bed, spec)),
+        scheduler_(bed.network(), client_, bed.deployer().resources()),
+        load_(spec.workload()),
+        plan_(plan_in(bed, spec, client_, scheduler_)),
+        daemon_(bed.sockets(), client_),
+        models_(spec.models.size()),
+        revived_(spec.models.size(), false) {
+    result_.experiment = spec.name;
+    result_.iterations = spec.iterations;
+    result_.placement = plan_.describe();
+    result_.modeled_seconds_per_iteration = plan_.modeled_seconds_per_iteration;
+    draw_initial_conditions();
+  }
 
-  std::size_t n_models = spec.models.size();
-  Result result;
-  result.experiment = spec.name;
-  result.iterations = spec.iterations;
-  result.placement = plan.describe();
-  result.modeled_seconds_per_iteration = plan.modeled_seconds_per_iteration;
+  /// The body of the simulation's `amuse-script` process.
+  void script() {
+    std::vector<std::size_t> all(models_.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    result_.restarts += bring_up(all);
+    // Deployment already deviated from the planned placement.
+    if (result_.restarts > 0) publish_placement();
+    bridge_ = build_bridge(0.0, 0);
 
-  bed.simulation().spawn("amuse-script", [&] {
-    DaemonClient daemon_client(bed.sockets(), client);
-    std::vector<ModelRuntime> models(n_models);
-    for (std::size_t i = 0; i < n_models; ++i) {
-      models[i].role = spec.models[i].role;
-    }
-
-    auto start_rpc = [&](const sched::Assignment& a,
-                         const std::string& meter) {
-      std::unique_ptr<RpcClient> rpc =
-          a.local() ? start_local_worker(bed.sockets(), bed.network(), client,
-                                         client, a.spec, ChannelKind::mpi)
-                    : daemon_client.start_worker(a.spec, a.resource, a.nodes);
-      rpc->set_call_timeout(kRpcCallTimeout);
-      // Client-side RPC metrics under the model name, matching the
-      // worker-side series wired through WorkerSpec::meter.
-      rpc->set_meter(meter);
-      return rpc;
-    };
-
-    // Start every model's worker in declaration order. A sharded gravity
-    // model (workers > 1) starts K single-node workers — the cluster queue
-    // hands each its own node — and wraps them in the ShardedGravityClient
-    // facade, so the bridge/couplings/fault machinery see one model.
-    auto start_model = [&](std::size_t i) {
-      const ModelSpec& model = spec.models[i];
-      obs::trace::Span spawn =
-          obs::trace::span("spawn:" + model.name, "deploy");
-      ModelRuntime& runtime = models[i];
-      if (model.role == Role::gravity && model.workers > 1) {
-        std::vector<std::unique_ptr<GravityClient>> shards;
-        shards.reserve(static_cast<std::size_t>(model.workers));
-        for (int k = 0; k < model.workers; ++k) {
-          sched::Assignment shard = plan.roles[i];
-          shard.nodes = 1;
-          // Shard 0 carries the model's meter name so calibration reads
-          // worker.<name>.compute_s ~ total/K, matching the modeled
-          // compute / K; the others are distinguishable in traces.
-          std::string meter =
-              k == 0 ? model.name : model.name + "#" + std::to_string(k);
-          shard.spec.meter = meter;
-          shards.push_back(
-              std::make_unique<GravityClient>(start_rpc(shard, meter)));
-        }
-        runtime.client =
-            std::make_unique<ShardedGravityClient>(std::move(shards));
-      } else {
-        auto rpc = start_rpc(plan.roles[i], model.name);
-        switch (model.role) {
-          case Role::gravity:
-            runtime.client = std::make_unique<GravityClient>(std::move(rpc));
-            break;
-          case Role::hydro:
-            runtime.client = std::make_unique<HydroClient>(std::move(rpc));
-            break;
-          case Role::coupler:
-            runtime.client = std::make_unique<FieldClient>(std::move(rpc));
-            break;
-          case Role::stellar:
-            runtime.client = std::make_unique<StellarClient>(std::move(rpc));
-            break;
-        }
-      }
-      // A model whose state exchanges cross a link flagged `fp_truncate`
-      // narrows its position wire format to f32 (the cost model priced the
-      // placement at the narrowed volume).
-      DynamicsClient* dynamics = runtime.dynamics();
-      const sim::Host* host = plan.roles[i].host;
-      if (dynamics != nullptr && host != nullptr &&
-          bed.network().path_fp_truncate(client, *host)) {
-        dynamics->set_fp32_positions(true);
-      }
-    };
-    bool fault_tolerant = spec.checkpointing;
-
-    // ----- the fault path: exclude what died, re-place the affected
-    // models, and roll every evolving worker back to the last committed
-    // graph checkpoint (restored workers resume on the checkpoint's
-    // absolute clock; the rebuilt bridge starts from the same clock bits
-    // and step count and carries the SE mass mappings forward). Recovery
-    // itself is built to survive further faults: every sub-step that talks
-    // to the jungle sits in a bounded retry, so a second death while
-    // re-placing the first is handled, not fatal.
-
-    // Replacement/retry budget across the whole run — generous enough for
-    // cascaded faults, small enough to turn a re-place livelock (a hole,
-    // if one existed) into a hard error rather than an endless loop.
-    int replace_attempts = 0;
-    const int kReplaceBudget = 8 * static_cast<int>(n_models) + 8;
-    auto spend_attempt = [&] {
-      if (++replace_attempts > kReplaceBudget) {
-        throw CodeError("fault recovery exceeded its replacement budget (" +
-                        std::to_string(kReplaceBudget) + " attempts)");
-      }
-    };
-
-    // Global exclusions derived from one death report. Per-worker causes
-    // are handled per model in replace_dead(); this handles what the
-    // report itself names (the crashed host, and its whole resource when
-    // the dead machine is a frontend — jobs submit through it even when
-    // the compute nodes survive).
-    auto note_death = [&](const WorkerDiedError& death) {
-      log::warn("experiment") << "recovering from: " << death.what();
-      faultpoint::reach(faultpoint::Point::recover_exclude, -1, death.host());
-      if (death.cause() == WorkerDiedError::Cause::host_crash &&
-          !death.host().empty()) {
-        scheduler.exclude_host(death.host());
-        std::string owner = scheduler.resource_of(death.host());
-        if (!owner.empty()) {
-          const gat::Resource& res = bed.deployer().resource(owner);
-          if (res.frontend != nullptr &&
-              res.frontend->name() == death.host()) {
-            scheduler.exclude_resource(owner);
-          }
-        }
-      }
-    };
-
-    // A model needs re-placing when its client was poisoned *or* its host
-    // is gone and the client just has not noticed yet (no RPC since the
-    // crash) — restarting onto a dead machine would only fail later.
-    auto model_dead = [&](std::size_t i) {
-      if (!models[i].rpc().alive()) return true;
-      const sched::Assignment& a = plan.roles[i];
-      return !a.local() && a.host != nullptr && !a.host->is_up();
-    };
-
-    auto replace_slot = [&](std::size_t i) {
-      spend_attempt();
-      plan.roles[i] = scheduler.replace(load, plan, static_cast<int>(i));
-      // Physics, not placement: the replacement keeps the spec's kernel
-      // parameters, exactly as plan_in installs them at first placement.
-      plan.roles[i].spec.eps2 = spec.models[i].eps2;
-      plan.roles[i].spec.eta = spec.models[i].eta;
-      plan.roles[i].spec.theta = spec.models[i].theta;
-      plan.roles[i].spec.meter = spec.models[i].name;
-    };
-    // Per-worker cause: a crashed host is already excluded; a process
-    // crash blames neither host nor resource (the machine restarted the
-    // worker fine — revive only failed because the node went down
-    // meanwhile); anything else (link fault, timeout, unknown) condemns
-    // the whole resource — the machine may be fine, the route to it is not.
-    auto replace_dead = [&](std::size_t i) {
-      RpcClient& rpc = models[i].rpc();
-      if (!rpc.alive() &&
-          rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
-          rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-        scheduler.exclude_resource(plan.roles[i].resource);
-      }
-      replace_slot(i);
-    };
-    // The daemon could not start the worker (e.g. the frontend died
-    // between the re-place decision and the submit). The resource is not
-    // usable right now — place elsewhere.
-    auto replace_unstartable = [&](std::size_t i, const CodeError& startup) {
-      log::warn("experiment") << "re-placing '" << spec.models[i].name
-                              << "' after startup failure: "
-                              << startup.what();
-      scheduler.exclude_resource(plan.roles[i].resource);
-      replace_slot(i);
-    };
-    // Re-score the running placement so the dashboard's modeled-vs-
-    // measured panel describes what is actually running.
-    auto publish_placement = [&] {
-      scheduler.score(load, plan);
-      result.placement = plan.describe();
-      result.modeled_seconds_per_iteration =
-          plan.modeled_seconds_per_iteration;
-    };
-
-    // In-place revive: cause=process_crash means the daemon's
-    // supervisor already restarted the crashed worker on the same node and
-    // kept the relay open — revive the client over the same link and
-    // restore state into the blank replacement. No exclusions, no
-    // re-placement; re-placing stays the fallback tier (the daemon reports
-    // host_crash when the node is gone or its restart budget is spent).
-    std::vector<bool> revived(n_models, false);
-    auto try_revive = [&](std::size_t i) {
-      RpcClient& rpc = models[i].rpc();
-      if (rpc.alive() ||
-          rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
-        return false;
-      }
-      const sched::Assignment& a = plan.roles[i];
-      if (a.local() || (a.host != nullptr && !a.host->is_up())) return false;
-      spend_attempt();
-      rpc.revive();
-      models[i].client->reset_delta_caches();
-      revived[i] = true;
-      log::info("experiment")
-          << "worker '" << spec.models[i].name
-          << "' restarted in place; reviving the client on the same link";
-      return true;
-    };
-
-    // Initial deployment is as exposed to the jungle as any later step: a
-    // node can crash mid-spawn, a frontend can die holding half the graph.
-    // Same policy as recovery — exclude what failed, re-place, try again.
-    for (std::size_t i = 0; i < n_models; ++i) {
-      for (;;) {
-        try {
-          start_model(i);
-          break;
-        } catch (const WorkerDiedError& death) {
-          if (!fault_tolerant || plan.roles[i].local()) throw;
-          ++result.restarts;
-          note_death(death);
-          if (death.cause() != WorkerDiedError::Cause::host_crash) {
-            scheduler.exclude_resource(plan.roles[i].resource);
-          }
-          replace_slot(i);
-        } catch (const CodeError& startup) {
-          if (!fault_tolerant || plan.roles[i].local()) throw;
-          ++result.restarts;
-          replace_unstartable(i, startup);
-        }
+    bed_.network().reset_traffic();
+    double wall_start = bed_.simulation().now();
+    restarts_mark_ = result_.restarts;
+    cursor_ = read_metrics();
+    while (completed_ < spec_.iterations) {
+      try {
+        step();
+      } catch (const WorkerDiedError& death) {
+        if (!spec_.checkpointing) throw;
+        recover(death);
       }
     }
-    // Initial deployment already deviated from the planned placement.
-    if (result.restarts > 0) publish_placement();
+    // Without checkpoints the last step's acks are still in flight.
+    bridge_->settle();
+    double wall = bed_.simulation().now() - wall_start;
+    result_.seconds_per_iteration = wall / spec_.iterations;
+    finish();
+  }
 
-    // The last committed graph-wide checkpoint: one object, installed by a
-    // single move after every model captured — all models commit or none.
-    GraphCheckpoint committed;
-    committed.resize(n_models);
+  /// WAN totals plus the dashboard: the Figs 10/11 analog and the placement
+  /// panel — which machine ran which model, and modeled vs. measured cost.
+  Result report() {
+    for (const auto& link : bed_.network().traffic_report()) {
+      if (!link.wan()) continue;
+      result_.wan_bytes += link.total_bytes();
+      result_.wan_ipl_bytes +=
+          link.bytes_by_class[static_cast<int>(sim::TrafficClass::ipl)];
+    }
+    result_.wan_ipl_bytes_per_step =
+        spec_.iterations > 0 ? result_.wan_ipl_bytes / spec_.iterations : 0.0;
 
-    // Initial conditions: every model draws from one seeded stream in
-    // declaration order, so the spec is a reproducible experiment.
-    util::Rng rng(spec.seed);
-    for (std::size_t i = 0; i < n_models; ++i) {
-      const ModelSpec& model = spec.models[i];
+    std::ostringstream panel;
+    panel << bed_.deployer().dashboard();
+    panel << "-- placement (" << spec_.name << ") --\n";
+    for (std::size_t i = 0; i < plan_.roles.size(); ++i) {
+      const sched::Assignment& a = plan_.roles[i];
+      panel << "  " << plan_.names[i] << " ("
+            << sched::role_name(plan_.kinds[i]) << "): " << a.spec.code
+            << " @ " << a.where() << " modeled compute=" << a.compute_seconds
+            << " s comm=" << a.comm_seconds << " s\n";
+    }
+    panel << "  modeled=" << result_.modeled_seconds_per_iteration
+          << " s/iter measured=" << result_.seconds_per_iteration << " s/iter";
+    if (result_.restarts > 0) panel << " restarts=" << result_.restarts;
+    panel << "\n";
+    if (result_.calibrated_seconds_per_iteration > 0.0) {
+      panel << "  calibrated=" << result_.calibrated_seconds_per_iteration
+            << " s/iter drift=" << result_.precalibration_drift << "x -> "
+            << result_.compute_drift << "x\n";
+    }
+    panel << diagnostics::iteration_table(result_.iteration_log);
+    result_.dashboard = panel.str();
+    return std::move(result_);
+  }
+
+ private:
+  /// Initial conditions: every model draws from one seeded stream in
+  /// declaration order, so the spec is a reproducible experiment. The draws
+  /// land in the epoch-0 checkpoint (and the ZAMS list), so a worker lost on
+  /// the very first step rolls back to t=0, and a retried load sends the same
+  /// bodies.
+  void draw_initial_conditions() {
+    committed_.resize(models_.size());
+    util::Rng rng(spec_.seed);
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      const ModelSpec& model = spec_.models[i];
+      models_[i].role = model.role;
       switch (model.role) {
         case Role::gravity: {
           auto body = ic::plummer_sphere(model.n, rng);
@@ -930,15 +765,11 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             body.velocity = kernels::permute(
                 std::span<const Vec3>(body.velocity), order);
           }
-          models[i].gravity().add_particles(body.mass, body.position,
-                                            body.velocity);
-          // Checkpoints start as the initial conditions: a worker lost on
-          // the very first step rolls back to t=0 (epoch 0).
-          committed.gravity[i].state =
+          committed_.gravity[i].state =
               GravityState{std::move(body.mass), std::move(body.position),
                            std::move(body.velocity)};
-          committed.gravity[i].eps2 = model.eps2;
-          committed.gravity[i].eta = model.eta;
+          committed_.gravity[i].eps2 = model.eps2;
+          committed_.gravity[i].eta = model.eta;
           break;
         }
         case Role::hydro: {
@@ -950,586 +781,693 @@ Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
             for (Vec3& p : cloud.position) p = p + model.offset;
             for (Vec3& v : cloud.velocity) v = v + model.bulk_velocity;
           }
-          models[i].hydro().add_gas(cloud.mass, cloud.position,
-                                    cloud.velocity, cloud.internal_energy);
-          committed.hydro[i].state =
+          committed_.hydro[i].state =
               HydroState{std::move(cloud.mass), std::move(cloud.position),
                          std::move(cloud.velocity),
                          std::move(cloud.internal_energy), {}};
-          committed.hydro[i].eps2 = model.eps2;
-          committed.hydro[i].theta = model.theta;
+          committed_.hydro[i].eps2 = model.eps2;
+          committed_.hydro[i].theta = model.theta;
           break;
         }
-        case Role::stellar: {
-          models[i].zams = ic::salpeter_masses(model.n, rng);
+        case Role::stellar:
+          models_[i].zams = ic::salpeter_masses(model.n, rng);
           if (model.ensure_massive > 0.0) {
-            models[i].zams[0] = model.ensure_massive;
+            models_[i].zams[0] = model.ensure_massive;
           }
-          models[i].stellar().add_stars(models[i].zams);
           break;
-        }
         case Role::coupler:
           break;
       }
     }
+  }
 
-    // Wire the bridge graph: dynamic models become systems, couplings
-    // resolve to system indices, stellar models to their typed targets.
-    auto slot = [&](const std::string& name) -> ModelRuntime& {
-      return models[static_cast<std::size_t>(spec.find(name))];
+  /// Start model i's worker where the plan puts it. A sharded gravity model
+  /// (workers > 1) starts K single-node workers — the cluster queue hands
+  /// each its own node — and wraps them in the ShardedGravityClient facade,
+  /// so the bridge/couplings/fault machinery see one model.
+  void start(std::size_t i) {
+    const ModelSpec& model = spec_.models[i];
+    obs::trace::Span spawn = obs::trace::span("spawn:" + model.name, "deploy");
+    ModelRuntime& runtime = models_[i];
+    auto start_rpc = [&](const sched::Assignment& a, const std::string& meter) {
+      std::unique_ptr<RpcClient> rpc =
+          a.local() ? start_local_worker(bed_.sockets(), bed_.network(),
+                                         client_, client_, a.spec,
+                                         ChannelKind::mpi)
+                    : daemon_.start_worker(a.spec, a.resource, a.nodes);
+      rpc->set_call_timeout(kRpcCallTimeout);
+      // Client-side RPC metrics under the model name, matching the
+      // worker-side series wired through WorkerSpec::meter.
+      rpc->set_meter(meter);
+      return rpc;
     };
-    std::vector<int> system_of(n_models, -1);
-    auto build_bridge = [&](double t_start, int step_offset) {
-      std::vector<Bridge::System> systems;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (models[i].dynamics() == nullptr) continue;
-        system_of[i] = static_cast<int>(systems.size());
-        systems.push_back({spec.models[i].name, models[i].dynamics()});
+    if (model.role == Role::gravity && model.workers > 1) {
+      std::vector<std::unique_ptr<GravityClient>> shards;
+      shards.reserve(static_cast<std::size_t>(model.workers));
+      for (int k = 0; k < model.workers; ++k) {
+        sched::Assignment shard = plan_.roles[i];
+        shard.nodes = 1;
+        // Shard 0 carries the model's meter name so calibration reads
+        // worker.<name>.compute_s ~ total/K, matching the modeled
+        // compute / K; the others are distinguishable in traces.
+        std::string meter =
+            k == 0 ? model.name : model.name + "#" + std::to_string(k);
+        shard.spec.meter = meter;
+        shards.push_back(
+            std::make_unique<GravityClient>(start_rpc(shard, meter)));
       }
-      std::vector<Bridge::Coupling> couplings;
-      for (const CouplingSpec& coupling : spec.couplings) {
-        couplings.push_back(
-            {&slot(coupling.field).field(),
-             system_of[static_cast<std::size_t>(spec.find(coupling.a))],
-             system_of[static_cast<std::size_t>(spec.find(coupling.b))],
-             coupling.every});
-      }
-      std::vector<Bridge::Stellar> stellar;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (models[i].role != Role::stellar) continue;
-        const ModelSpec& model = spec.models[i];
-        Bridge::Stellar link;
-        link.client = &models[i].stellar();
-        link.into = &slot(model.of).gravity();
-        link.feedback =
-            model.feedback.empty() ? nullptr : &slot(model.feedback).hydro();
-        stellar.push_back(link);
-      }
-      Bridge::Config config;
-      config.dt = spec.dt;
-      config.se_every = spec.se_every;
-      config.myr_per_nbody_time = spec.myr_per_nbody_time;
-      config.feedback_efficiency = spec.feedback_efficiency;
-      config.wind_specific_energy = spec.wind_specific_energy;
-      config.supernova_energy = spec.supernova_energy;
-      // Absolute-clock restart: rebuilt bridges continue from the committed
-      // checkpoint's exact clock bits, and restored workers carry the same
-      // absolute time — evolve targets replay the fault-free sequence.
-      config.t_start = t_start;
-      config.step_offset = step_offset;
-      return std::make_unique<Bridge>(std::move(systems),
-                                      std::move(couplings),
-                                      std::move(stellar), config);
-    };
-    auto bridge = build_bridge(0.0, 0);
-
-    // Load the committed checkpoint into a (fresh or revived) worker.
-    auto restore_model = [&](std::size_t i) {
-      ModelRuntime& model = models[i];
+      runtime.client =
+          std::make_unique<ShardedGravityClient>(std::move(shards));
+    } else {
+      auto rpc = start_rpc(plan_.roles[i], model.name);
       switch (model.role) {
         case Role::gravity:
-          restore_gravity(model.gravity(), committed.gravity[i]);
+          runtime.client = std::make_unique<GravityClient>(std::move(rpc));
           break;
         case Role::hydro:
-          restore_hydro(model.hydro(), committed.hydro[i]);
+          runtime.client = std::make_unique<HydroClient>(std::move(rpc));
           break;
         case Role::coupler:
-          restore_field(model.field(), committed.field[i]);
+          runtime.client = std::make_unique<FieldClient>(std::move(rpc));
           break;
         case Role::stellar:
-          model.stellar().add_stars(model.zams);
-          if (committed.time > 0.0) {
-            model.stellar().evolve_to(committed.time *
-                                      spec.myr_per_nbody_time);
-          }
+          runtime.client = std::make_unique<StellarClient>(std::move(rpc));
           break;
       }
-    };
+    }
+    // A model whose state exchanges cross a link flagged `fp_truncate`
+    // narrows its position wire format to f32 (the cost model priced the
+    // placement at the narrowed volume).
+    DynamicsClient* dynamics = runtime.dynamics();
+    const sim::Host* host = plan_.roles[i].host;
+    if (dynamics != nullptr && host != nullptr &&
+        bed_.network().path_fp_truncate(client_, *host)) {
+      dynamics->set_fp32_positions(true);
+    }
+  }
 
-    auto recover = [&](const WorkerDiedError& death) {
-      bool any_dead = false;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (!model_dead(i)) continue;
-        any_dead = true;
-        if (try_revive(i)) continue;  // in-place restart: keep the slot
-        if (plan.roles[i].local()) {
-          throw CodeError("the client machine lost its own worker ('" +
-                          spec.models[i].name + "'); nothing to re-place "
-                          "onto");
+  /// Load the committed checkpoint into a fresh or revived worker. Before the
+  /// first step the checkpoint is epoch 0 and the worker gets its initial
+  /// conditions as particles; after it, restore_* also sets the kernel
+  /// parameters and the absolute clock.
+  void load(std::size_t i) {
+    ModelRuntime& model = models_[i];
+    bool initial = bridge_ == nullptr;
+    switch (model.role) {
+      case Role::gravity:
+        if (initial) {
+          const GravityState& body = committed_.gravity[i].state;
+          model.gravity().add_particles(body.mass, body.position,
+                                        body.velocity);
+        } else {
+          restore_gravity(model.gravity(), committed_.gravity[i]);
         }
-        replace_dead(i);
-      }
-      if (!any_dead) {
-        // Stale report: nothing is actually dead. Escalate as a plain
-        // CodeError — rethrowing the WorkerDiedError would bounce between
-        // here and the double-fault retry loop forever.
-        throw CodeError(std::string("unrecoverable death report (no model "
-                                    "affected): ") +
-                        death.what());
-      }
-
-      std::vector<std::pair<std::vector<double>, std::vector<double>>>
-          mappings;
-      for (std::size_t link = 0, i = 0; i < n_models; ++i) {
-        if (models[i].role != Role::stellar) continue;
-        mappings.push_back(bridge->se_mapping(link++));
-      }
-
-      // All dynamic models share the bridge clock: they roll back together
-      // to the committed checkpoint. Field and stellar workers are replaced
-      // only when they died. Each model's close/start/restore can itself be
-      // hit by a fault (a fresh host crashing mid-restore, a frontend dying
-      // between the re-place decision and the submit): exclude what failed,
-      // pick another target and try again, within the budget.
-      for (std::size_t i = 0; i < n_models; ++i) {
-        if (!is_dynamic(models[i].role) && !model_dead(i) && !revived[i]) {
-          continue;
+        break;
+      case Role::hydro:
+        if (initial) {
+          const HydroState& cloud = committed_.hydro[i].state;
+          model.hydro().add_gas(cloud.mass, cloud.position, cloud.velocity,
+                                cloud.internal_energy);
+        } else {
+          restore_hydro(model.hydro(), committed_.hydro[i]);
         }
+        break;
+      case Role::coupler:
+        if (!initial) restore_field(model.field(), committed_.field[i]);
+        break;
+      case Role::stellar:
+        model.stellar().add_stars(model.zams);
+        if (committed_.time > 0.0) {
+          model.stellar().evolve_to(committed_.time * spec_.myr_per_nbody_time);
+        }
+        break;
+    }
+  }
+
+  /// Bring the models in `slots` up: start a worker for each in order (a
+  /// revived slot keeps the one it has), then load each in order. Deployment
+  /// and recovery alike are exposed to the jungle — a node can crash
+  /// mid-spawn or mid-load, a frontend can die between the re-place decision
+  /// and the submit — so every failed attempt excludes what failed, re-places
+  /// the model (or revives it in place) and starts and loads it again,
+  /// within the budget. Returns the number of failed attempts.
+  int bring_up(const std::vector<std::size_t>& slots) {
+    int failures = 0;
+    std::vector<bool> started(models_.size(), false);
+    for (bool loading : {false, true}) {
+      for (std::size_t i : slots) {
         for (;;) {
           try {
-            // A revived slot keeps its client and relay: the supervised
-            // replacement worker is blank, so it only needs the restore.
-            if (!revived[i]) {
-              models[i].client->close();
-              start_model(i);
+            if (!started[i] && !revived_[i]) {
+              if (models_[i].client) models_[i].client->close();
+              start(i);
             }
-            restore_model(i);
+            started[i] = true;
+            if (loading) load(i);
             break;
-          } catch (const WorkerDiedError& again) {
-            // The replacement (or the machine it landed on) died while we
-            // were restoring into it.
-            note_death(again);
+          } catch (const WorkerDiedError& death) {
+            // The worker, or the machine it landed on, died while we were
+            // starting or loading it.
+            if (!spec_.checkpointing) throw;
+            ++failures;
+            started[i] = false;
+            note_death(death);
             if (try_revive(i)) continue;  // another supervised restart
-            revived[i] = false;  // fall back: rebuild client and placement
-            if (plan.roles[i].local()) throw;
+            revived_[i] = false;  // fall back: rebuild client and placement
+            if (plan_.roles[i].local()) throw;
             replace_dead(i);
           } catch (const CodeError& startup) {
-            if (plan.roles[i].local()) throw;
-            replace_unstartable(i, startup);
+            // The daemon could not start the worker (e.g. the frontend died
+            // between the re-place decision and the submit). The resource
+            // is not usable right now — place elsewhere.
+            if (!spec_.checkpointing || plan_.roles[i].local()) throw;
+            ++failures;
+            started[i] = false;
+            log::warn("experiment") << "re-placing '" << spec_.models[i].name
+                                    << "' after startup failure: "
+                                    << startup.what();
+            scheduler_.exclude_resource(plan_.roles[i].resource);
+            replace_slot(i);
           }
         }
-      }
-
-      // Nothing to invalidate here: fresh clients start with empty delta
-      // caches, a revived one has reset them, and restarted workers mint a
-      // fresh state-id instance. Nothing cached before the rollback (client
-      // states, coupler sources/accels) can be mistaken for current content
-      // during the replay.
-
-      faultpoint::reach(faultpoint::Point::recover_rebuild, committed.epoch);
-      // The rollback target is the clock of the checkpoint we restore
-      // from — paired by construction, not re-derived as epoch * dt (the
-      // accumulated sum and the product can differ in the last ulp, and
-      // bit-exact replay needs the accumulated bits).
-      bridge = build_bridge(committed.time, committed.epoch);
-      for (std::size_t link = 0; link < mappings.size(); ++link) {
-        bridge->set_se_mapping(std::move(mappings[link].first),
-                               std::move(mappings[link].second), link);
-      }
-      publish_placement();
-    };
-
-    bed.network().reset_traffic();
-
-    // ----- observability cursors: every per-iteration figure is a delta of
-    // monotone counters (the registry is process-global and never reset by
-    // a run), so reports stay correct across rollbacks and repeated runs.
-    struct MetricCursor {
-      std::vector<double> compute_s;  // per model, worker-side
-      double flops = 0.0;
-      double compute_total = 0.0;
-      double substeps = 0.0;
-      double rpc_calls = 0.0;
-      double rpc_retries = 0.0;
-      double degraded_transfers = 0.0;
-    };
-    auto read_metrics = [&] {
-      MetricCursor cursor;
-      cursor.compute_s.resize(n_models);
-      for (std::size_t i = 0; i < n_models; ++i) {
-        const std::string& name = spec.models[i].name;
-        cursor.compute_s[i] =
-            obs::metrics::counter_value("worker." + name + ".compute_s");
-        cursor.compute_total += cursor.compute_s[i];
-        cursor.flops +=
-            obs::metrics::counter_value("worker." + name + ".flops");
-        cursor.substeps +=
-            obs::metrics::counter_value("worker." + name + ".substeps");
-        cursor.rpc_calls +=
-            obs::metrics::counter_value("rpc." + name + ".calls");
-      }
-      cursor.rpc_retries = obs::metrics::counter_value("rpc.retries");
-      cursor.degraded_transfers =
-          static_cast<double>(bed.network().degraded_transfers());
-      return cursor;
-    };
-    auto wan_link_bytes = [&] {
-      std::map<std::string, double> by_link;
-      for (const auto& link : bed.network().traffic_report()) {
-        if (link.wan()) by_link[link.name] += link.total_bytes();
-      }
-      return by_link;
-    };
-    auto wan_total = [](const std::map<std::string, double>& by_link) {
-      double total = 0.0;
-      for (const auto& [name, bytes] : by_link) total += bytes;
-      return total;
-    };
-
-    // ----- the calibration loop: the first cleanly measured iteration
-    // closes the scheduler's modeled-vs-measured gap. Per-role measured
-    // compute (worker.<name>.compute_s deltas) calibrates the flop charges;
-    // the running placement is re-scored with the calibrated model.
-    bool calibrated = false;
-    auto calibrate = [&](const MetricCursor& before,
-                         const MetricCursor& after) {
-      calibrated = true;
-      sched::Calibration calibration;
-      double pre_drift = 0.0;
-      std::ostringstream table;
-      table << "calibrated cost table (iteration 1):";
-      for (std::size_t i = 0; i < n_models; ++i) {
-        double measured = after.compute_s[i] - before.compute_s[i];
-        double modeled = plan.roles[i].compute_seconds;
-        if (measured <= 0.0 || modeled <= 0.0) continue;
-        double ratio = measured / modeled;
-        calibration.set_scale(spec.models[i].name, ratio);
-        pre_drift = std::max(pre_drift, std::max(ratio, 1.0 / ratio));
-        obs::metrics::gauge("sched.drift." + spec.models[i].name).set(ratio);
-        table << " " << spec.models[i].name << ": measured=" << measured
-              << " s modeled=" << modeled << " s scale="
-              << calibration.scale_for(spec.models[i].name) << ";";
-      }
-      result.precalibration_drift = pre_drift;
-      obs::metrics::gauge("sched.precalibration_drift").set(pre_drift);
-      scheduler.set_calibration(calibration);
-
-      // Re-score a copy: modeled_seconds_per_iteration stays the original
-      // (uncalibrated) prediction, the calibrated figure rides alongside.
-      sched::Placement scored = plan;
-      scheduler.score(load, scored);
-      result.calibrated_seconds_per_iteration =
-          scored.modeled_seconds_per_iteration;
-      double post_drift = 0.0;
-      for (std::size_t i = 0; i < n_models; ++i) {
-        double measured = after.compute_s[i] - before.compute_s[i];
-        double modeled = scored.roles[i].compute_seconds;
-        if (measured <= 0.0 || modeled <= 0.0) continue;
-        double ratio = measured / modeled;
-        post_drift = std::max(post_drift, std::max(ratio, 1.0 / ratio));
-      }
-      result.compute_drift = post_drift;
-      obs::metrics::gauge("sched.compute_drift").set(post_drift);
-      log::info("sched") << table.str() << " drift " << pre_drift
-                         << "x -> " << post_drift << "x, calibrated modeled="
-                         << result.calibrated_seconds_per_iteration
-                         << " s/iter";
-    };
-
-    double wall_start = bed.simulation().now();
-    int completed = 0;
-    bool killed = false;
-    bool flapped = false;
-    // Replay detection: a step whose index was already attempted re-runs
-    // work a rollback threw away (with per-step checkpoints the rollback
-    // target is always the last *completed* step, so the replayed step is
-    // the attempted-and-killed one).
-    int attempted_steps = 0;
-    int restarts_mark = result.restarts;
-    double iter_start = bed.simulation().now();
-    MetricCursor metric_cursor = read_metrics();
-    std::map<std::string, double> link_cursor = wan_link_bytes();
-    while (completed < spec.iterations) {
-      try {
-        bool replaying = completed + 1 <= attempted_steps;
-        attempted_steps = std::max(attempted_steps, completed + 1);
-        {
-          obs::trace::Span iter = obs::trace::span(
-              "iteration:" + std::to_string(completed + 1), "experiment");
-          bridge->step();
-        }
-        if (fault_tolerant) {
-          // Checkpointing itself talks to the workers and can die mid-way:
-          // stage the whole graph into a fresh snapshot, then install it
-          // with one move — the commit is atomic across the graph, so no
-          // interleaving of deaths can leave mixed-epoch checkpoints.
-          obs::trace::Span ckpt = obs::trace::span("checkpoint", "fault");
-          double ckpt_start = bed.simulation().now();
-          GraphCheckpoint staged;
-          staged.epoch = completed + 1;
-          staged.time = bridge->time();
-          staged.resize(n_models);
-          // Every model's reads go out before any reply is consumed: the
-          // capture waits one round trip, not one per read.
-          std::vector<PendingCapture> reads(n_models);
-          for (std::size_t i = 0; i < n_models; ++i) {
-            faultpoint::reach(faultpoint::Point::ckpt_capture, completed,
-                              spec.models[i].name);
-            switch (models[i].role) {
-              case Role::gravity:
-                reads[i] = request_checkpoint(models[i].gravity());
-                break;
-              case Role::hydro:
-                reads[i] = request_checkpoint(models[i].hydro());
-                break;
-              case Role::coupler:
-              case Role::stellar:
-                break;
-            }
-          }
-          // The step's unacked kicks and mass updates ran before these
-          // reads on each pipe; their acks land first. Collecting them here
-          // costs no extra round trip, and no snapshot commits over a
-          // failed one.
-          bridge->settle();
-          for (std::size_t i = 0; i < n_models; ++i) {
-            switch (models[i].role) {
-              case Role::gravity:
-                staged.gravity[i] =
-                    finish_checkpoint(models[i].gravity(), reads[i]);
-                staged.gravity[i].eps2 = spec.models[i].eps2;
-                staged.gravity[i].eta = spec.models[i].eta;
-                break;
-              case Role::hydro:
-                staged.hydro[i] = finish_checkpoint(models[i].hydro(), reads[i]);
-                staged.hydro[i].eps2 = spec.models[i].eps2;
-                staged.hydro[i].theta = spec.models[i].theta;
-                break;
-              case Role::coupler:
-                staged.field[i] = checkpoint_field(models[i].field());
-                break;
-              case Role::stellar:
-                break;  // re-derived from the ZAMS masses on restore
-            }
-          }
-          // Named per-model commit slots: the window where a non-atomic
-          // protocol would interleave. Injections here prove there is no
-          // state in which some models committed and others did not.
-          for (std::size_t i = 0; i < n_models; ++i) {
-            faultpoint::Context slot;
-            slot.point = faultpoint::Point::ckpt_commit;
-            slot.iteration = completed;
-            slot.detail = spec.models[i].name;
-            if (faultpoint::active()) {
-              // Per-model digest: lets the explorer name the model that
-              // diverged, not just the epoch.
-              switch (models[i].role) {
-                case Role::gravity:
-                  slot.digest = digest(staged.gravity[i]);
-                  break;
-                case Role::hydro:
-                  slot.digest = digest(staged.hydro[i]);
-                  break;
-                case Role::coupler:
-                  slot.digest = digest(staged.field[i]);
-                  break;
-                case Role::stellar:
-                  break;
-              }
-            }
-            faultpoint::reach(slot);
-          }
-          committed = std::move(staged);
-          if (faultpoint::active()) {
-            faultpoint::Context done;
-            done.point = faultpoint::Point::ckpt_committed;
-            done.iteration = completed;
-            done.digest = digest(committed);
-            faultpoint::reach(done);
-          }
-          obs::metrics::counter("fault.checkpoints").increment();
-          obs::metrics::histogram("fault.checkpoint_s")
-              .observe(bed.simulation().now() - ckpt_start);
-        }
-        ++completed;
-
-        // --- per-iteration report: deltas across the step just done ---
-        MetricCursor metrics_now = read_metrics();
-        std::map<std::string, double> links_now = wan_link_bytes();
-        diagnostics::IterationReport row;
-        row.iteration = completed;
-        row.seconds = bed.simulation().now() - iter_start;
-        row.wan_bytes = wan_total(links_now) - wan_total(link_cursor);
-        row.flops = metrics_now.flops - metric_cursor.flops;
-        row.compute_seconds =
-            metrics_now.compute_total - metric_cursor.compute_total;
-        row.substeps = static_cast<std::uint64_t>(
-            metrics_now.substeps - metric_cursor.substeps + 0.5);
-        row.rpc_calls = static_cast<std::uint64_t>(
-            metrics_now.rpc_calls - metric_cursor.rpc_calls + 0.5);
-        row.rpc_retries = static_cast<std::uint64_t>(
-            metrics_now.rpc_retries - metric_cursor.rpc_retries + 0.5);
-        row.degraded = metrics_now.degraded_transfers -
-                           metric_cursor.degraded_transfers >
-                       0.5;
-        row.replay = replaying;
-        row.restarts = result.restarts - restarts_mark;
-        if (row.replay) {
-          obs::metrics::counter("fault.replayed_steps").increment();
-        }
-        if (row.degraded) {
-          // A bulk transfer this step rode on fewer streams than planned
-          // (partial stripe failure): the step completed, degraded.
-          obs::metrics::counter("fault.degraded_iterations").increment();
-        }
-        result.iteration_log.push_back(row);
-
-        if (!calibrated && !row.replay && row.restarts == 0) {
-          calibrate(metric_cursor, metrics_now);
-          std::ostringstream links;
-          links << "per-link WAN volume (iteration 1):";
-          for (const auto& [name, bytes] : links_now) {
-            double delta = bytes - link_cursor[name];
-            if (delta <= 0.0) continue;
-            links << " " << name << "=" << util::format_bytes(delta);
-          }
-          log::info("sched") << links.str();
-        }
-        restarts_mark = result.restarts;
-        metric_cursor = std::move(metrics_now);
-        link_cursor = std::move(links_now);
-        iter_start = bed.simulation().now();
-
-        if (fault_tolerant && !killed && !spec.kill_host.empty() &&
-            completed == spec.kill_after_iteration) {
-          killed = true;
-          if (spec.kill_process.empty()) {
-            bed.network().host(spec.kill_host).crash();
-          } else {
-            // Process-level fault: kill one process on the host (daemon,
-            // proxy, worker) and leave the machine up — this is the tier
-            // the supervisors recover in place.
-            bed.network().host(spec.kill_host).kill_process(
-                spec.kill_process);
-          }
-        }
-        if (!flapped && !spec.flap_link.empty() &&
-            completed == spec.flap_after_iteration) {
-          flapped = true;
-          if (spec.flap_streams > 0) {
-            bed.network().fail_streams(spec.flap_link, spec.flap_streams,
-                                       spec.flap_streams_heal_s);
-          } else {
-            bed.network().flap_link(spec.flap_link, spec.flap_down_s);
-          }
-        }
-      } catch (const WorkerDiedError& death) {
-        if (!fault_tolerant) throw;
-        obs::trace::Span rollback = obs::trace::span("recover", "fault");
-        double recover_start = bed.simulation().now();
-        obs::metrics::counter("fault.rollbacks").increment();
-        ++result.restarts;
-        spend_attempt();
-        // Recovery can itself be interrupted by another death (a double
-        // fault): keep recovering until a round goes through cleanly.
-        WorkerDiedError current = death;
-        for (;;) {
-          try {
-            note_death(current);
-            recover(current);
-            break;
-          } catch (const WorkerDiedError& again) {
-            ++result.restarts;
-            spend_attempt();
-            current = again;
-          }
-        }
-        completed = committed.epoch;
-        obs::metrics::histogram("fault.recover_s")
-            .observe(bed.simulation().now() - recover_start);
-        // The aborted step's partial work must not pollute the replay
-        // row's figures: restart every cursor at the rollback point.
-        metric_cursor = read_metrics();
-        link_cursor = wan_link_bytes();
-        iter_start = bed.simulation().now();
       }
     }
-    // Without checkpoints the last step's acks are still in flight.
-    bridge->settle();
-    double wall = bed.simulation().now() - wall_start;
-    result.seconds_per_iteration = wall / spec.iterations;
+    return failures;
+  }
 
-    // Final observables. The pipelined path only moved mass+position
-    // during coupling; pull the full states (velocities, internal energy)
-    // once for the diagnostics, plus each model's energies.
+  void spend_attempt() {
+    const int budget = 8 * static_cast<int>(models_.size()) + 8;
+    if (++replace_attempts_ > budget) {
+      throw CodeError("fault recovery exceeded its replacement budget (" +
+                      std::to_string(budget) + " attempts)");
+    }
+  }
+
+  /// Global exclusions derived from one death report. Per-worker causes are
+  /// handled per model in replace_dead(); this handles what the report
+  /// itself names (the crashed host, and its whole resource when the dead
+  /// machine is a frontend — jobs submit through it even when the compute
+  /// nodes survive).
+  void note_death(const WorkerDiedError& death) {
+    log::warn("experiment") << "recovering from: " << death.what();
+    faultpoint::reach(faultpoint::Point::recover_exclude, -1, death.host());
+    if (death.cause() == WorkerDiedError::Cause::host_crash &&
+        !death.host().empty()) {
+      scheduler_.exclude_host(death.host());
+      std::string owner = scheduler_.resource_of(death.host());
+      if (!owner.empty()) {
+        const gat::Resource& res = bed_.deployer().resource(owner);
+        if (res.frontend != nullptr && res.frontend->name() == death.host()) {
+          scheduler_.exclude_resource(owner);
+        }
+      }
+    }
+  }
+
+  /// A model needs re-placing when its client was poisoned *or* its host is
+  /// gone and the client just has not noticed yet (no RPC since the crash) —
+  /// restarting onto a dead machine would only fail later.
+  bool model_dead(std::size_t i) {
+    if (!models_[i].rpc().alive()) return true;
+    const sched::Assignment& a = plan_.roles[i];
+    return !a.local() && a.host != nullptr && !a.host->is_up();
+  }
+
+  void replace_slot(std::size_t i) {
+    spend_attempt();
+    plan_.roles[i] = scheduler_.replace(load_, plan_, static_cast<int>(i));
+    install_physics(plan_.roles[i], spec_.models[i]);
+  }
+
+  /// Per-worker cause: a crashed host is already excluded; a process crash
+  /// blames neither host nor resource (the machine restarted the worker
+  /// fine — revive only failed because the node went down meanwhile);
+  /// anything else (link fault, timeout, unknown) condemns the whole
+  /// resource — the machine may be fine, the route to it is not.
+  void replace_dead(std::size_t i) {
+    RpcClient& rpc = models_[i].rpc();
+    if (!rpc.alive() &&
+        rpc.death_cause() != WorkerDiedError::Cause::host_crash &&
+        rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
+      scheduler_.exclude_resource(plan_.roles[i].resource);
+    }
+    replace_slot(i);
+  }
+
+  /// In-place revive: cause=process_crash means the daemon's supervisor
+  /// already restarted the crashed worker on the same node and kept the
+  /// relay open — revive the client over the same link and load state into
+  /// the blank replacement. No exclusions, no re-placement; re-placing stays
+  /// the fallback tier (the daemon reports host_crash when the node is gone
+  /// or its restart budget is spent).
+  bool try_revive(std::size_t i) {
+    RpcClient& rpc = models_[i].rpc();
+    if (rpc.alive() ||
+        rpc.death_cause() != WorkerDiedError::Cause::process_crash) {
+      return false;
+    }
+    const sched::Assignment& a = plan_.roles[i];
+    if (a.local() || (a.host != nullptr && !a.host->is_up())) return false;
+    spend_attempt();
+    rpc.revive();
+    models_[i].client->reset_delta_caches();
+    revived_[i] = true;
+    log::info("experiment")
+        << "worker '" << spec_.models[i].name
+        << "' restarted in place; reviving the client on the same link";
+    return true;
+  }
+
+  /// Re-score the running placement so the dashboard's modeled-vs-measured
+  /// panel describes what is actually running.
+  void publish_placement() {
+    scheduler_.score(load_, plan_);
+    result_.placement = plan_.describe();
+    result_.modeled_seconds_per_iteration = plan_.modeled_seconds_per_iteration;
+  }
+
+  /// Wire the bridge graph: dynamic models become systems, couplings resolve
+  /// to system indices, stellar models to their typed targets.
+  std::unique_ptr<Bridge> build_bridge(double t_start, int step_offset) {
+    auto slot = [&](const std::string& name) -> ModelRuntime& {
+      return models_[static_cast<std::size_t>(spec_.find(name))];
+    };
+    std::vector<int> system_of(models_.size(), -1);
+    std::vector<Bridge::System> systems;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (models_[i].dynamics() == nullptr) continue;
+      system_of[i] = static_cast<int>(systems.size());
+      systems.push_back({spec_.models[i].name, models_[i].dynamics()});
+    }
+    std::vector<Bridge::Coupling> couplings;
+    for (const CouplingSpec& coupling : spec_.couplings) {
+      couplings.push_back(
+          {&slot(coupling.field).field(),
+           system_of[static_cast<std::size_t>(spec_.find(coupling.a))],
+           system_of[static_cast<std::size_t>(spec_.find(coupling.b))],
+           coupling.every});
+    }
+    std::vector<Bridge::Stellar> stellar;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (models_[i].role != Role::stellar) continue;
+      const ModelSpec& model = spec_.models[i];
+      Bridge::Stellar link;
+      link.client = &models_[i].stellar();
+      link.into = &slot(model.of).gravity();
+      link.feedback =
+          model.feedback.empty() ? nullptr : &slot(model.feedback).hydro();
+      stellar.push_back(link);
+    }
+    Bridge::Config config;
+    config.dt = spec_.dt;
+    config.se_every = spec_.se_every;
+    config.myr_per_nbody_time = spec_.myr_per_nbody_time;
+    config.feedback_efficiency = spec_.feedback_efficiency;
+    config.wind_specific_energy = spec_.wind_specific_energy;
+    config.supernova_energy = spec_.supernova_energy;
+    // Absolute-clock restart: rebuilt bridges continue from the committed
+    // checkpoint's exact clock bits, and restored workers carry the same
+    // absolute time — evolve targets replay the fault-free sequence.
+    config.t_start = t_start;
+    config.step_offset = step_offset;
+    std::size_t links = stellar.size();
+    auto bridge = std::make_unique<Bridge>(
+        std::move(systems), std::move(couplings), std::move(stellar), config);
+    // A rebuilt bridge carries the SE mass mappings of the one it replaces.
+    for (std::size_t link = 0; bridge_ != nullptr && link < links; ++link) {
+      auto [zams_se, zams_dynamical] = bridge_->se_mapping(link);
+      bridge->set_se_mapping(std::move(zams_se), std::move(zams_dynamical),
+                             link);
+    }
+    return bridge;
+  }
+
+  void step() {
+    bool replaying = completed_ + 1 <= attempted_steps_;
+    attempted_steps_ = std::max(attempted_steps_, completed_ + 1);
+    {
+      obs::trace::Span iter = obs::trace::span(
+          "iteration:" + std::to_string(completed_ + 1), "experiment");
+      bridge_->step();
+    }
+    if (spec_.checkpointing) checkpoint();
+    ++completed_;
+    log_iteration(replaying);
+  }
+
+  /// Checkpointing itself talks to the workers and can die mid-way: stage
+  /// the whole graph into a fresh snapshot, then install it with one move —
+  /// the commit is atomic across the graph, so no interleaving of deaths can
+  /// leave mixed-epoch checkpoints.
+  void checkpoint() {
+    obs::trace::Span ckpt = obs::trace::span("checkpoint", "fault");
+    double ckpt_start = bed_.simulation().now();
+    GraphCheckpoint staged;
+    staged.epoch = completed_ + 1;
+    staged.time = bridge_->time();
+    staged.resize(models_.size());
+    // Every model's reads go out before any reply is consumed: the capture
+    // waits one round trip, not one per read.
+    std::vector<PendingCapture> reads(models_.size());
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      faultpoint::reach(faultpoint::Point::ckpt_capture, completed_,
+                        spec_.models[i].name);
+      if (models_[i].role == Role::gravity) {
+        reads[i] = request_checkpoint(models_[i].gravity());
+      } else if (models_[i].role == Role::hydro) {
+        reads[i] = request_checkpoint(models_[i].hydro());
+      }
+    }
+    // The step's unacked kicks and mass updates ran before these reads on
+    // each pipe; their acks land first. Collecting them here costs no extra
+    // round trip, and no snapshot commits over a failed one.
+    bridge_->settle();
+    // Per-model digests let the explorer name the model that diverged, not
+    // just the epoch.
+    const bool hooked = faultpoint::active();
+    std::vector<std::uint64_t> digests(models_.size(), 0);
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      switch (models_[i].role) {
+        case Role::gravity:
+          staged.gravity[i] = finish_checkpoint(models_[i].gravity(), reads[i]);
+          staged.gravity[i].eps2 = spec_.models[i].eps2;
+          staged.gravity[i].eta = spec_.models[i].eta;
+          if (hooked) digests[i] = digest(staged.gravity[i]);
+          break;
+        case Role::hydro:
+          staged.hydro[i] = finish_checkpoint(models_[i].hydro(), reads[i]);
+          staged.hydro[i].eps2 = spec_.models[i].eps2;
+          staged.hydro[i].theta = spec_.models[i].theta;
+          if (hooked) digests[i] = digest(staged.hydro[i]);
+          break;
+        case Role::coupler:
+          staged.field[i] = checkpoint_field(models_[i].field());
+          if (hooked) digests[i] = digest(staged.field[i]);
+          break;
+        case Role::stellar:
+          break;  // re-derived from the ZAMS masses on restore
+      }
+    }
+    // Named per-model commit slots: the window where a non-atomic protocol
+    // would interleave. Injections here prove there is no state in which
+    // some models committed and others did not.
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      faultpoint::Context slot;
+      slot.point = faultpoint::Point::ckpt_commit;
+      slot.iteration = completed_;
+      slot.detail = spec_.models[i].name;
+      slot.digest = digests[i];
+      faultpoint::reach(slot);
+    }
+    committed_ = std::move(staged);
+    if (hooked) {
+      faultpoint::Context done;
+      done.point = faultpoint::Point::ckpt_committed;
+      done.iteration = completed_;
+      done.digest = digest(committed_);
+      faultpoint::reach(done);
+    }
+    obs::metrics::counter("fault.checkpoints").increment();
+    obs::metrics::histogram("fault.checkpoint_s")
+        .observe(bed_.simulation().now() - ckpt_start);
+  }
+
+  /// The fault path: exclude what died, re-place the affected models, and
+  /// roll every evolving worker back to the last committed graph checkpoint.
+  /// Recovery can itself be interrupted by another death (a double fault):
+  /// keep recovering until a round goes through cleanly.
+  void recover(const WorkerDiedError& death) {
+    obs::trace::Span rollback = obs::trace::span("recover", "fault");
+    double recover_start = bed_.simulation().now();
+    obs::metrics::counter("fault.rollbacks").increment();
+    WorkerDiedError current = death;
+    for (;;) {
+      ++result_.restarts;
+      spend_attempt();
+      try {
+        note_death(current);
+        roll_back(current);
+        break;
+      } catch (const WorkerDiedError& again) {
+        current = again;
+      }
+    }
+    completed_ = committed_.epoch;
+    obs::metrics::histogram("fault.recover_s")
+        .observe(bed_.simulation().now() - recover_start);
+    // The aborted step's partial work must not pollute the replay row's
+    // figures: restart every cursor at the rollback point.
+    cursor_ = read_metrics();
+  }
+
+  /// One recovery round. Restored workers resume on the checkpoint's
+  /// absolute clock; the rebuilt bridge starts from the same clock bits and
+  /// step count and carries the SE mass mappings forward.
+  void roll_back(const WorkerDiedError& death) {
+    bool any_dead = false;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (!model_dead(i)) continue;
+      any_dead = true;
+      if (try_revive(i)) continue;  // in-place restart: keep the slot
+      if (plan_.roles[i].local()) {
+        throw CodeError("the client machine lost its own worker ('" +
+                        spec_.models[i].name + "'); nothing to re-place onto");
+      }
+      replace_dead(i);
+    }
+    if (!any_dead) {
+      // Stale report: nothing is actually dead. Escalate as a plain
+      // CodeError — rethrowing the WorkerDiedError would bounce between here
+      // and the double-fault retry loop forever.
+      throw CodeError(std::string("unrecoverable death report (no model "
+                                  "affected): ") +
+                      death.what());
+    }
+
+    // All dynamic models share the bridge clock: they roll back together to
+    // the committed checkpoint. Field and stellar workers are brought up
+    // again only when they died. Fresh clients start with empty delta
+    // caches, a revived one has reset them, and restarted workers mint a
+    // fresh state-id instance, so nothing cached before the rollback can be
+    // mistaken for current content during the replay.
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      if (!is_dynamic(models_[i].role) && !model_dead(i) && !revived_[i]) {
+        continue;
+      }
+      bring_up({i});
+    }
+
+    faultpoint::reach(faultpoint::Point::recover_rebuild, committed_.epoch);
+    // The rollback target is the clock of the checkpoint we restore from —
+    // paired by construction, not re-derived as epoch * dt (the accumulated
+    // sum and the product can differ in the last ulp, and bit-exact replay
+    // needs the accumulated bits).
+    bridge_ = build_bridge(committed_.time, committed_.epoch);
+    publish_placement();
+  }
+
+  MetricCursor read_metrics() {
+    MetricCursor cursor;
+    cursor.time = bed_.simulation().now();
+    cursor.compute_s.resize(models_.size());
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      const std::string& name = spec_.models[i].name;
+      cursor.compute_s[i] =
+          obs::metrics::counter_value("worker." + name + ".compute_s");
+      cursor.compute_total += cursor.compute_s[i];
+      cursor.flops += obs::metrics::counter_value("worker." + name + ".flops");
+      cursor.substeps +=
+          obs::metrics::counter_value("worker." + name + ".substeps");
+      cursor.rpc_calls += obs::metrics::counter_value("rpc." + name + ".calls");
+    }
+    cursor.rpc_retries = obs::metrics::counter_value("rpc.retries");
+    cursor.degraded_transfers =
+        static_cast<double>(bed_.network().degraded_transfers());
+    for (const auto& link : bed_.network().traffic_report()) {
+      if (link.wan()) cursor.wan_bytes[link.name] += link.total_bytes();
+    }
+    return cursor;
+  }
+
+  /// The per-iteration report: deltas across the step just done.
+  void log_iteration(bool replaying) {
+    MetricCursor now = read_metrics();
+    diagnostics::IterationReport row;
+    row.iteration = completed_;
+    row.seconds = now.time - cursor_.time;
+    row.wan_bytes = wan_total(now.wan_bytes) - wan_total(cursor_.wan_bytes);
+    row.flops = now.flops - cursor_.flops;
+    row.compute_seconds = now.compute_total - cursor_.compute_total;
+    row.substeps = static_cast<std::uint64_t>(
+        now.substeps - cursor_.substeps + 0.5);
+    row.rpc_calls = static_cast<std::uint64_t>(
+        now.rpc_calls - cursor_.rpc_calls + 0.5);
+    row.rpc_retries = static_cast<std::uint64_t>(
+        now.rpc_retries - cursor_.rpc_retries + 0.5);
+    row.degraded = now.degraded_transfers - cursor_.degraded_transfers > 0.5;
+    row.replay = replaying;
+    row.restarts = result_.restarts - restarts_mark_;
+    if (row.replay) obs::metrics::counter("fault.replayed_steps").increment();
+    if (row.degraded) {
+      // A bulk transfer this step rode on fewer streams than planned
+      // (partial stripe failure): the step completed, degraded.
+      obs::metrics::counter("fault.degraded_iterations").increment();
+    }
+    result_.iteration_log.push_back(row);
+
+    if (!calibrated_ && !row.replay && row.restarts == 0) {
+      calibrate(cursor_, now);
+      std::ostringstream links;
+      links << "per-link WAN volume (iteration 1):";
+      for (const auto& [name, bytes] : now.wan_bytes) {
+        double delta = bytes - cursor_.wan_bytes[name];
+        if (delta <= 0.0) continue;
+        links << " " << name << "=" << util::format_bytes(delta);
+      }
+      log::info("sched") << links.str();
+    }
+    restarts_mark_ = result_.restarts;
+    cursor_ = std::move(now);
+  }
+
+  /// The calibration loop: the first cleanly measured iteration closes the
+  /// scheduler's modeled-vs-measured gap. Per-role measured compute
+  /// (worker.<name>.compute_s deltas) calibrates the flop charges; the
+  /// running placement is re-scored with the calibrated model.
+  void calibrate(const MetricCursor& before, const MetricCursor& after) {
+    calibrated_ = true;
+    sched::Calibration calibration;
+    double pre_drift = 0.0;
+    std::ostringstream table;
+    table << "calibrated cost table (iteration 1):";
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      double measured = after.compute_s[i] - before.compute_s[i];
+      double modeled = plan_.roles[i].compute_seconds;
+      if (measured <= 0.0 || modeled <= 0.0) continue;
+      double ratio = measured / modeled;
+      calibration.set_scale(spec_.models[i].name, ratio);
+      pre_drift = std::max(pre_drift, std::max(ratio, 1.0 / ratio));
+      obs::metrics::gauge("sched.drift." + spec_.models[i].name).set(ratio);
+      table << " " << spec_.models[i].name << ": measured=" << measured
+            << " s modeled=" << modeled << " s scale="
+            << calibration.scale_for(spec_.models[i].name) << ";";
+    }
+    result_.precalibration_drift = pre_drift;
+    obs::metrics::gauge("sched.precalibration_drift").set(pre_drift);
+    scheduler_.set_calibration(calibration);
+
+    // Re-score a copy: modeled_seconds_per_iteration stays the original
+    // (uncalibrated) prediction, the calibrated figure rides alongside.
+    sched::Placement scored = plan_;
+    scheduler_.score(load_, scored);
+    result_.calibrated_seconds_per_iteration =
+        scored.modeled_seconds_per_iteration;
+    double post_drift = 0.0;
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      double measured = after.compute_s[i] - before.compute_s[i];
+      double modeled = scored.roles[i].compute_seconds;
+      if (measured <= 0.0 || modeled <= 0.0) continue;
+      double ratio = measured / modeled;
+      post_drift = std::max(post_drift, std::max(ratio, 1.0 / ratio));
+    }
+    result_.compute_drift = post_drift;
+    obs::metrics::gauge("sched.compute_drift").set(post_drift);
+    log::info("sched") << table.str() << " drift " << pre_drift << "x -> "
+                       << post_drift << "x, calibrated modeled="
+                       << result_.calibrated_seconds_per_iteration
+                       << " s/iter";
+  }
+
+  /// Final observables. The pipelined path only moved mass+position during
+  /// coupling; pull the full states (velocities, internal energy) once for
+  /// the diagnostics, plus each model's energies.
+  void finish() {
     std::vector<double> star_mass;
     std::vector<Vec3> star_pos;
     std::vector<double> gas_mass, gas_u;
     std::vector<Vec3> gas_pos, gas_vel;
-    for (std::size_t i = 0; i < n_models; ++i) {
-      const ModelSpec& model = spec.models[i];
+    auto append = [](auto& to, const auto& from) {
+      to.insert(to.end(), from.begin(), from.end());
+    };
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      const ModelSpec& model = spec_.models[i];
       if (!is_dynamic(model.role)) continue;
       ModelResult state;
       state.name = model.name;
       state.role = model.role;
       if (model.role == Role::gravity) {
-        state.gravity = models[i].gravity().get_state();
-        auto [kinetic, potential] = models[i].gravity().energies();
+        state.gravity = models_[i].gravity().get_state();
+        auto [kinetic, potential] = models_[i].gravity().energies();
         state.kinetic = kinetic;
         state.potential = potential;
-        star_mass.insert(star_mass.end(), state.gravity.mass.begin(),
-                         state.gravity.mass.end());
-        star_pos.insert(star_pos.end(), state.gravity.position.begin(),
-                        state.gravity.position.end());
+        append(star_mass, state.gravity.mass);
+        append(star_pos, state.gravity.position);
       } else {
-        state.hydro = models[i].hydro().get_state();
-        auto [kinetic, thermal, potential] = models[i].hydro().energies();
+        state.hydro = models_[i].hydro().get_state();
+        auto [kinetic, thermal, potential] = models_[i].hydro().energies();
         state.kinetic = kinetic;
         state.thermal = thermal;
         state.potential = potential;
-        gas_mass.insert(gas_mass.end(), state.hydro.mass.begin(),
-                        state.hydro.mass.end());
-        gas_pos.insert(gas_pos.end(), state.hydro.position.begin(),
-                       state.hydro.position.end());
-        gas_vel.insert(gas_vel.end(), state.hydro.velocity.begin(),
-                       state.hydro.velocity.end());
-        gas_u.insert(gas_u.end(), state.hydro.internal_energy.begin(),
-                     state.hydro.internal_energy.end());
+        append(gas_mass, state.hydro.mass);
+        append(gas_pos, state.hydro.position);
+        append(gas_vel, state.hydro.velocity);
+        append(gas_u, state.hydro.internal_energy);
       }
-      result.models.push_back(std::move(state));
+      result_.models.push_back(std::move(state));
     }
     if (!gas_mass.empty()) {
-      result.bound_gas_fraction = diagnostics::bound_gas_fraction(
+      result_.bound_gas_fraction = diagnostics::bound_gas_fraction(
           gas_mass, gas_pos, gas_vel, gas_u, star_mass, star_pos);
     }
 
-    for (ModelRuntime& model : models) model.client->close();
-  });
+    for (ModelRuntime& model : models_) model.client->close();
+    // Released inside the script process: a dead client's destructor closes
+    // its daemon relay, which needs the simulation still running.
+    bridge_.reset();
+    models_.clear();
+  }
+
+  JungleTestbed& bed_;
+  const ExperimentSpec& spec_;
+  sim::Host& client_;
+  sched::Scheduler scheduler_;
+  sched::Workload load_;
+  sched::Placement plan_;
+  Result result_;
+  DaemonClient daemon_;
+  std::vector<ModelRuntime> models_;
+  /// The last committed graph-wide checkpoint: one object, installed by a
+  /// single move after every model captured — all models commit or none.
+  /// Epoch 0 holds the initial conditions.
+  GraphCheckpoint committed_;
+  std::unique_ptr<Bridge> bridge_;
+  /// Slots whose worker the daemon's supervisor restarted in place; such a
+  /// slot keeps its client and relay instead of starting a new worker.
+  std::vector<bool> revived_;
+  /// Replacement/retry budget across the whole run — generous enough for
+  /// cascaded faults, small enough to turn a re-place livelock (a hole,
+  /// if one existed) into a hard error rather than an endless loop.
+  int replace_attempts_ = 0;
+  int completed_ = 0;
+  /// Replay detection: a step whose index was already attempted re-runs
+  /// work a rollback threw away (with per-step checkpoints the rollback
+  /// target is always the last *completed* step, so the replayed step is
+  /// the attempted-and-killed one).
+  int attempted_steps_ = 0;
+  int restarts_mark_ = 0;
+  bool calibrated_ = false;
+  MetricCursor cursor_;
+};
+
+}  // namespace
+
+Result run_experiment(JungleTestbed& bed, const ExperimentSpec& spec) {
+  spec.validate();
+  bed.daemon(client_of(bed, spec));  // paper step 3: "start the Ibis-Daemon"
+  GraphRun run(bed, spec);
+  bed.simulation().spawn("amuse-script", [&] { run.script(); });
   bed.simulation().run();
-
-  for (const auto& link : bed.network().traffic_report()) {
-    if (!link.wan()) continue;
-    result.wan_bytes += link.total_bytes();
-    result.wan_ipl_bytes +=
-        link.bytes_by_class[static_cast<int>(sim::TrafficClass::ipl)];
-  }
-  result.wan_ipl_bytes_per_step =
-      spec.iterations > 0 ? result.wan_ipl_bytes / spec.iterations : 0.0;
-
-  // Dashboard: the Figs 10/11 analog plus the placement panel — which
-  // machine ran which model, and modeled vs. measured cost.
-  std::ostringstream panel;
-  panel << bed.deployer().dashboard();
-  panel << "-- placement (" << spec.name << ") --\n";
-  for (std::size_t i = 0; i < plan.roles.size(); ++i) {
-    const sched::Assignment& a = plan.roles[i];
-    panel << "  " << plan.names[i] << " ("
-          << sched::role_name(plan.kinds[i]) << "): " << a.spec.code << " @ "
-          << a.where() << " modeled compute=" << a.compute_seconds
-          << " s comm=" << a.comm_seconds << " s\n";
-  }
-  panel << "  modeled=" << result.modeled_seconds_per_iteration
-        << " s/iter measured=" << result.seconds_per_iteration << " s/iter";
-  if (result.restarts > 0) panel << " restarts=" << result.restarts;
-  panel << "\n";
-  if (result.calibrated_seconds_per_iteration > 0.0) {
-    panel << "  calibrated=" << result.calibrated_seconds_per_iteration
-          << " s/iter drift=" << result.precalibration_drift << "x -> "
-          << result.compute_drift << "x\n";
-  }
-  panel << diagnostics::iteration_table(result.iteration_log);
-  result.dashboard = panel.str();
-  return result;
+  return run.report();
 }
 
 Result run_experiment(const ExperimentSpec& spec) {

@@ -22,8 +22,8 @@ using kernels::Vec3;
 /// global knobs — replaces the hard-coded scenario kinds. A spec can be
 /// built in C++ or parsed from the `[experiment]` / `[model ...]` /
 /// `[coupling ...]` sections of a deploy INI, is validated as a graph
-/// (dangling references, fault policy without checkpointing, ... are
-/// errors, not silent no-ops), placed by the scheduler as a full role set,
+/// (dangling references, unknown kernels, ... are errors, not silent
+/// no-ops), placed by the scheduler as a full role set,
 /// deployed through the daemon and run by the generalized Bridge. The six
 /// classic paper configurations are canned specs flowing through this one
 /// path (scenario::classic_spec).
@@ -96,29 +96,13 @@ struct ExperimentSpec {
   double wind_specific_energy = 5.0;
   double supernova_energy = 40.0;
 
-  /// Fault policy: checkpoint every model after each step and re-place /
-  /// roll back on worker death. kill_host/kill_after_iteration inject one
-  /// host crash for testing — valid only with checkpointing on (validated).
-  /// kill_process narrows the same injection to one process on that host
-  /// (e.g. "amuse-daemon", "job", "worker"): the machine stays up and the
-  /// supervisors recover in place instead of re-placing.
+  /// Fault policy: checkpoint every model after each step, and on a
+  /// worker's death re-place or revive it and roll the graph back to the
+  /// last commit. Deployment, loading the initial conditions and recovery
+  /// share one exclude/re-place/retry path, which runs only with
+  /// checkpointing on. Faults are injected from outside, through the
+  /// faultpoint hooks (amuse/faultpoint.hpp).
   bool checkpointing = false;
-  std::string kill_host;
-  int kill_after_iteration = -1;
-  std::string kill_process;
-
-  /// Link-fault injection: after iteration `flap_after_iteration`, flap
-  /// `flap_link` down for `flap_down_s` virtual seconds (it heals by
-  /// itself), or — when `flap_streams` > 0 — fail that many of the link's
-  /// parallel streams instead, healing after `flap_streams_heal_s`. A flap
-  /// shorter than the outage grace budget is survived by the retry layer
-  /// without any rollback; a stream failure degrades bulk transfers to the
-  /// surviving streams (fault.degraded_iterations counts the steps hit).
-  std::string flap_link;
-  int flap_after_iteration = -1;
-  double flap_down_s = 2.0;
-  int flap_streams = 0;
-  double flap_streams_heal_s = 5.0;
 
   /// Host the coupling script runs on ("" = the testbed's client host).
   std::string client;
@@ -126,8 +110,7 @@ struct ExperimentSpec {
   /// Graph validation: throws ConfigError naming the offending model or
   /// coupling. Checks (among others) that coupling endpoints resolve to
   /// dynamic models, field references resolve to field models, no field
-  /// model dangles unused, stellar wiring resolves, and the fault-injection
-  /// policy is only present when checkpointing can honor it.
+  /// model dangles unused and stellar wiring resolves.
   void validate() const;
 
   /// The spec's graph in the scheduler's units.

@@ -40,11 +40,6 @@ struct Options {
   bool with_stellar_evolution = true;
   int se_every = 4;
   std::uint64_t seed = 20120301;
-  /// Fault injection, honored by Kind::autoplace only (the one kind with a
-  /// recovery path). Setting it on any other kind is a ConfigError — a
-  /// silently ignored kill switch is option loss, not a default.
-  std::string kill_host;
-  int kill_after_iteration = -1;
 };
 
 /// The embedded-cluster experiment of one paper configuration, as a spec:

@@ -203,8 +203,6 @@ Explorer::Explorer(util::Config config, Options options)
   spec_ = amuse::experiment::ExperimentSpec::from_config(config_);
   // The explorer supplies all faults itself, on top of a checkpointing run.
   spec_.checkpointing = true;
-  spec_.kill_host.clear();
-  spec_.kill_after_iteration = -1;
   if (options_.iterations > 0) spec_.iterations = options_.iterations;
   spec_.validate();
 

@@ -146,8 +146,12 @@ TEST(Experiment, SpecIniRejectsUnknownKeys) {
   EXPECT_NE(error.find("[coupling link]"), std::string::npos) << error;
 
   // Retired knobs are unknown keys too, not silently ignored.
-  for (const char* retired : {"replan = true", "replan_drift = 2",
-                              "rpc_timeout = 10", "datapath = synchronous"}) {
+  for (const char* retired :
+       {"replan = true", "replan_drift = 2", "rpc_timeout = 10",
+        "datapath = synchronous", "kill_host = node0",
+        "kill_after_iteration = 1", "kill_process = job",
+        "flap_link = metro-wan", "flap_after_iteration = 1",
+        "flap_down_s = 2", "flap_streams = 6", "flap_streams_heal_s = 0"}) {
     EXPECT_THROW(ExperimentSpec::from_config(util::Config::parse(
                      "[experiment]\n" + std::string(retired) + "\n" + graph)),
                  ConfigError)
@@ -207,34 +211,6 @@ TEST(Experiment, ValidationRejectsBrokenStellarWiring) {
   EXPECT_THROW(spec.validate(), ConfigError);
 }
 
-TEST(Experiment, FaultPolicyWithoutCheckpointingIsAnError) {
-  // The silent-option-loss fix: a kill switch the runner cannot honor must
-  // fail validation instead of being ignored.
-  ExperimentSpec spec = tiny_classic();
-  ASSERT_FALSE(spec.checkpointing);
-  spec.kill_host = "desktop";
-  spec.kill_after_iteration = 1;
-  EXPECT_THROW(spec.validate(), ConfigError);
-  spec.checkpointing = true;
-  EXPECT_NO_THROW(spec.validate());
-  // ... and half a kill switch is equally broken.
-  spec.kill_after_iteration = -1;
-  EXPECT_THROW(spec.validate(), ConfigError);
-  // ... as is a kill step the run never reaches.
-  spec.kill_after_iteration = spec.iterations + 1;
-  EXPECT_THROW(spec.validate(), ConfigError);
-}
-
-TEST(Experiment, KillHostOnNonAutoplaceKindIsAnError) {
-  scenario::Options options;
-  options.kill_host = "lgm-node";
-  options.kill_after_iteration = 1;
-  EXPECT_THROW(scenario::classic_spec(scenario::Kind::jungle, options),
-               ConfigError);
-  EXPECT_NO_THROW(
-      scenario::classic_spec(scenario::Kind::autoplace, options).validate());
-}
-
 TEST(Experiment, ValidationCatchesEmptyAndMalformedGraphs) {
   ExperimentSpec empty;
   EXPECT_THROW(empty.validate(), ConfigError);
@@ -285,17 +261,6 @@ iterations = 50
   EXPECT_THROW(
       scenario::run_scenario_config(util::Config::parse(ini), options),
       ConfigError);
-}
-
-TEST(Experiment, OptionsFaultInjectionRejectedOnGraphInis) {
-  // When the INI declares its own model graph, the caller's Options only
-  // parameterize the classic run — a kill switch passed there would be
-  // silently dropped, so it throws instead.
-  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
-  scenario::Options options;
-  options.kill_host = "node0";
-  options.kill_after_iteration = 1;
-  EXPECT_THROW(scenario::run_scenario_config(config, options), ConfigError);
 }
 
 // ------------------------------------------- N=2 bit-identity vs old path

@@ -79,10 +79,19 @@ struct Outcome {
   double degraded_iterations = 0.0;
 };
 
-Outcome run_triple_plummer(
-    const std::vector<Shot>& shots,
-    const std::function<void(ExperimentSpec&)>& mutate = {}) {
-  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
+/// A network fault the run suffers after step `step`: it fires once, the
+/// first time step `step` + 1 reaches its top kick — the same virtual
+/// instant, before that step sends any RPC. A replayed step does not fire
+/// it again.
+struct AfterStep {
+  int step = 0;
+  std::function<void(sim::Network&)> inject;
+};
+
+Outcome run_example(const std::string& ini, const std::vector<Shot>& shots,
+                    const std::function<void(ExperimentSpec&)>& mutate = {},
+                    const AfterStep& after = {}) {
+  util::Config config = util::Config::parse(example_ini(ini));
   ExperimentSpec spec = ExperimentSpec::from_config(config);
   spec.checkpointing = true;
   if (mutate) mutate(spec);
@@ -96,9 +105,16 @@ Outcome run_triple_plummer(
   Outcome out;
   std::map<std::pair<int, int>, int> seen;
   std::size_t next = 0;
+  bool after_fired = false;
   {
     faultpoint::ScopedHook guard([&](const faultpoint::Context& ctx) {
       int occurrence = seen[{static_cast<int>(ctx.point), ctx.iteration}]++;
+      if (after.inject && !after_fired &&
+          ctx.point == faultpoint::Point::step_top_kick &&
+          ctx.iteration == after.step) {
+        after_fired = true;
+        after.inject(bed.network());
+      }
       if (next >= shots.size()) return;
       const Shot& shot = shots[next];
       if (shot.point != ctx.point || shot.iteration != ctx.iteration) return;
@@ -140,6 +156,13 @@ Outcome run_triple_plummer(
   out.degraded_iterations =
       obs::metrics::counter_value("fault.degraded_iterations") - degraded0;
   return out;
+}
+
+Outcome run_triple_plummer(
+    const std::vector<Shot>& shots,
+    const std::function<void(ExperimentSpec&)>& mutate = {},
+    const AfterStep& after = {}) {
+  return run_example("triple-plummer.ini", shots, mutate, after);
 }
 
 const Outcome& golden() {
@@ -236,6 +259,31 @@ TEST(Faults, CrashDuringReplaceSpawnRetries) {
   expect_recovered_on_golden(out);
 }
 
+TEST(Faults, CrashAfterFirstSpawnRetriesTheInitialLoad) {
+  // Explorer schedule "spawn.worker@-1#1=crash:core-gpu0" on the deep-WAN
+  // ring with 256 bodies per cluster: the first model's host dies while the
+  // second one is being spawned, after the first started and before it got
+  // its initial conditions. Loading them is part of bringing the model up,
+  // so it is re-placed and loaded again instead of the run ending on an
+  // unretried first call.
+  auto enlarge = [](ExperimentSpec& spec) {
+    for (ModelSpec& model : spec.models) {
+      if (model.role == sched::Role::gravity) model.n = 256;
+    }
+  };
+  Outcome gold = run_example("deep-wan-ring.ini", {}, enlarge);
+  ASSERT_TRUE(gold.completed) << gold.error;
+  Outcome out = run_example(
+      "deep-wan-ring.ini",
+      {Shot{faultpoint::Point::spawn_worker, -1, 1, false, "core-gpu0"}},
+      enlarge);
+  EXPECT_EQ(out.fired, 1);
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_GE(out.restarts, 1);
+  EXPECT_EQ(out.digest, gold.digest);
+  EXPECT_LE(out.live, gold.live);
+}
+
 // ---------------------------------------------------------------------------
 // PR 8: the process-fault tier. Victims are single processes (daemon
 // accept loop, worker proxy, native worker) killed while their host stays
@@ -317,11 +365,10 @@ TEST(Faults, LinkFlapCompletesThroughRetriesWithoutRollback) {
   // ride out the outage through hop retries plus idempotent resends; no
   // worker is declared dead, nothing rolls back, and the physics is
   // untouched — only the clock stretches.
-  Outcome out = run_triple_plummer({}, [](ExperimentSpec& spec) {
-    spec.flap_link = "metro-wan";
-    spec.flap_after_iteration = 1;
-    spec.flap_down_s = 2.0;
-  });
+  Outcome out = run_triple_plummer(
+      {}, {}, AfterStep{1, [](sim::Network& net) {
+                          net.flap_link("metro-wan", 2.0);
+                        }});
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_EQ(out.restarts, 0);
   EXPECT_EQ(out.rollbacks, 0.0);
@@ -344,13 +391,10 @@ TEST(Faults, ProxyKillMidStripedTransferDegradesAndRecovers) {
   ASSERT_TRUE(baseline.completed) << baseline.error;
   Outcome out = run_triple_plummer(
       {Shot{faultpoint::Point::ckpt_capture, 1, 0, false, "node0", "job"}},
-      [&](ExperimentSpec& spec) {
-        spec.models[0].n = 1400;
-        spec.flap_link = "metro-wan";
-        spec.flap_after_iteration = 1;
-        spec.flap_streams = 6;
-        spec.flap_streams_heal_s = 0.0;  // stay failed for the rest
-      });
+      enlarge, AfterStep{1, [](sim::Network& net) {
+                           // Stay failed for the rest of the run.
+                           net.fail_streams("metro-wan", 6, 0.0);
+                         }});
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_EQ(out.fired, 1);
   EXPECT_GE(out.degraded_iterations, 1.0);

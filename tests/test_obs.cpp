@@ -11,6 +11,7 @@
 
 #include "amuse/clients.hpp"
 #include "amuse/daemon.hpp"
+#include "amuse/faultpoint.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/scenario.hpp"
 #include "amuse/workers.hpp"
@@ -427,11 +428,24 @@ TEST(Diagnostics, IterationLogMarksReplayedStepsDistinctly) {
   auto plan =
       scenario::placement_for(probe, scenario::Kind::autoplace, options);
   ASSERT_NE(plan.role(sched::Role::gravity).host, nullptr);
-  options.kill_host = plan.role(sched::Role::gravity).host->name();
-  options.kill_after_iteration = 1;
+  std::string gravity_host = plan.role(sched::Role::gravity).host->name();
 
-  scenario::Result result =
-      scenario::run_scenario(scenario::Kind::autoplace, options);
+  // The crash lands once, when step 2 reaches its top kick: right after
+  // step 1, before step 2 sends any RPC.
+  scenario::JungleTestbed bed;
+  bool crashed = false;
+  amuse::faultpoint::ScopedHook crash_after_step_1(
+      [&](const amuse::faultpoint::Context& ctx) {
+        if (crashed ||
+            ctx.point != amuse::faultpoint::Point::step_top_kick ||
+            ctx.iteration != 1) {
+          return;
+        }
+        crashed = true;
+        bed.network().host(gravity_host).crash();
+      });
+  scenario::Result result = experiment::run_experiment(
+      bed, scenario::classic_spec(scenario::Kind::autoplace, options));
   EXPECT_GE(result.restarts, 1);
   ASSERT_EQ(result.iteration_log.size(), 3u);
   EXPECT_FALSE(result.iteration_log[0].replay);

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "amuse/faultpoint.hpp"
 #include "amuse/scenario.hpp"
 
 using namespace jungle::amuse::scenario;
@@ -249,10 +250,22 @@ TEST(Scenario, AutoplaceFaultReplacementCompletesRun) {
 
   Result clean = run_scenario(Kind::autoplace, options);
 
-  Options faulty = options;
-  faulty.kill_host = gravity_host;
-  faulty.kill_after_iteration = 1;
-  Result recovered = run_scenario(Kind::autoplace, faulty);
+  // The crash lands once, when step 2 reaches its top kick: right after
+  // step 1, before step 2 sends any RPC.
+  JungleTestbed bed;
+  bool crashed = false;
+  jungle::amuse::faultpoint::ScopedHook crash_after_step_1(
+      [&](const jungle::amuse::faultpoint::Context& ctx) {
+        if (crashed ||
+            ctx.point != jungle::amuse::faultpoint::Point::step_top_kick ||
+            ctx.iteration != 1) {
+          return;
+        }
+        crashed = true;
+        bed.network().host(gravity_host).crash();
+      });
+  Result recovered = jungle::amuse::experiment::run_experiment(
+      bed, classic_spec(Kind::autoplace, options));
   EXPECT_EQ(recovered.restarts, 1);
   EXPECT_EQ(recovered.iterations, options.iterations);
   // The re-placed map must not use the dead machine.
