@@ -106,13 +106,6 @@ Future DynamicsClient::send_kick(Fn fn, std::span<const Vec3> accel,
   return rpc_->call(fn, std::move(args));
 }
 
-void GravityClient::set_params(double eps2, double eta) {
-  util::ByteWriter args = RpcClient::request();
-  args.put<double>(eps2);
-  args.put<double>(eta);
-  rpc_->call_sync(Fn::grav_set_params, std::move(args));
-}
-
 void GravityClient::add_particles(std::span<const double> masses,
                                   std::span<const Vec3> positions,
                                   std::span<const Vec3> velocities) {
@@ -252,16 +245,6 @@ void FieldClient::set_sources(std::span<const double> masses,
   rpc_->call_sync(Fn::field_set_sources, std::move(args));
 }
 
-Future FieldClient::accel_at_async(std::span<const Vec3> points) {
-  util::ByteWriter args = RpcClient::request();
-  put_span_of(args, points);
-  return rpc_->call(Fn::field_accel_at, std::move(args));
-}
-
-std::vector<Vec3> FieldClient::decode_accel(util::ByteReader reader) {
-  return reader.get_vector<Vec3>();
-}
-
 std::optional<Future> FieldClient::accel_for_async(
     FieldTag tag, StateId sources_id, std::span<const double> source_mass,
     std::span<const Vec3> source_position, StateId points_id,
@@ -316,13 +299,6 @@ const std::vector<Vec3>& FieldClient::finish_accel(
   record.accel_sources_id = record.sources_id;
   record.accel_points_id = record.points_id;
   return record.accel;
-}
-
-void HydroClient::set_params(double eps2, double theta) {
-  util::ByteWriter args = RpcClient::request();
-  args.put<double>(eps2);
-  args.put<double>(theta);
-  rpc_->call_sync(Fn::hydro_set_params, std::move(args));
 }
 
 void HydroClient::add_gas(std::span<const double> masses,
@@ -435,17 +411,9 @@ const std::vector<double>& StellarClient::masses() {
   return mass_cache_;
 }
 
-std::vector<double> StellarClient::luminosities() {
-  return rpc_->call_sync(Fn::se_get_luminosities, {}).get_vector<double>();
-}
-
 std::vector<std::int32_t> StellarClient::supernovae() {
   return rpc_->call_sync(Fn::se_get_supernovae, {})
       .get_vector<std::int32_t>();
-}
-
-double StellarClient::mass_loss() {
-  return rpc_->call_sync(Fn::se_get_mass_loss, {}).get<double>();
 }
 
 }  // namespace jungle::amuse

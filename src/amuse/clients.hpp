@@ -192,7 +192,6 @@ class GravityClient : public DynamicsClient {
   explicit GravityClient(std::unique_ptr<RpcClient> rpc)
       : DynamicsClient(std::move(rpc)) {}
 
-  virtual void set_params(double eps2, double eta);
   virtual void add_particles(std::span<const double> masses,
                              std::span<const Vec3> positions,
                              std::span<const Vec3> velocities);
@@ -275,12 +274,6 @@ class FieldClient : public ModelClient {
   const std::vector<Vec3>& last_source_position() const noexcept {
     return last_position_;
   }
-  std::vector<Vec3> accel_at(std::span<const Vec3> points) {
-    return decode_accel(accel_at_async(points).get());
-  }
-  Future accel_at_async(std::span<const Vec3> points);
-  static std::vector<Vec3> decode_accel(util::ByteReader reader);
-
   /// One-shot epoch-tagged cross-gravity query (the pipelined data path):
   /// sources and points are only uploaded when their content id differs
   /// from what the worker already caches under `tag`, and a reply of
@@ -321,7 +314,6 @@ class HydroClient : public DynamicsClient {
   explicit HydroClient(std::unique_ptr<RpcClient> rpc)
       : DynamicsClient(std::move(rpc)) {}
 
-  void set_params(double eps2, double theta);
   void add_gas(std::span<const double> masses,
                std::span<const Vec3> positions,
                std::span<const Vec3> velocities,
@@ -378,10 +370,8 @@ class StellarClient : public ModelClient {
   void add_stars(std::span<const double> zams_masses);
   void evolve_to(double age_myr);
   const std::vector<double>& masses();
-  std::vector<double> luminosities();
   /// Stars that exploded during the last evolve_to.
   std::vector<std::int32_t> supernovae();
-  double mass_loss();
 
   /// Drops the mass cache: the next masses() exchange fetches the full
   /// array from the restarted (blank) worker.

@@ -768,8 +768,6 @@ class GraphRun {
           committed_.gravity[i].state =
               GravityState{std::move(body.mass), std::move(body.position),
                            std::move(body.velocity)};
-          committed_.gravity[i].eps2 = model.eps2;
-          committed_.gravity[i].eta = model.eta;
           break;
         }
         case Role::hydro: {
@@ -785,8 +783,6 @@ class GraphRun {
               HydroState{std::move(cloud.mass), std::move(cloud.position),
                          std::move(cloud.velocity),
                          std::move(cloud.internal_energy), {}};
-          committed_.hydro[i].eps2 = model.eps2;
-          committed_.hydro[i].theta = model.theta;
           break;
         }
         case Role::stellar:
@@ -1150,14 +1146,10 @@ class GraphRun {
       switch (models_[i].role) {
         case Role::gravity:
           staged.gravity[i] = finish_checkpoint(models_[i].gravity(), reads[i]);
-          staged.gravity[i].eps2 = spec_.models[i].eps2;
-          staged.gravity[i].eta = spec_.models[i].eta;
           if (hooked) digests[i] = digest(staged.gravity[i]);
           break;
         case Role::hydro:
           staged.hydro[i] = finish_checkpoint(models_[i].hydro(), reads[i]);
-          staged.hydro[i].eps2 = spec_.models[i].eps2;
-          staged.hydro[i].theta = spec_.models[i].theta;
           if (hooked) digests[i] = digest(staged.hydro[i]);
           break;
         case Role::coupler:
@@ -1420,9 +1412,10 @@ class GraphRun {
           gas_mass, gas_pos, gas_vel, gas_u, star_mass, star_pos);
     }
 
+    // Closing a client, dead or alive, also closes its daemon relay; the
+    // bridge and the clients are released here, inside the script process,
+    // so nothing they own outlives the run.
     for (ModelRuntime& model : models_) model.client->close();
-    // Released inside the script process: a dead client's destructor closes
-    // its daemon relay, which needs the simulation still running.
     bridge_.reset();
     models_.clear();
   }

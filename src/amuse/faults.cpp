@@ -130,7 +130,6 @@ FieldCheckpoint checkpoint_field(FieldClient& field) {
 void restore_gravity(GravityClient& gravity, const GravityCheckpoint& save) {
   faultpoint::reach(faultpoint::Point::recover_restore, -1,
                     gravity.rpc().label());
-  gravity.set_params(save.eps2, save.eta);
   gravity.add_particles(save.state.mass, save.state.position,
                         save.state.velocity);
   if (!save.acc.empty()) {
@@ -149,7 +148,6 @@ void restore_gravity(GravityClient& gravity, const GravityCheckpoint& save) {
 void restore_hydro(HydroClient& hydro, const HydroCheckpoint& save) {
   faultpoint::reach(faultpoint::Point::recover_restore, -1,
                     hydro.rpc().label());
-  hydro.set_params(save.eps2, save.theta);
   hydro.add_gas(save.state.mass, save.state.position, save.state.velocity,
                 save.state.internal_energy);
   // Absolute-clock restart: the replacement accepts the same evolve targets

@@ -16,12 +16,14 @@ namespace jungle::amuse {
 /// kinds are covered — gravity (phiGRAPE), hydro (Gadget) and the coupling
 /// field kernel (Octgrav/Fi) — which is what lets the placement scheduler
 /// re-place any kernel mid-run, not just the star cluster.
+///
+/// Checkpoints hold model state only. Physics parameters (eps2, eta, theta)
+/// live in the WorkerSpec every start, re-place and supervised restart
+/// builds its worker from, so a replacement already runs the same physics.
 
 struct GravityCheckpoint {
   GravityState state;
   double model_time = 0.0;
-  double eps2 = 1e-4;
-  double eta = 0.02;
   /// Corrector-stage forces the integrator carries across evolve() calls
   /// (evaluated at *predicted* positions — a fresh evaluation at the
   /// corrected state differs by roundoff). Restored verbatim so a replayed
@@ -35,13 +37,10 @@ struct GravityCheckpoint {
 struct HydroCheckpoint {
   HydroState state;
   double model_time = 0.0;
-  double eps2 = 1e-4;
-  double theta = 0.6;
 };
 
 /// The field worker is stateless between kicks except for its sources; the
-/// checkpoint is the last source set the client shipped. (Its eps2/theta
-/// live in the WorkerSpec the replacement starts from, not here.)
+/// checkpoint is the last source set the client shipped.
 struct FieldCheckpoint {
   std::vector<double> source_mass;
   std::vector<Vec3> source_position;
@@ -107,7 +106,9 @@ HydroCheckpoint finish_checkpoint(HydroClient& hydro, PendingCapture& reads);
 /// restored worker resumes on the *absolute* clock: its model time is the
 /// checkpoint's, it accepts the same evolve targets as the worker it
 /// replaces, and (for gravity) it carries the checkpointed corrector-stage
-/// forces — so the replayed steps are bit-for-bit the fault-free ones.
+/// forces — so the replayed steps are bit-for-bit the fault-free ones. The
+/// fresh worker must be started from the WorkerSpec of the one it replaces:
+/// a restore sends state, not physics parameters.
 void restore_gravity(GravityClient& gravity, const GravityCheckpoint& save);
 void restore_hydro(HydroClient& hydro, const HydroCheckpoint& save);
 void restore_field(FieldClient& field, const FieldCheckpoint& save);

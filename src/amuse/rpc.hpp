@@ -25,13 +25,15 @@ namespace jungle::amuse {
 /// framed request/reply with correlation ids, futures for async calls, and
 /// a worker-side dispatch loop.
 
-/// Function ids. Ranges per interface keep dispatch tables readable.
+/// Function ids. Ranges per interface keep dispatch tables readable. The
+/// ids of retired calls (10, 31, 50, 74, 75) stay unused, so every other
+/// call keeps its wire number.
 enum class Fn : std::uint16_t {
   ping = 0,
   stop = 1,
 
-  // GravitationalDynamics (phiGRAPE)
-  grav_set_params = 10,
+  // GravitationalDynamics (phiGRAPE). Physics parameters (eps2, eta, theta)
+  // travel only in the WorkerSpec a worker starts from; no call sets them.
   grav_add_particles = 11,
   grav_evolve = 12,
   grav_get_state = 13,
@@ -64,14 +66,12 @@ enum class Fn : std::uint16_t {
 
   // GravityField (Octgrav / Fi)
   field_set_sources = 30,
-  field_accel_at = 31,
   /// One-shot cross-gravity query: epoch-tagged sources + evaluation points
   /// in a single frame (both directions of a cross-kick pipeline as two
   /// concurrent calls), with worker-side caching of unchanged inputs.
   field_accel_for = 32,
 
   // Hydrodynamics (Gadget)
-  hydro_set_params = 50,
   hydro_add_gas = 51,
   hydro_evolve = 52,
   hydro_get_state = 53,
@@ -88,8 +88,6 @@ enum class Fn : std::uint16_t {
   se_evolve_to = 71,
   se_get_masses = 72,
   se_get_supernovae = 73,
-  se_get_mass_loss = 74,
-  se_get_luminosities = 75,
   /// Delta-compressed mass fetch: only masses that changed since the last
   /// exchange travel ([u64 flags][indices][values], or a full array).
   se_get_mass_updates = 76,
@@ -255,7 +253,8 @@ class RpcClient {
   Future call(Fn fn, util::ByteWriter arguments);
   util::ByteReader call_sync(Fn fn, util::ByteWriter arguments);
 
-  /// Send the stop function and close the pipe.
+  /// Send the stop function (unless the client is poisoned: its worker is
+  /// gone) and close the pipe, which winds down the daemon's relay for it.
   void close();
   bool alive() const noexcept { return !dead_; }
   const std::string& label() const noexcept { return label_; }
@@ -286,17 +285,6 @@ class RpcClient {
   /// already failed by poison(); nothing is replayed.
   void revive();
 
-  /// Client-side resend policy for retry_safe calls: after `soft_delay_s`
-  /// of virtual time without a reply the frame is retransmitted (same
-  /// request id, resend flag), with deterministic jitter and doubling
-  /// backoff, up to `max_resends` times. The default soft delay is far
-  /// above a healthy reply's latency, so fault-free runs never resend and
-  /// golden digests are unaffected. `max_resends = 0` disables retries.
-  void set_retry_policy(double soft_delay_s, int max_resends) noexcept {
-    retry_soft_delay_s_ = soft_delay_s;
-    retry_max_resends_ = max_resends;
-  }
-
   /// Name this client's metrics series rpc.<meter>.{calls,bytes_out,
   /// bytes_in,latency_s}. Defaults to the label; the experiment runner sets
   /// the model name so worker meters and RPC meters line up.
@@ -312,8 +300,6 @@ class RpcClient {
   std::unique_ptr<MessagePipe> pipe_;
   std::string label_;
   double call_timeout_s_ = 0.0;
-  double retry_soft_delay_s_ = 1.0;
-  int retry_max_resends_ = 6;
   std::uint32_t next_request_ = 1;
   std::map<std::uint32_t, std::shared_ptr<Future::State>> pending_;
   /// Ring of recently answered request ids: a duplicate reply (the original

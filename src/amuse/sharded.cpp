@@ -44,11 +44,6 @@ void ShardedGravityClient::drain_pending() {
   if (first) std::rethrow_exception(first);
 }
 
-void ShardedGravityClient::set_params(double eps2, double eta) {
-  drain_pending();
-  for (auto& sub : subs_) sub->set_params(eps2, eta);
-}
-
 void ShardedGravityClient::add_particles(std::span<const double> masses,
                                          std::span<const Vec3> positions,
                                          std::span<const Vec3> velocities) {

@@ -30,7 +30,6 @@ class ShardedGravityClient : public GravityClient {
   int shard_count() const noexcept { return static_cast<int>(subs_.size()); }
   GravityClient& shard(int k) { return *subs_.at(static_cast<std::size_t>(k)); }
 
-  void set_params(double eps2, double eta) override;
   /// Prime every shard: reset, load the full (Morton-ordered) arrays, and
   /// assign its owned range. Also the restore path — a revived blank worker
   /// treats the reset as a no-op and the survivors roll back with it.

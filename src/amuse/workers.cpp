@@ -186,11 +186,6 @@ Dispatcher make_gravity_dispatcher(
           kick_cache](Fn fn, util::ByteReader& args) -> util::ByteWriter {
     util::ByteWriter result = reply_writer();
     switch (fn) {
-      case Fn::grav_set_params: {
-        integrator->params().eps2 = args.get<double>();
-        integrator->params().eta = args.get<double>();
-        return result;
-      }
       case Fn::grav_add_particles: {
         auto masses = args.get_span<double>();
         auto positions = args.get_span<Vec3>();
@@ -342,6 +337,11 @@ Dispatcher make_gravity_dispatcher(
       case Fn::grav_set_shard: {
         auto lo = args.get<std::uint64_t>();
         auto hi = args.get<std::uint64_t>();
+        if (lo > hi || hi > integrator->size()) {
+          throw CodeError("grav_set_shard: rows [" + std::to_string(lo) +
+                          ", " + std::to_string(hi) + ") of " +
+                          std::to_string(integrator->size()) + " particles");
+        }
         integrator->set_owned_range(static_cast<std::size_t>(lo),
                                     static_cast<std::size_t>(hi));
         return result;
@@ -425,15 +425,6 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
         field->set_sources(masses, positions);
         charge(cost, static_cast<double>(positions.size()) *
                          kernels::BarnesHutTree::kBuildFlopsPerParticle);
-        return result;
-      }
-      case Fn::field_accel_at: {
-        auto points = args.get_span<Vec3>();
-        auto before = field->interactions();
-        auto accel = field->accel_at(points);
-        charge(cost, static_cast<double>(field->interactions() - before) *
-                         kernels::BarnesHutTree::kFlopsPerInteraction);
-        result.put_vector(accel);
         return result;
       }
       case Fn::field_accel_for: {
@@ -547,14 +538,6 @@ Dispatcher make_se_dispatcher(
         result.put_vector(indices);
         return result;
       }
-      case Fn::se_get_mass_loss: {
-        result.put<double>(stellar->recent_mass_loss());
-        return result;
-      }
-      case Fn::se_get_luminosities: {
-        result.put_vector(stellar->luminosities());
-        return result;
-      }
       default:
         throw CodeError("sse: unsupported function id " +
                         std::to_string(static_cast<int>(fn)));
@@ -572,11 +555,6 @@ util::ByteWriter hydro_common(kernels::SphSystem& sph, Fn fn,
                               std::vector<Vec3>& kick_cache) {
   util::ByteWriter result = reply_writer();
   switch (fn) {
-    case Fn::hydro_set_params: {
-      sph.params().eps2 = args.get<double>();
-      sph.params().theta = args.get<double>();
-      return result;
-    }
     case Fn::hydro_add_gas: {
       auto masses = args.get_span<double>();
       auto positions = args.get_span<Vec3>();

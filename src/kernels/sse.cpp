@@ -118,11 +118,4 @@ std::vector<double> StellarEvolution::masses() const {
   return result;
 }
 
-std::vector<double> StellarEvolution::luminosities() const {
-  std::vector<double> result;
-  result.reserve(stars_.size());
-  for (const Star& star : stars_) result.push_back(star.luminosity);
-  return result;
-}
-
 }  // namespace jungle::kernels

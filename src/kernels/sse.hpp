@@ -42,7 +42,6 @@ class StellarEvolution {
 
   const Star& star(int index) const { return stars_.at(index); }
   std::vector<double> masses() const;
-  std::vector<double> luminosities() const;
 
   /// Indices of stars that went supernova during the last evolve_to call.
   const std::vector<int>& recent_supernovae() const noexcept {

@@ -244,8 +244,10 @@ TEST(AmuseLocal, FieldWorkerComputesCrossGravity) {
                                          ChannelKind::socket));
     std::vector<double> masses{1.0};
     std::vector<Vec3> sources{{0, 0, 0}};
-    field.set_sources(masses, sources);
-    auto accel = field.accel_at(std::vector<Vec3>{{2, 0, 0}});
+    std::vector<Vec3> points{{2, 0, 0}};
+    auto reply = field.accel_for_async(FieldTag::gas_on_stars, 0, masses,
+                                       sources, 0, points);
+    const auto& accel = field.finish_accel(FieldTag::gas_on_stars, reply);
     ASSERT_EQ(accel.size(), 1u);
     // Point mass: |a| = 1/4 at r=2 (small softening).
     EXPECT_NEAR(accel[0].x, -0.25, 0.01);
@@ -329,9 +331,10 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
   // Hand-built update and state-loading frames that do not fit the model:
   // an index past the particles, fewer values than indices, more kick rows
   // than particles, parallel arrays of different lengths, dynamics shorter
-  // than the model, ghost blocks past the last row or short of velocities.
-  // Each is rejected whole with a CodeError reply, nothing of it is
-  // applied, and every worker keeps serving.
+  // than the model, ghost blocks past the last row or short of velocities,
+  // a shard range upside down or past the last row. Each is rejected whole
+  // with a CodeError reply, nothing of it is applied, and every worker
+  // keeps serving.
   LocalWorld w;
   w.run([&] {
     auto local = [&](WorkerSpec spec) {
@@ -349,6 +352,15 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     gas.add_gas(cloud.mass, cloud.position, cloud.velocity,
                 cloud.internal_energy);
     field.set_sources(cloud.mass, cloud.position);
+    // The coupler's tag cache: the cloud's sources stay cached under a
+    // nonzero id, so a probe ships only its points (zero id: recomputed).
+    const auto probe_tag = static_cast<FieldTag>(9);
+    const StateId probe_sources = make_state_id(3, 1);
+    auto probe_field = [&] {
+      auto reply = field.accel_for_async(probe_tag, probe_sources, cloud.mass,
+                                         cloud.position, 0, model.position);
+      return field.finish_accel(probe_tag, reply);
+    };
 
     struct Snapshot {
       GravityState stars;
@@ -366,7 +378,7 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
       stars.finish_dynamics(dynamics, now.acc, now.jerk, now.time);
       gas.reset_delta_caches();
       now.gas = gas.get_state();
-      now.field_accel = field.accel_at(model.position);
+      now.field_accel = probe_field();
       return now;
     };
     Snapshot before = snapshot();
@@ -412,9 +424,15 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
       args.put_vector(vec3s(velocities));
       return args;
     };
+    auto shard = [&](std::uint64_t lo, std::uint64_t hi) {
+      util::ByteWriter args = RpcClient::request();
+      args.put<std::uint64_t>(lo);
+      args.put<std::uint64_t>(hi);
+      return args;
+    };
     auto accel_for = [&](std::size_t masses, std::size_t positions) {
       util::ByteWriter args = RpcClient::request();
-      args.put<std::uint64_t>(9);  // a tag of its own
+      args.put<std::uint64_t>(static_cast<std::uint64_t>(probe_tag));
       args.put<StateId>(make_state_id(1, 1));
       args.put<StateId>(make_state_id(2, 1));
       args.put<std::uint64_t>(accel_flags::has_sources |
@@ -460,6 +478,10 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
                       Fn::grav_ghost_update, ghosts(3, 2, 2, false)});
     frames.push_back({"f32 ghosts: 2 positions, 1 velocity", stars.rpc(),
                       Fn::grav_ghost_update, ghosts(0, 2, 1, true)});
+    frames.push_back({"shard rows [3, 1) of 4", stars.rpc(),
+                      Fn::grav_set_shard, shard(3, 1)});
+    frames.push_back({"shard rows [0, 5) of 4", stars.rpc(),
+                      Fn::grav_set_shard, shard(0, 5)});
     frames.push_back({"field: 1 source mass, 3 positions", field.rpc(),
                       Fn::field_set_sources, columns(doubles(1), vec3s(3))});
     frames.push_back({"accel_for: 1 source mass, 3 positions", field.rpc(),
@@ -498,7 +520,9 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     gas.evolve(1.0 / 64.0);
     EXPECT_EQ(gas.get_state().mass.size(), 8u);
     field.set_sources(model.mass, model.position);
-    EXPECT_EQ(field.accel_at(cloud.position).size(), 8u);
+    auto reply = field.accel_for_async(FieldTag::gas_on_stars, 0, model.mass,
+                                       model.position, 0, cloud.position);
+    EXPECT_EQ(field.finish_accel(FieldTag::gas_on_stars, reply).size(), 8u);
     stars.close();
     gas.close();
     field.close();
@@ -603,7 +627,6 @@ TEST(AmuseLocal, ParallelGadgetMatchesSerialPhysics) {
 const std::pair<Fn, std::string> kEveryFn[] = {
     FN_ROW(ping),
     FN_ROW(stop),
-    FN_ROW(grav_set_params),
     FN_ROW(grav_add_particles),
     FN_ROW(grav_evolve),
     FN_ROW(grav_get_state),
@@ -618,9 +641,7 @@ const std::pair<Fn, std::string> kEveryFn[] = {
     FN_ROW(grav_set_shard),
     FN_ROW(grav_ghost_update),
     FN_ROW(field_set_sources),
-    FN_ROW(field_accel_at),
     FN_ROW(field_accel_for),
-    FN_ROW(hydro_set_params),
     FN_ROW(hydro_add_gas),
     FN_ROW(hydro_evolve),
     FN_ROW(hydro_get_state),
@@ -633,8 +654,6 @@ const std::pair<Fn, std::string> kEveryFn[] = {
     FN_ROW(se_evolve_to),
     FN_ROW(se_get_masses),
     FN_ROW(se_get_supernovae),
-    FN_ROW(se_get_mass_loss),
-    FN_ROW(se_get_luminosities),
     FN_ROW(se_get_mass_updates),
 };
 #undef FN_ROW
@@ -665,7 +684,6 @@ TEST(RpcDescriptors, RetrySafeSetIsTheIdempotentCalls) {
       Fn::grav_kick_all,
       Fn::grav_set_shard,
       Fn::grav_ghost_update,
-      Fn::field_accel_at,
       Fn::field_accel_for,
       Fn::hydro_get_state,
       Fn::hydro_get_energies,
@@ -673,11 +691,9 @@ TEST(RpcDescriptors, RetrySafeSetIsTheIdempotentCalls) {
       Fn::hydro_kick_all,
       Fn::se_get_masses,
       Fn::se_get_supernovae,
-      Fn::se_get_mass_loss,
-      Fn::se_get_luminosities,
       Fn::se_get_mass_updates,
   };
-  ASSERT_EQ(expected.size(), 19u);
+  ASSERT_EQ(expected.size(), 16u);
   std::set<Fn> actual;
   for (const auto& [fn, name] : kEveryFn) {
     if (retry_safe(fn)) actual.insert(fn);

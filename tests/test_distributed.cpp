@@ -6,6 +6,8 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "amuse/bridge.hpp"
 #include "amuse/clients.hpp"
@@ -563,6 +565,51 @@ TEST(Distributed, FaultPolicyRestartsOnReplacementResource) {
   });
   EXPECT_TRUE(restarted);
   EXPECT_NEAR(final_time, 0.1, 1e-9);
+}
+
+TEST(Distributed, ClosingAPoisonedClientReleasesItsDaemonRelay) {
+  // The worker's host dies: the daemon reports it and half-closes its end,
+  // and the client is poisoned. Closing the client skips the stop frame
+  // but still closes the pipe, so the daemon's relay for it winds down
+  // now, while the client object is still alive.
+  Lab lab;
+  bool poisoned = false;
+  std::vector<std::string> before;
+  std::vector<std::string> after;
+  lab.run([&] {
+    DaemonClient client(lab.sockets, *lab.desktop);
+    WorkerSpec spec;
+    spec.code = "phigrape";
+    GravityClient gravity(client.start_worker(spec, "lgm"));
+    util::Rng rng(1);
+    auto model = ic::plummer_sphere(16, rng);
+    gravity.add_particles(model.mass, model.position, model.velocity);
+    lab.lgm_node->crash();
+    try {
+      gravity.evolve(0.05);
+      gravity.get_state();
+    } catch (const CodeError&) {
+    }
+    poisoned = !gravity.rpc().alive();
+    before = lab.sim.live_process_names();
+    gravity.close();
+    lab.sim.sleep(1.0);
+    after = lab.sim.live_process_names();
+  });
+  // The daemon's relay for this client (its serving process, the upstream
+  // pump and its reply port) and the client's own pump.
+  const std::vector<std::string> relay = {
+      "desktop/amuse-daemon-client", "desktop/daemon-upstream:1",
+      "desktop/ipl-recvport:rep-1", "desktop/rpc-pump:phigrape@lgm"};
+  auto running = [](const std::vector<std::string>& names,
+                    const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  EXPECT_TRUE(poisoned);
+  for (const std::string& name : relay) {
+    EXPECT_TRUE(running(before, name)) << name;
+    EXPECT_FALSE(running(after, name)) << name;
+  }
 }
 
 TEST(Distributed, DeathNoticePoisonsInFlightBatch) {

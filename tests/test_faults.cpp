@@ -284,6 +284,64 @@ TEST(Faults, CrashAfterFirstSpawnRetriesTheInitialLoad) {
   EXPECT_LE(out.live, gold.live);
 }
 
+TEST(Faults, NonDefaultPhysicsSurviveAReplace) {
+  // Physics parameters travel only in the WorkerSpec: every start and
+  // re-place builds its worker from it, and a checkpoint restore sends
+  // state alone. Crash the gravity host in step 1 of an embedded cluster
+  // whose gravity and hydro run non-default eps2/eta/theta: both dynamic
+  // models roll back onto fresh workers, and the replay must land on the
+  // fault-free bits — which differ from the default-physics run's. (Step 1
+  // rolls back to the initial conditions: a hydro restore at a later epoch
+  // is not bit-exact, the SPH smoothing lengths are not checkpointed.)
+  scenario::Options options;
+  options.n_stars = 600;  // enough that gravity goes to a remote GPU
+  options.n_gas = 2000;
+  options.iterations = 2;
+  options.with_stellar_evolution = false;
+  ExperimentSpec plain = scenario::classic_spec(scenario::Kind::autoplace,
+                                                options);
+  ExperimentSpec tuned = plain;
+  for (ModelSpec& model : tuned.models) {
+    if (model.role == sched::Role::gravity) {
+      model.eps2 = 4e-4;
+      model.eta = 0.03;
+    } else if (model.role == sched::Role::hydro) {
+      model.eps2 = 4e-4;
+      model.theta = 0.7;
+    }
+  }
+  JungleTestbed probe;
+  const sched::Placement plan = plan_experiment(probe, tuned);
+  const sched::Assignment& gravity = plan.role(sched::Role::gravity);
+  ASSERT_NE(gravity.host, nullptr);
+  ASSERT_FALSE(gravity.resource.empty())
+      << "the fault needs gravity on a remote resource";
+  const std::string victim = gravity.host->name();
+
+  // The crash lands once, when step 1 reaches its top kick.
+  auto run = [](const ExperimentSpec& spec, const std::string& crash) {
+    JungleTestbed bed;
+    bool fired = false;
+    faultpoint::ScopedHook hook([&](const faultpoint::Context& ctx) {
+      if (crash.empty() || fired ||
+          ctx.point != faultpoint::Point::step_top_kick ||
+          ctx.iteration != 0) {
+        return;
+      }
+      fired = true;
+      bed.network().host(crash).crash();
+    });
+    return run_experiment(bed, spec);
+  };
+  Result clean = run(tuned, "");
+  Result recovered = run(tuned, victim);
+  EXPECT_EQ(clean.restarts, 0);
+  EXPECT_GE(recovered.restarts, 1);
+  EXPECT_EQ(recovered.placement.find(victim), std::string::npos);
+  EXPECT_EQ(final_digest(recovered), final_digest(clean));
+  EXPECT_NE(final_digest(clean), final_digest(run(plain, "")));
+}
+
 // ---------------------------------------------------------------------------
 // PR 8: the process-fault tier. Victims are single processes (daemon
 // accept loop, worker proxy, native worker) killed while their host stays

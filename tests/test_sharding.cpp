@@ -88,7 +88,6 @@ ShardRun run_sharded(int shards, std::size_t n, double t_end) {
       for (int k = 0; k < shards; ++k) subs.push_back(local_gravity(w));
       gravity = std::make_unique<ShardedGravityClient>(std::move(subs));
     }
-    gravity->set_params(1e-4, 0.02);
     gravity->add_particles(model.mass, model.position, model.velocity);
     auto [k0, p0] = gravity->energies();
     // Bridge-step cadence: each evolve refreshes the ghost rows, exactly
@@ -145,7 +144,6 @@ TEST(Sharding, KickAndStateRoundTripThroughFacade) {
     std::vector<std::unique_ptr<GravityClient>> subs;
     for (int k = 0; k < 3; ++k) subs.push_back(local_gravity(w));
     ShardedGravityClient gravity(std::move(subs));
-    gravity.set_params(1e-4, 0.02);
     gravity.add_particles(model.mass, model.position, model.velocity);
 
     // A kick must land on every shard's owned rows; the merged state must
@@ -264,7 +262,6 @@ TEST(Sharding, FacadeIsCurrentOnlyWhenEveryShardIs) {
     std::vector<std::unique_ptr<GravityClient>> subs;
     for (int k = 0; k < 2; ++k) subs.push_back(local_gravity(w));
     ShardedGravityClient gravity(std::move(subs));
-    gravity.set_params(1e-4, 0.02);
     gravity.add_particles(model.mass, model.position, model.velocity);
     EXPECT_FALSE(gravity.coupling_current());
 
