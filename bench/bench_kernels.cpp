@@ -7,8 +7,10 @@
 // references and stay inside the documented physics tolerance.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -108,6 +110,12 @@ void SphStepWithLanes(benchmark::State& state, unsigned lanes) {
   state.counters["ngb_per_s"] = benchmark::Counter(
       static_cast<double>(sph.neighbour_interactions()),
       benchmark::Counter::kIsRate);
+  // Candidates the grid search tested per neighbour it accepted: the
+  // search's wasted work, 1 at best.
+  state.counters["tests_per_ngb"] =
+      static_cast<double>(sph.distance_tests()) /
+      static_cast<double>(std::max<std::uint64_t>(
+          1, sph.neighbour_interactions()));
 }
 
 void Kernel_SphStep(benchmark::State& state) { SphStepWithLanes(state, 1); }

@@ -13,10 +13,10 @@ namespace jungle::kernels {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-// Gather buffers for the vectorized density pass (neighbour positions and
-// masses as SoA lanes). Thread-local so the parallel density pass needs no
-// per-call allocation and no sharing.
-thread_local std::vector<double> tl_gx, tl_gy, tl_gz, tl_gm;
+// Gather buffer for the vectorized density pass (neighbour masses as SoA
+// lanes). Thread-local so the parallel density pass needs no per-call
+// allocation and no sharing.
+thread_local std::vector<double> tl_gm;
 }
 
 SphSystem::SphSystem() : SphSystem(Params{}) {}
@@ -69,9 +69,7 @@ double SphSystem::kernel_dw(double r, double h) const {
 void SphSystem::build_grid() {
   const std::size_t n = mass_.size();
   if (n == 0) return;
-  // Cell size is the largest support radius (2 h_max): any 2h_i density
-  // query then touches at most 3^3 cells, and the h_i + h_max force query
-  // at most 5^3 (usually 3^3 too).
+  // Cell size is the largest support radius (2 h_max), capped below.
   double h_max = 0.0;
   for (double h : h_) h_max = std::max(h_max, h);
   Vec3 lo = pos_[0], hi = pos_[0];
@@ -87,7 +85,7 @@ void SphSystem::build_grid() {
   // inflates) must not collapse the whole grid to one cell and turn every
   // query O(N): cap the cell at 1/8 of the largest extent, so the grid
   // keeps at least 8 cells per axis. Queries wider than a cell still see
-  // every neighbour via the span loop below.
+  // every neighbour via the span loop in neighbours().
   double max_extent =
       std::max({hi.x - lo.x, hi.y - lo.y, hi.z - lo.z, 8e-6});
   cell_size_ = std::max(1e-6, std::min(2.0 * h_max, max_extent / 8.0));
@@ -114,14 +112,35 @@ void SphSystem::build_grid() {
   for (const Vec3& p : pos_) ++cell_start_[cell_of(p) + 1];
   for (std::size_t c = 0; c < ncells; ++c) cell_start_[c + 1] += cell_start_[c];
   cell_items_.resize(n);
+  cell_x_.resize(n);
+  cell_y_.resize(n);
+  cell_z_.resize(n);
+  box_of_slot_.resize(n);
+  cell_box_.clear();
   std::vector<std::int32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (int i = 0; i < static_cast<int>(n); ++i) {
-    cell_items_[cursor[cell_of(pos_[i])]++] = i;
+    const Vec3& p = pos_[i];
+    std::size_t c = cell_of(p);
+    std::int32_t k = cursor[c]++;
+    cell_items_[k] = i;
+    cell_x_[k] = p.x;
+    cell_y_[k] = p.y;
+    cell_z_[k] = p.z;
+    if (k == cell_start_[c]) {
+      box_of_slot_[k] = static_cast<std::int32_t>(cell_box_.size());
+      cell_box_.push_back({p, p});
+    } else {
+      Box& box = cell_box_[box_of_slot_[cell_start_[c]]];
+      box.lo = {std::min(box.lo.x, p.x), std::min(box.lo.y, p.y),
+                std::min(box.lo.z, p.z)};
+      box.hi = {std::max(box.hi.x, p.x), std::max(box.hi.y, p.y),
+                std::max(box.hi.z, p.z)};
+    }
   }
 }
 
-void SphSystem::neighbours(const Vec3& p, double radius,
-                           std::vector<int>& out) const {
+void SphSystem::neighbours(const Vec3& p, double radius, Neighbours& out,
+                           std::uint64_t& tests) const {
   int span = static_cast<int>(radius / cell_size_) + 1;
   // Clamped like build_grid() clamps particles: past the 128-cell cap, the
   // last cell holds everything beyond it.
@@ -131,7 +150,12 @@ void SphSystem::neighbours(const Vec3& p, double radius,
   int cx = clamped_cell(p.x - grid_origin_.x, grid_dim_[0]);
   int cy = clamped_cell(p.y - grid_origin_.y, grid_dim_[1]);
   int cz = clamped_cell(p.z - grid_origin_.z, grid_dim_[2]);
-  double r2 = radius * radius;
+  const double r2 = radius * radius;
+  const double px = p.x, py = p.y, pz = p.z;
+  // Distance from p to [lo, hi] along one axis, 0 inside.
+  auto gap = [](double x, double lo, double hi) {
+    return std::max(0.0, std::max(lo - x, x - hi));
+  };
   for (int z = std::max(0, cz - span);
        z <= std::min(grid_dim_[2] - 1, cz + span); ++z) {
     for (int y = std::max(0, cy - span);
@@ -141,21 +165,50 @@ void SphSystem::neighbours(const Vec3& p, double radius,
         std::size_t cell =
             (static_cast<std::size_t>(z) * grid_dim_[1] + y) * grid_dim_[0] +
             x;
-        for (std::int32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-             ++k) {
-          int j = cell_items_[k];
-          if ((pos_[j] - p).norm2() <= r2) out.push_back(j);
+        const std::int32_t begin = cell_start_[cell];
+        const std::int32_t end = cell_start_[cell + 1];
+        if (begin == end) continue;
+        // Rounding is monotone, so for every member q of the box each gap
+        // term is at most q's own |q - p| term, and the gap's norm2 at most
+        // q's: a pruned cell holds no particle within the radius.
+        const Box& box = cell_box_[box_of_slot_[begin]];
+        double gx = gap(px, box.lo.x, box.hi.x);
+        double gy = gap(py, box.lo.y, box.hi.y);
+        double gz = gap(pz, box.lo.z, box.hi.z);
+        if (gx * gx + gy * gy + gz * gz > r2) continue;
+        const auto members = static_cast<std::size_t>(end - begin);
+        tests += members;
+        const std::size_t need = out.count + members;
+        if (out.index.size() < need) {
+          out.index.resize(2 * need);
+          out.d2.resize(2 * need);
         }
+        int* index = out.index.data();
+        double* dist2 = out.d2.data();
+        std::size_t count = out.count;
+        for (std::int32_t k = begin; k < end; ++k) {
+          // (pos_[j] - p).norm2(), term for term.
+          double dx = cell_x_[k] - px;
+          double dy = cell_y_[k] - py;
+          double dz = cell_z_[k] - pz;
+          double d2 = dx * dx + dy * dy + dz * dz;
+          index[count] = cell_items_[k];
+          dist2[count] = d2;
+          count += d2 <= r2 ? 1 : 0;
+        }
+        out.count = count;
       }
     }
   }
 }
 
 std::vector<int> SphSystem::neighbours_of(int i, double radius) const {
-  std::vector<int> found;
-  neighbours(pos_.at(i), radius, found);
-  std::sort(found.begin(), found.end());
-  return found;
+  Neighbours found;
+  std::uint64_t tests = 0;
+  neighbours(pos_.at(i), radius, found, tests);
+  found.index.resize(found.count);
+  std::sort(found.index.begin(), found.index.end());
+  return found.index;
 }
 
 util::ThreadPool& SphSystem::resolve_pool() const {
@@ -172,74 +225,81 @@ void SphSystem::prepare_step() {
   }
 }
 
-void SphSystem::density_at(std::size_t i, std::vector<int>& scratch,
-                           std::uint64_t& ngb) {
-  // Fixed-point iteration coupling h and rho: h = eta (m/rho)^{1/3}.
-  for (int iteration = 0; iteration < 2; ++iteration) {
-    double rho = 0.0;
-    scratch.clear();
-    neighbours(pos_[i], 2.0 * h_[i], scratch);
-    ngb += scratch.size();
-    const std::size_t m = scratch.size();
-    std::size_t k = 0;
-    // The gather (4 SoA copies per neighbour) only pays for itself once the
-    // list is a few vectors long; short lists stay on the scalar loop.
-    constexpr std::size_t kGatherMin = 4 * simd::kWidth;
-    if (simd_ && simd::kWidth > 1 && m >= kGatherMin) {
-      // Gather the neighbour SoA, then evaluate the cubic spline on whole
-      // lanes with the piecewise branches folded into bitwise selects. The
-      // per-lane arithmetic mirrors kernel_w() exactly; only the summation
-      // order across neighbours differs from the scalar loop.
-      namespace sd = simd;
-      constexpr std::size_t W = sd::kWidth;
-      tl_gx.resize(m);
-      tl_gy.resize(m);
-      tl_gz.resize(m);
-      tl_gm.resize(m);
-      for (std::size_t g = 0; g < m; ++g) {
-        int j = scratch[g];
-        tl_gx[g] = pos_[j].x;
-        tl_gy[g] = pos_[j].y;
-        tl_gz[g] = pos_[j].z;
-        tl_gm[g] = mass_[j];
-      }
-      const double h = h_[i];
-      const sd::VecD px = sd::set1(pos_[i].x), py = sd::set1(pos_[i].y),
-                     pz = sd::set1(pos_[i].z);
-      const sd::VecD inv_h = sd::set1(1.0 / h);
-      const sd::VecD sigma = sd::set1(1.0 / (kPi * h * h * h));
-      const sd::VecD onev = sd::set1(1.0), twov = sd::set1(2.0);
-      const sd::VecD c15 = sd::set1(1.5), c075 = sd::set1(0.75),
-                     c025 = sd::set1(0.25);
-      const sd::VecD zerov = sd::zero();
-      sd::VecD rhov = sd::zero();
-      for (; k + W <= m; k += W) {
-        sd::VecD dx = sd::load(&tl_gx[k]) - px;
-        sd::VecD dy = sd::load(&tl_gy[k]) - py;
-        sd::VecD dz = sd::load(&tl_gz[k]) - pz;
-        sd::VecD r = sd::sqrt(dx * dx + dy * dy + dz * dz);
-        sd::VecD q = r * inv_h;
-        sd::VecD q2 = q * q;
-        sd::VecD inner = sigma * (onev - c15 * q2 + c075 * q2 * q);
-        sd::VecD t = twov - q;
-        sd::VecD outer = sigma * c025 * t * t * t;
-        sd::VecD w = sd::select(sd::less(q, onev), inner,
-                                sd::select(sd::less(q, twov), outer, zerov));
-        rhov = rhov + sd::load(&tl_gm[k]) * w;
-      }
-      rho += sd::hsum(rhov);
-      for (; k < m; ++k) {
-        int j = scratch[k];
-        double r = (pos_[j] - pos_[i]).norm();
-        rho += mass_[j] * kernel_w(r, h_[i]);
-      }
-    } else {
-      for (int j : scratch) {
-        double r = (pos_[j] - pos_[i]).norm();
-        rho += mass_[j] * kernel_w(r, h_[i]);
-      }
+double SphSystem::density_sum(std::size_t i, const Neighbours& list) const {
+  // r = sqrt(d2) is (pos_[j] - pos_[i]).norm() bit for bit: the search
+  // computed d2 from the same coordinates with the same operations.
+  const double h = h_[i];
+  const std::size_t m = list.size();
+  double rho = 0.0;
+  std::size_t k = 0;
+  // The mass gather only pays for itself once the list is a few vectors
+  // long; short lists stay on the scalar loop.
+  constexpr std::size_t kGatherMin = 4 * simd::kWidth;
+  if (simd_ && simd::kWidth > 1 && m >= kGatherMin) {
+    // Evaluate the cubic spline on whole lanes with the piecewise branches
+    // folded into bitwise selects. The per-lane arithmetic mirrors
+    // kernel_w() exactly; only the summation order across neighbours
+    // differs from the scalar loop.
+    namespace sd = simd;
+    constexpr std::size_t W = sd::kWidth;
+    tl_gm.resize(m);
+    for (std::size_t g = 0; g < m; ++g) tl_gm[g] = mass_[list.index[g]];
+    const sd::VecD inv_h = sd::set1(1.0 / h);
+    const sd::VecD sigma = sd::set1(1.0 / (kPi * h * h * h));
+    const sd::VecD onev = sd::set1(1.0), twov = sd::set1(2.0);
+    const sd::VecD c15 = sd::set1(1.5), c075 = sd::set1(0.75),
+                   c025 = sd::set1(0.25);
+    const sd::VecD zerov = sd::zero();
+    sd::VecD rhov = sd::zero();
+    for (; k + W <= m; k += W) {
+      sd::VecD r = sd::sqrt(sd::load(&list.d2[k]));
+      sd::VecD q = r * inv_h;
+      sd::VecD q2 = q * q;
+      sd::VecD inner = sigma * (onev - c15 * q2 + c075 * q2 * q);
+      sd::VecD t = twov - q;
+      sd::VecD outer = sigma * c025 * t * t * t;
+      sd::VecD w = sd::select(sd::less(q, onev), inner,
+                              sd::select(sd::less(q, twov), outer, zerov));
+      rhov = rhov + sd::load(&tl_gm[k]) * w;
     }
-    rho_[i] = std::max(rho, 1e-12);
+    rho += sd::hsum(rhov);
+  }
+  for (; k < m; ++k) {
+    rho += mass_[list.index[k]] * kernel_w(std::sqrt(list.d2[k]), h);
+  }
+  return rho;
+}
+
+void SphSystem::density_at(std::size_t i, Neighbours& list,
+                           PassCounts& counts) {
+  // Fixed-point iteration coupling h and rho: h = eta (m/rho)^{1/3}. One
+  // search serves both iterations unless h grew: a narrower radius keeps
+  // exactly the entries within it, in the same order, so the second list
+  // is what a second search would have returned.
+  const Vec3 p = pos_[i];
+  double radius = 2.0 * h_[i];
+  list.clear();
+  neighbours(p, radius, list, counts.tests);
+  for (int iteration = 0; iteration < 2; ++iteration) {
+    if (iteration > 0) {
+      const double narrowed = 2.0 * h_[i];
+      if (narrowed <= radius) {
+        const double r2 = narrowed * narrowed;
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < list.count; ++k) {
+          list.index[kept] = list.index[k];
+          list.d2[kept] = list.d2[k];
+          kept += list.d2[k] <= r2 ? 1 : 0;
+        }
+        list.count = kept;
+      } else {
+        list.clear();
+        neighbours(p, narrowed, list, counts.tests);
+      }
+      radius = narrowed;
+    }
+    counts.ngb += list.size();
+    rho_[i] = std::max(density_sum(i, list), 1e-12);
     h_[i] = params_.eta_h * std::cbrt(mass_[i] / rho_[i]);
   }
   if (!pending_u_.empty() && pending_u_[i] >= 0.0) {
@@ -252,38 +312,41 @@ void SphSystem::density_at(std::size_t i, std::vector<int>& scratch,
 
 void SphSystem::compute_density(std::size_t lo, std::size_t hi) {
   util::ThreadPool& pool = resolve_pool();
-  util::PerLane<std::vector<int>> scratch(pool);
-  util::PerLane<std::uint64_t> counts(pool, 0);
+  util::PerLane<Neighbours> lists(pool);
+  util::PerLane<PassCounts> counts(pool);
   // Each particle writes only its own rho/h/entropy slots, so the pass is
   // thread-count independent.
   pool.parallel_for(lo, hi, 16,
                     [&](std::size_t a, std::size_t b, unsigned lane) {
                       for (std::size_t i = a; i < b; ++i) {
-                        density_at(i, scratch[lane], counts[lane]);
+                        density_at(i, lists[lane], counts[lane]);
                       }
                     });
-  counts.for_each([&](std::uint64_t c) { ngb_count_ += c; });
+  counts.for_each([&](const PassCounts& c) {
+    ngb_count_ += c.ngb;
+    test_count_ += c.tests;
+  });
 }
 
-void SphSystem::force_at(std::size_t i, double h_max,
-                         std::vector<int>& scratch, std::uint64_t& ngb,
-                         std::uint64_t& tree) {
+void SphSystem::force_at(std::size_t i, double h_max, Neighbours& list,
+                         PassCounts& counts) {
   Vec3 accel{};
   double p_i = pressure_[i];
   double c_i = csound_[i];
-  scratch.clear();
+  list.clear();
   // Symmetric pair rule: i and j interact iff r < h_i + h_j (the support
   // of W(r, h_mean)). Using 2 h_i here would drop one direction of a pair
   // with unequal h and break momentum conservation; the search radius must
   // therefore reach out to h_i + max_j h_j.
-  neighbours(pos_[i], h_[i] + h_max, scratch);
-  ngb += scratch.size();
-  for (int j : scratch) {
+  neighbours(pos_[i], h_[i] + h_max, list, counts.tests);
+  counts.ngb += list.size();
+  for (std::size_t k = 0; k < list.size(); ++k) {
+    int j = list.index[k];
     if (j == static_cast<int>(i)) continue;
-    Vec3 dr = pos_[i] - pos_[j];
-    double r = dr.norm();
+    double r = std::sqrt(list.d2[k]);  // (pos_[i] - pos_[j]).norm()
     if (r <= 0.0) continue;
     if (r >= 0.5 * (h_[i] + h_[j]) * 2.0) continue;  // outside W support
+    Vec3 dr = pos_[i] - pos_[j];
     double p_j = pressure_[j];
     double h_mean = 0.5 * (h_[i] + h_[j]);
     double dw = kernel_dw(r, h_mean);
@@ -304,7 +367,7 @@ void SphSystem::force_at(std::size_t i, double h_max,
     accel -= mass_[j] * term * dw * (1.0 / r) * dr;
   }
   if (params_.self_gravity) {
-    accel += tree_.accel_at(pos_[i], tree);
+    accel += tree_.accel_at(pos_[i], counts.tree);
   }
   acc_[i] = accel;
 }
@@ -325,18 +388,19 @@ void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
     csound_[j] = std::sqrt(gamma * pressure_[j] / rho_[j]);
   }
   util::ThreadPool& pool = resolve_pool();
-  util::PerLane<std::vector<int>> scratch(pool);
-  util::PerLane<std::uint64_t> ngb(pool, 0);
-  util::PerLane<std::uint64_t> tree(pool, 0);
+  util::PerLane<Neighbours> lists(pool);
+  util::PerLane<PassCounts> counts(pool);
   pool.parallel_for(lo, hi, 16,
                     [&](std::size_t a, std::size_t b, unsigned lane) {
                       for (std::size_t i = a; i < b; ++i) {
-                        force_at(i, h_max, scratch[lane], ngb[lane],
-                                 tree[lane]);
+                        force_at(i, h_max, lists[lane], counts[lane]);
                       }
                     });
-  ngb.for_each([&](std::uint64_t c) { ngb_count_ += c; });
-  tree.for_each([&](std::uint64_t c) { tree_count_ += c; });
+  counts.for_each([&](const PassCounts& c) {
+    ngb_count_ += c.ngb;
+    test_count_ += c.tests;
+    tree_count_ += c.tree;
+  });
 }
 
 double SphSystem::timestep(std::size_t lo, std::size_t hi) const {

@@ -61,14 +61,17 @@ class SphSystem {
   void integrate(std::size_t lo, std::size_t hi, double dt);
   void advance_time(double dt) { time_ += dt; }
   /// Restore the absolute model clock into a fresh system (checkpoint
-  /// restart). Forces and density are re-derived per substep, so the clock
-  /// is the only dynamic state a restarted SPH system needs back.
+  /// restart). Forces are re-derived per substep, but the density fixed
+  /// point starts from each particle's previous smoothing length, which a
+  /// fresh system seeds at 0.1: the clock alone does not reproduce the
+  /// running system's next step bit for bit.
   void set_time(double t) noexcept { time_ = t; }
 
   // -- state access --
   const std::vector<double>& masses() const noexcept { return mass_; }
   const std::vector<Vec3>& positions() const noexcept { return pos_; }
   const std::vector<Vec3>& velocities() const noexcept { return vel_; }
+  const std::vector<Vec3>& accelerations() const noexcept { return acc_; }
   const std::vector<double>& densities() const noexcept { return rho_; }
   const std::vector<double>& smoothing() const noexcept { return h_; }
   std::vector<double> internal_energies() const;
@@ -110,6 +113,10 @@ class SphSystem {
   /// Neighbour-pair and tree interaction counts (cost model input).
   std::uint64_t neighbour_interactions() const noexcept { return ngb_count_; }
   std::uint64_t tree_interactions() const noexcept { return tree_count_; }
+  /// Candidates the density and force searches tested against their radius
+  /// (members of every grid cell they did not prune). Diagnostic only: the
+  /// cost model charges neighbour_interactions(), not this.
+  std::uint64_t distance_tests() const noexcept { return test_count_; }
   /// Global adaptive steps taken (prepare_step calls) — counts once per
   /// substep in both the serial and the rank-parallel evolve paths.
   std::uint64_t substeps() const noexcept { return substeps_; }
@@ -117,15 +124,37 @@ class SphSystem {
   static constexpr double kFlopsPerTreeInteraction = 24.0;
 
  private:
+  /// A neighbour list: the first `count` entries are particle indices in
+  /// search order, each with its squared distance to the query,
+  /// `(pos_[j] - p).norm2()`. The vectors are buffers at least `count` long,
+  /// so the search can store every candidate and advance `count` only past
+  /// the ones in range, without a branch per candidate.
+  struct Neighbours {
+    std::vector<int> index;
+    std::vector<double> d2;
+    std::size_t count = 0;
+    std::size_t size() const noexcept { return count; }
+    void clear() noexcept { count = 0; }
+  };
+  /// Per-lane counters of one density or force pass.
+  struct PassCounts {
+    std::uint64_t ngb = 0;
+    std::uint64_t tests = 0;
+    std::uint64_t tree = 0;
+  };
+
   double kernel_w(double r, double h) const;
   double kernel_dw(double r, double h) const;  // dW/dr
-  /// Append the indices within `radius` of `p` to `out` (not cleared).
-  void neighbours(const Vec3& p, double radius, std::vector<int>& out) const;
+  /// Append the particles within `radius` of `p` to `out` (not cleared), in
+  /// cell order (z, then y, then x) and by index within a cell; adds the
+  /// candidates tested to `tests`.
+  void neighbours(const Vec3& p, double radius, Neighbours& out,
+                  std::uint64_t& tests) const;
   void build_grid();
-  void density_at(std::size_t i, std::vector<int>& scratch,
-                  std::uint64_t& ngb) ;
-  void force_at(std::size_t i, double h_max, std::vector<int>& scratch,
-                std::uint64_t& ngb, std::uint64_t& tree);
+  double density_sum(std::size_t i, const Neighbours& list) const;
+  void density_at(std::size_t i, Neighbours& list, PassCounts& counts);
+  void force_at(std::size_t i, double h_max, Neighbours& list,
+                PassCounts& counts);
   util::ThreadPool& resolve_pool() const;
 
   Params params_;
@@ -143,15 +172,31 @@ class SphSystem {
   util::ThreadPool* pool_ = nullptr;
 
   // Uniform hash grid for neighbour search, CSR layout: the particles of
-  // cell c are cell_items_[cell_start_[c] .. cell_start_[c+1]). Cell size
-  // is 2 * max(h) so a 2h support touches at most 3^3 cells.
+  // cell c are cell_items_[cell_start_[c] .. cell_start_[c+1]), ascending.
+  // The cell is 2 * max(h), but at most 1/8 of the largest extent and at
+  // most 128 cells per axis (the last cell on an axis holds everything past
+  // the cap), so a query may span more than 3 cells per axis and a cell may
+  // be far larger than its nominal size.
   double cell_size_ = 0.0;
   Vec3 grid_origin_{};
   int grid_dim_[3] = {0, 0, 0};
   std::vector<std::int32_t> cell_start_;
   std::vector<std::int32_t> cell_items_;
+  // Slot-ordered copies of the positions (cell_x_[k] = pos_[cell_items_[k]].x)
+  // that the candidate test streams through.
+  std::vector<double> cell_x_, cell_y_, cell_z_;
+  // Bounding box of each occupied cell's particles; the search skips a cell
+  // whose box is out of reach. Cell c's box is
+  // cell_box_[box_of_slot_[cell_start_[c]]] (only first slots are set), so
+  // both are O(n) however many cells the grid has.
+  struct Box {
+    Vec3 lo, hi;
+  };
+  std::vector<Box> cell_box_;
+  std::vector<std::int32_t> box_of_slot_;
 
   std::uint64_t ngb_count_ = 0;
+  std::uint64_t test_count_ = 0;
   std::uint64_t tree_count_ = 0;
   std::uint64_t substeps_ = 0;
 };

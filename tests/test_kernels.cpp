@@ -288,26 +288,35 @@ TEST(Hermite, ForcesIndependentOfThreadCount) {
 
 namespace {
 
-// FNV-1a over the bit patterns of a Hermite system's dynamic state.
-std::uint64_t state_digest(const HermiteIntegrator& nbody) {
+// FNV-1a over the bytes of counts and of doubles' bit patterns.
+struct Fnv1a {
   std::uint64_t hash = 14695981039346656037ULL;
-  auto mix = [&](double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
+  void mix(std::uint64_t bits) {
     for (int byte = 0; byte < 8; ++byte) {
       hash ^= (bits >> (8 * byte)) & 0xffU;
       hash *= 1099511628211ULL;
     }
-  };
+  }
+  void mix(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mix(bits);
+  }
+  void mix(const Vec3& v) {
+    mix(v.x);
+    mix(v.y);
+    mix(v.z);
+  }
+};
+
+// FNV-1a over the bit patterns of a Hermite system's dynamic state.
+std::uint64_t state_digest(const HermiteIntegrator& nbody) {
+  Fnv1a fnv;
   for (const auto* rows : {&nbody.positions(), &nbody.velocities(),
                            &nbody.accelerations(), &nbody.jerks()}) {
-    for (const Vec3& v : *rows) {
-      mix(v.x);
-      mix(v.y);
-      mix(v.z);
-    }
+    for (const Vec3& v : *rows) fnv.mix(v);
   }
-  return hash;
+  return fnv.hash;
 }
 
 // The tiled force path's arithmetic for row i, written out lane by lane:
@@ -668,7 +677,9 @@ TEST(Sph, GridNeighboursMatchBruteForce) {
     }
   }
   clumps.prepare_step();
-  for (double radius : {0.015, 0.2}) {
+  // 30 reaches the capped last cell from the near clump without reaching
+  // the far one; 100 reaches exactly from particle 0 to particle 27.
+  for (double radius : {0.015, 0.2, 30.0, 100.0, 100.05}) {
     for (int i = 0; i < static_cast<int>(clumps.size()); ++i) {
       std::vector<int> brute;
       for (int j = 0; j < static_cast<int>(clumps.size()); ++j) {
@@ -689,6 +700,42 @@ TEST(Sph, GridNeighboursMatchBruteForce) {
                 1e-9 * clumps.smoothing()[k])
         << k;
   }
+
+  // A 9^3 lattice of spacing 1/8 on a grid of 1/8 cells: each cell holds one
+  // particle on its lower corner, so a cell's bounding box is that particle
+  // and a neighbour at exactly `radius` is the `<=` boundary the cell test
+  // must keep. 1/8 reaches across a face; 3/8 is the (1, 2, 2) lattice
+  // diagonal across a corner, exact in binary.
+  SphSystem lattice(params);
+  for (int z = 0; z < 9; ++z) {
+    for (int y = 0; y < 9; ++y) {
+      for (int x = 0; x < 9; ++x) {
+        lattice.add_particle(1.0 / 729.0, {0.125 * x, 0.125 * y, 0.125 * z},
+                             Vec3{}, 0.05);
+      }
+    }
+  }
+  lattice.prepare_step();
+  for (double radius : {0.125, 0.375}) {
+    for (int i = 0; i < static_cast<int>(lattice.size()); i += 13) {
+      std::vector<int> brute;
+      for (int j = 0; j < static_cast<int>(lattice.size()); ++j) {
+        if ((lattice.positions()[j] - lattice.positions()[i]).norm2() <=
+            radius * radius) {
+          brute.push_back(j);
+        }
+      }
+      ASSERT_EQ(lattice.neighbours_of(i, radius), brute)
+          << "lattice particle " << i << " radius " << radius;
+    }
+  }
+  // Particle 0 sits in a corner: its face neighbours at exactly 1/8 and the
+  // (1, 2, 2) diagonals at exactly 3/8 must all be found.
+  EXPECT_EQ(lattice.neighbours_of(0, 0.125).size(), 4u);
+  EXPECT_EQ(lattice.neighbours_of(0, 0.375),
+            (std::vector<int>{0,   1,   2,   3,   9,   10,  11,  18,  19,  20,
+                              27,  81,  82,  83,  90,  91,  92,  99,  100, 101,
+                              162, 163, 164, 171, 172, 173, 180, 181, 243}));
 }
 
 TEST(Sph, ResultsIndependentOfThreadCount) {
@@ -714,6 +761,82 @@ TEST(Sph, ResultsIndependentOfThreadCount) {
   }
   EXPECT_EQ(one.neighbour_interactions(), four_a.neighbour_interactions());
   EXPECT_EQ(one.tree_interactions(), four_a.tree_interactions());
+}
+
+namespace {
+
+// FNV-1a over the bit patterns of an SPH system's per-particle state and its
+// neighbour count. Any change in which neighbours are found, or in the order
+// their contributions are summed, moves it.
+std::uint64_t sph_digest(const SphSystem& sph) {
+  Fnv1a fnv;
+  for (const auto* column : {&sph.densities(), &sph.smoothing()}) {
+    for (double v : *column) fnv.mix(v);
+  }
+  for (const auto* rows :
+       {&sph.accelerations(), &sph.positions(), &sph.velocities()}) {
+    for (const Vec3& v : *rows) fnv.mix(v);
+  }
+  fnv.mix(sph.neighbour_interactions());
+  return fnv.hash;
+}
+
+}  // namespace
+
+TEST(Sph, NeighbourOrderFingerprint) {
+  // The density pass sums whole SIMD lanes, so the digests are recorded for
+  // 2-lane builds, like the Hermite golden digest.
+  if (simd::kWidth != 2) {
+    GTEST_SKIP() << "digests recorded for 2-lane SIMD builds";
+  }
+  // Two balls from the 0.1 smoothing-length seed. The compact one is dense
+  // enough that h shrinks in the first density solve; the sparse one is
+  // thin enough that h grows, so the second fixed-point iteration has to
+  // search a wider radius than the first.
+  struct Ball {
+    std::size_t n;
+    double radius;
+    bool gravity;
+    double t_end;
+    bool h_shrinks;
+    std::uint64_t digest;
+  };
+  const Ball balls[] = {
+      {500, 0.2, true, 0.02, true, 0x2a6f73f4389ea468ULL},
+      {200, 3.0, false, 0.05, false, 0x80901236375823bcULL},
+  };
+  for (const Ball& ball : balls) {
+    auto make = [&] {
+      SphSystem::Params params;
+      params.self_gravity = ball.gravity;
+      SphSystem sph(params);
+      util::Rng rng(31);
+      auto gas = amuse::ic::gas_sphere(ball.n, rng, 1.0, ball.radius);
+      for (std::size_t i = 0; i < ball.n; ++i) {
+        sph.add_particle(gas.mass[i], gas.position[i], gas.velocity[i],
+                         gas.internal_energy[i]);
+      }
+      return sph;
+    };
+    {
+      auto sph = make();
+      sph.prepare_step();
+      sph.compute_density(0, sph.size());
+      for (double h : sph.smoothing()) {
+        ASSERT_EQ(h < 0.1, ball.h_shrinks) << "radius " << ball.radius;
+      }
+    }
+    for (unsigned lanes : {1u, 4u}) {
+      util::ThreadPool pool(lanes);
+      auto sph = make();
+      sph.set_thread_pool(&pool);
+      sph.evolve(ball.t_end);
+      sph.set_thread_pool(nullptr);
+      EXPECT_EQ(sph_digest(sph), ball.digest)
+          << "radius " << ball.radius << " lanes " << lanes << " digest 0x"
+          << std::hex << sph_digest(sph);
+    }
+  }
 }
 
 TEST(Sph, EvolveReachesExactEndTime) {
