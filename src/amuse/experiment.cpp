@@ -301,7 +301,6 @@ sched::Workload ExperimentSpec::workload() const {
   load.dt = dt;
   load.iterations = iterations;
   load.se_every = se_every;
-  load.with_stellar_evolution = false;
   for (const ModelSpec& model : models) {
     sched::ModelLoad entry;
     entry.name = model.name;
@@ -310,30 +309,13 @@ sched::Workload ExperimentSpec::workload() const {
     entry.kernel = model.kernel == "auto" ? "" : model.kernel;
     entry.nranks = model.nranks;
     entry.workers = model.workers;
-    if (model.role == Role::stellar) {
-      entry.of = find(model.of);
-      load.with_stellar_evolution = true;
-    }
+    if (model.role == Role::stellar) entry.of = find(model.of);
     load.models.push_back(std::move(entry));
   }
   for (const CouplingSpec& coupling : couplings) {
     load.couplings.push_back(
         {find(coupling.field), find(coupling.a), find(coupling.b),
          coupling.every});
-  }
-  // Legacy scalar mirror (display + any classic-path consumer).
-  for (const ModelSpec& model : models) {
-    if (model.role == Role::gravity) {
-      load.n_stars = model.n;
-      break;
-    }
-  }
-  load.n_gas = 0;
-  for (const ModelSpec& model : models) {
-    if (model.role == Role::hydro) {
-      load.n_gas = model.n;
-      break;
-    }
   }
   return load;
 }

@@ -151,8 +151,10 @@ void restore_hydro(HydroClient& hydro, const HydroCheckpoint& save) {
   hydro.add_gas(save.state.mass, save.state.position, save.state.velocity,
                 save.state.internal_energy);
   // Absolute-clock restart: the replacement accepts the same evolve targets
-  // as the worker it replaces. (SPH re-derives density and forces every
-  // substep, so the clock is the only dynamic state to put back.)
+  // as the worker it replaces. The clock is not the only carried state: the
+  // old worker's smoothing lengths `h_` seed its density fixed point, and
+  // the checkpoint does not hold them, so the fresh worker restarts from
+  // its seed h and a restore after epoch 0 is not bit-exact.
   hydro.set_time(save.model_time);
 }
 

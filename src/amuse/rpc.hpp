@@ -79,8 +79,10 @@ enum class Fn : std::uint16_t {
   hydro_kick_all = 55,
   hydro_inject = 56,
   hydro_get_time = 57,
-  /// Absolute-clock restore for checkpoint restart (SPH re-derives density
-  /// and forces every substep; the clock is its only carried dynamic state).
+  /// Absolute-clock restore for checkpoint restart. SPH re-derives density
+  /// and forces every substep, but the worker also carries its smoothing
+  /// lengths `h_` (the density fixed point starts from them), and no
+  /// checkpoint holds those, so a restore after epoch 0 is not bit-exact.
   hydro_set_time = 58,
 
   // StellarEvolution (SSE)

@@ -1,7 +1,5 @@
 #include "amuse/scenario.hpp"
 
-#include <cmath>
-
 namespace jungle::amuse::scenario {
 
 const char* kind_name(Kind kind) noexcept {
@@ -14,18 +12,6 @@ const char* kind_name(Kind kind) noexcept {
     case Kind::autoplace: return "autoplace(scheduler)";
   }
   return "?";
-}
-
-double paper_seconds_per_iteration(Kind kind) noexcept {
-  switch (kind) {
-    case Kind::local_cpu: return 353.0;
-    case Kind::local_gpu: return 89.0;
-    case Kind::remote_gpu: return 84.0;
-    case Kind::jungle: return 62.4;
-    case Kind::sc11: return std::nan("");  // demonstrated, not timed
-    case Kind::autoplace: return std::nan("");  // ours, not the paper's
-  }
-  return std::nan("");
 }
 
 experiment::ExperimentSpec classic_spec(Kind kind, const Options& options) {

@@ -30,7 +30,6 @@ using experiment::Result;
 enum class Kind { local_cpu, local_gpu, remote_gpu, jungle, sc11, autoplace };
 
 const char* kind_name(Kind kind) noexcept;
-double paper_seconds_per_iteration(Kind kind) noexcept;  // NaN where untimed
 
 struct Options {
   std::size_t n_stars = 1000;   // the embedded cluster of [11]

@@ -70,10 +70,6 @@ Quantity Quantity::operator+(const Quantity& other) const {
   return Quantity(value_ + other.value_in(unit_), unit_);
 }
 
-Quantity Quantity::operator-(const Quantity& other) const {
-  return Quantity(value_ - other.value_in(unit_), unit_);
-}
-
 Quantity Quantity::operator*(const Quantity& other) const {
   return Quantity(value_ * other.value_, unit_ * other.unit_);
 }
@@ -161,18 +157,6 @@ double NBodyConverter::to_nbody(const Quantity& quantity) const {
 Quantity NBodyConverter::to_si(double nbody_value, const Unit& unit) const {
   double si_value = nbody_value * scale_for(unit.dims);
   return Quantity(si_value / unit.si_factor, unit);
-}
-
-Quantity NBodyConverter::speed_scale() const {
-  return Quantity(length_.value_in(units::m) / time_.value_in(units::s),
-                  units::m / units::s);
-}
-
-Quantity NBodyConverter::energy_scale() const {
-  double m_si = mass_.value_in(units::kg);
-  double l_si = length_.value_in(units::m);
-  double t_si = time_.value_in(units::s);
-  return Quantity(m_si * l_si * l_si / (t_si * t_si), units::j);
 }
 
 }  // namespace jungle::amuse

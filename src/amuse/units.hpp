@@ -44,7 +44,6 @@ class Quantity {
   double value_in(const Unit& target) const;
 
   Quantity operator+(const Quantity& other) const;
-  Quantity operator-(const Quantity& other) const;
   Quantity operator*(const Quantity& other) const;
   Quantity operator/(const Quantity& other) const;
   Quantity operator*(double scalar) const {
@@ -110,8 +109,6 @@ class NBodyConverter {
   Quantity mass_scale() const { return mass_; }
   Quantity length_scale() const { return length_; }
   Quantity time_scale() const { return time_; }
-  Quantity speed_scale() const;
-  Quantity energy_scale() const;
 
  private:
   double scale_for(const Dimensions& dims) const;

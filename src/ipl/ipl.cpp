@@ -272,10 +272,6 @@ IbisIdentifier Ibis::wait_for_member(const std::string& name) {
   }
 }
 
-void Ibis::wait_for_pool_size(std::size_t count) {
-  while (members_.size() < count) membership_changed_.wait();
-}
-
 IbisIdentifier Ibis::elect(const std::string& election_name) {
   util::ByteWriter request;
   request.put<std::uint8_t>(static_cast<std::uint8_t>(wire::Op::elect));
@@ -380,15 +376,6 @@ ReceivePort::Message ReceivePort::receive_consuming_poison() {
   if (message.poison) {
     // Swallow it: the caller handles the error and blocks again for the
     // next sender generation instead of spinning on a sticky marker.
-    throw ConnectError("receive port '" + name_ + "': sender connection reset");
-  }
-  return message;
-}
-
-std::optional<ReceivePort::Message> ReceivePort::receive_for(double timeout_s) {
-  auto message = queue_.get_for(timeout_s);
-  if (message && message->poison) {
-    queue_.put(Message{{}, util::ByteReader({}), true});
     throw ConnectError("receive port '" + name_ + "': sender connection reset");
   }
   return message;

@@ -109,7 +109,6 @@ class ReceivePort {
 
   /// Blocking receive of the next message from any connected sender.
   Message receive();
-  std::optional<Message> receive_for(double timeout_s);
 
   /// Like receive(), but a poison marker is consumed rather than left in
   /// the queue. For a port with a single long-lived reader that outlives
@@ -161,9 +160,6 @@ class Ibis {
   /// Block until an instance named `name` is in the membership view; returns
   /// its identifier. Throws CodeError if it died instead.
   IbisIdentifier wait_for_member(const std::string& name);
-
-  /// Block until the pool has at least `count` members.
-  void wait_for_pool_size(std::size_t count);
 
   /// First-come-first-elected election (blocking round trip to the server).
   IbisIdentifier elect(const std::string& election_name);

@@ -342,10 +342,4 @@ void BarnesHutTree::potential_at(std::span<const Vec3> points,
   });
 }
 
-std::vector<Vec3> BarnesHutTree::accel_at(std::span<const Vec3> points) const {
-  std::vector<Vec3> result(points.size());
-  accel_at(points, result);
-  return result;
-}
-
 }  // namespace jungle::kernels

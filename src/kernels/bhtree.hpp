@@ -57,8 +57,6 @@ class BarnesHutTree {
   /// pool. `out` must have points.size() elements.
   void accel_at(std::span<const Vec3> points, std::span<Vec3> out) const;
   void potential_at(std::span<const Vec3> points, std::span<double> out) const;
-  /// Convenience wrapper for callers that want a fresh vector.
-  std::vector<Vec3> accel_at(std::span<const Vec3> points) const;
 
   /// Pool for the batch evaluations; nullptr (default) = ThreadPool::global().
   void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }

@@ -170,7 +170,7 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
   const std::size_t rhi = owned_hi();
   const bool partial = rlo > 0 || rhi < n;
   util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
-  if (!partial && (n < kParallelThreshold || pool.lanes() == 1)) {
+  if (!partial && n < kParallelThreshold) {
     // Sequential path: Newton's-third-law symmetric update, half the work.
     // Always scalar — this is the bit-exactness reference.
     for (std::size_t i = 0; i < n; ++i) {

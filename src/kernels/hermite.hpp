@@ -76,7 +76,7 @@ class HermiteIntegrator {
 
   /// Pool for the parallel force path; nullptr (default) uses
   /// util::ThreadPool::global(). Systems below kParallelThreshold bodies
-  /// (or a 1-lane pool) take the sequential symmetric-update path.
+  /// take the sequential symmetric-update path, whatever the lane count.
   void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
   static constexpr std::size_t kParallelThreshold = 256;
 

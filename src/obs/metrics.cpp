@@ -173,12 +173,4 @@ std::string snapshot_json() {
   return out.str();
 }
 
-void reset() {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  for (auto& [name, instrument] : reg.counters) instrument->reset();
-  for (auto& [name, instrument] : reg.gauges) instrument->reset();
-  for (auto& [name, instrument] : reg.histograms) instrument->reset();
-}
-
 }  // namespace jungle::obs::metrics

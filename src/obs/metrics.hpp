@@ -42,7 +42,6 @@ class Counter {
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -56,7 +55,6 @@ class Gauge {
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -122,9 +120,5 @@ Snapshot snapshot();
 /// Snapshot as a JSON object {"counters":{...},"gauges":{...},
 /// "histograms":{name:{count,sum,min,max,p50,p90,p99}}}.
 std::string snapshot_json();
-
-/// Zero every registered instrument in place (registrations — and cached
-/// pointers — stay valid).
-void reset();
 
 }  // namespace jungle::obs::metrics

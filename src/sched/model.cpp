@@ -42,33 +42,13 @@ LinkCost link_between(const sim::Network& net, const sim::Host& client,
   return link;
 }
 
-Workload Workload::normalized() const {
-  Workload load = *this;
-  if (!load.models.empty()) return load;
-  // The classic embedded-cluster quadruple, in the historic planner's loop
-  // nesting order (gravity, hydro, coupler, stellar).
-  load.models.push_back({"gravity", Role::gravity, load.n_stars, -1, "", 0});
-  load.models.push_back({"hydro", Role::hydro, load.n_gas, -1, "", 0});
-  load.models.push_back({"coupler", Role::coupler, 0, -1, "", 0});
-  if (load.with_stellar_evolution) {
-    load.models.push_back({"stellar", Role::stellar, load.n_stars, 0, "", 0});
-  }
-  load.couplings.push_back({2, 0, 1, 1});
-  return load;
-}
-
-double state_fetch_bytes(std::size_t n) {
-  // A post-evolve state fetch ships the changed positions (mass unchanged,
-  // velocities not requested by the coupling mask): 24 B/particle + span
-  // framing, on top of the per-call overhead.
-  return kCallOverheadBytes + static_cast<double>(n) * 24.0;
-}
-
 double state_fetch_bytes(std::size_t n, bool fp_truncate) {
-  if (!fp_truncate) return state_fetch_bytes(n);
-  // Positions narrowed to f32 on the wire: 12 B/particle (+ a realign pad
-  // absorbed in the call overhead).
-  return kCallOverheadBytes + static_cast<double>(n) * 12.0;
+  // A post-evolve state fetch ships the changed positions (mass unchanged,
+  // velocities not requested by the coupling mask) on top of the per-call
+  // overhead: 24 B/particle, or 12 B/particle narrowed to f32 on the wire
+  // (a realign pad is absorbed in the call overhead).
+  double per_particle = fp_truncate ? 12.0 : 24.0;
+  return kCallOverheadBytes + static_cast<double>(n) * per_particle;
 }
 
 double ghost_pull_bytes(std::size_t n, int workers) {
@@ -103,19 +83,6 @@ double coupling_reply_bytes(std::size_t n_a, std::size_t n_b) {
 
 double kick_bytes(std::size_t n) {
   return kCallOverheadBytes + kKickHeaderBytes + static_cast<double>(n) * 24.0;
-}
-
-DatapathBytes datapath_bytes(const Workload& load) {
-  DatapathBytes bytes;
-  bytes.grav_state_fetch = state_fetch_bytes(load.n_stars);
-  bytes.hydro_state_fetch = state_fetch_bytes(load.n_gas);
-  bytes.coupler_upload = coupling_upload_bytes(load.n_stars, load.n_gas);
-  bytes.coupler_reply = coupling_reply_bytes(load.n_stars, load.n_gas);
-  bytes.grav_kick = kick_bytes(load.n_stars);
-  bytes.hydro_kick = kick_bytes(load.n_gas);
-  bytes.kick_repeat = kCallOverheadBytes + kKickHeaderBytes;
-  bytes.idle_call = kCallOverheadBytes;
-  return bytes;
 }
 
 double tree_interactions_per_target(std::size_t n_sources) {

@@ -50,26 +50,15 @@ struct CouplingLoad {
 /// model can price: the model graph (particle counts and coupling shape),
 /// the bridge timestep (which sets the kernels' substep counts) and the
 /// run length (which sets the horizon queue delays amortize over).
-///
-/// The legacy scalar fields describe the classic embedded-cluster
-/// quadruple; when `models` is empty, normalized() derives that graph from
-/// them — which is how pre-experiment callers (and the classic scenario
-/// kinds) keep pricing exactly as before.
+/// ExperimentSpec::workload() builds it from a declared experiment; a
+/// placement has one slot per entry of `models`, in the same order.
 struct Workload {
-  std::size_t n_stars = 1000;
-  std::size_t n_gas = 10000;
   double dt = 1.0 / 32.0;
   int iterations = 2;
-  bool with_stellar_evolution = true;
   int se_every = 4;
 
   std::vector<ModelLoad> models;
   std::vector<CouplingLoad> couplings;
-
-  /// A copy whose graph is populated: the declared graph verbatim, or the
-  /// classic gravity/hydro/coupler/stellar quadruple built from the scalar
-  /// fields (slot order matches the historic planner's loop nesting).
-  Workload normalized() const;
 };
 
 // ---- calibration constants (see DESIGN.md, "Placement cost model") ----
@@ -141,27 +130,12 @@ inline constexpr double kKickHeaderBytes = 16.0;
 
 // Per-call payload volumes, mirroring the frame layouts in
 // amuse/clients.cpp. `n_a`/`n_b` are the two coupled systems' sizes.
-double state_fetch_bytes(std::size_t n);                    // changed positions
-/// Same fetch when the path opted into f32 truncation (12 B/particle).
+/// Changed positions after an evolve: 24 B/particle, or 12 B/particle when
+/// the path opted into f32 truncation.
 double state_fetch_bytes(std::size_t n, bool fp_truncate);
 double coupling_upload_bytes(std::size_t n_a, std::size_t n_b);
 double coupling_reply_bytes(std::size_t n_a, std::size_t n_b);
 double kick_bytes(std::size_t n);                           // accel + dt
-
-struct DatapathBytes {
-  double grav_state_fetch = 0;   // changed star positions after an evolve
-  double hydro_state_fetch = 0;  // changed gas positions after an evolve
-  double coupler_upload = 0;     // both directions' sources + points
-  double coupler_reply = 0;      // both directions' accelerations
-  double grav_kick = 0;          // fresh accel + dt
-  double hydro_kick = 0;
-  double kick_repeat = 0;        // unchanged accel: flags + dt only
-  double idle_call = 0;          // header-only RPC (cache hit)
-};
-
-/// Payload-per-call volumes of one steady-state bridge iteration of the
-/// classic embedded-cluster graph.
-DatapathBytes datapath_bytes(const Workload& load);
 
 /// Per-iteration ghost-exchange wire volume of a `workers`-shard gravity
 /// model, both halves priced on the coordinating client's wire: the pull

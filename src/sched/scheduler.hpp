@@ -32,28 +32,19 @@ struct Assignment {
 };
 
 /// A full model->host mapping for an experiment graph plus its modeled
-/// per-iteration cost — one Assignment per model of the (normalized)
-/// Workload, in the same slot order, with the model names and role kinds
-/// riding along for display and the role() compatibility accessors.
+/// per-iteration cost — one Assignment per model of the Workload, in the
+/// same slot order, with the model names and role kinds riding along for
+/// display and lookup by name.
 struct Placement {
   std::vector<Assignment> roles;
   std::vector<Role> kinds;
   std::vector<std::string> names;
   double modeled_seconds_per_iteration = 0.0;
 
-  /// The classic quadruple shape (gravity, hydro, coupler, stellar) — what
-  /// hand-built placements and the legacy scenario tables populate.
-  Placement();
-  /// One empty slot per model of the (normalized) workload's graph.
+  /// One empty slot per model of the workload's graph.
   explicit Placement(const Workload& load);
 
   std::size_t size() const noexcept { return roles.size(); }
-  int slot_of(Role r) const noexcept;
-
-  /// First slot of the given kernel class — the classic quadruple's
-  /// accessor (every classic placement has exactly one of each).
-  Assignment& role(Role r);
-  const Assignment& role(Role r) const;
 
   /// One entry per model: "stars=phigrape-gpu@lgm/lgm-node, ..." — shown on
   /// the dashboard next to the measured cost.
@@ -85,20 +76,17 @@ class Scheduler {
   /// A resource became unreachable (link fault): drop it wholesale.
   void exclude_resource(const std::string& resource_name);
 
-  /// Cheapest feasible placement for the workload's graph. Throws
-  /// CodeError when a model cannot be placed anywhere.
-  Placement plan(const Workload& load) const;
-  /// Same, honoring per-slot pins (a pinned slot's assignment is fixed;
-  /// empty optionals are planned). `pins` indexes the normalized graph.
+  /// Cheapest feasible placement for the workload's graph, honoring
+  /// per-slot pins (a pinned slot's assignment is fixed; empty optionals
+  /// and an empty `pins` are planned). `pins` indexes `load.models`.
+  /// Throws CodeError when a model cannot be placed anywhere.
   Placement plan(const Workload& load,
-                 const std::vector<std::optional<Assignment>>& pins) const;
+                 const std::vector<std::optional<Assignment>>& pins = {}) const;
 
   /// Re-place one slot after a failure, keeping every other slot pinned.
   /// Accounts for the nodes the surviving models still occupy.
   Assignment replace(const Workload& load, const Placement& current,
                      int slot) const;
-  Assignment replace(const Workload& load, const Placement& current,
-                     Role failed) const;
 
   /// Score an externally built placement (e.g. a hard-coded scenario
   /// table): fills the per-slot cost fields and the total, and returns the
@@ -128,7 +116,7 @@ class Scheduler {
   /// Nodes of `resource` still usable (up, not excluded).
   std::vector<const sim::Host*> live_nodes(const gat::Resource& resource) const;
   bool fits(const Placement& placement) const;
-  double score_graph(const Workload& normalized, Placement& placement) const;
+  double score_graph(const Workload& load, Placement& placement) const;
 
   const sim::Network& net_;
   const sim::Host& client_;

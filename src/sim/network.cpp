@@ -68,12 +68,6 @@ Host& Network::host(const std::string& name) {
   return *it->second;
 }
 
-const Host& Network::host(const std::string& name) const {
-  auto it = hosts_.find(name);
-  if (it == hosts_.end()) throw ConfigError("unknown host " + name);
-  return *it->second;
-}
-
 Host* Network::find_host(const std::string& name) {
   auto it = hosts_.find(name);
   return it == hosts_.end() ? nullptr : it->second.get();

@@ -99,7 +99,6 @@ class Network {
                  double stream_bandwidth_Bps = 0.0);
 
   Host& host(const std::string& name);
-  const Host& host(const std::string& name) const;
   Host* find_host(const std::string& name);
   std::vector<std::string> host_names() const;
 

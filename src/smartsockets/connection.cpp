@@ -79,21 +79,6 @@ std::optional<std::vector<std::uint8_t>> ConnectionEnd::recv() {
   return std::move(frame.bytes);
 }
 
-std::optional<std::vector<std::uint8_t>> ConnectionEnd::recv_for(
-    double timeout_s) {
-  if (sim::Simulation::in_process()) last_user_ = sim_.current_pid();
-  if (broken_ && incoming_.empty()) {
-    throw ConnectError("connection to " + remote_host().name() + " broke");
-  }
-  auto frame = incoming_.get_for(timeout_s);
-  if (!frame) return std::nullopt;  // timeout
-  if (frame->eof) {
-    if (broken_) throw ConnectError("connection broke");
-    return std::nullopt;
-  }
-  return std::move(frame->bytes);
-}
-
 void ConnectionEnd::deliver(Frame frame) {
   // Frames can overtake each other when an earlier one is retried across a
   // down link; reassemble FIFO order here.

@@ -47,7 +47,6 @@ class ConnectionEnd {
 
   void send(std::vector<std::uint8_t> bytes);
   std::optional<std::vector<std::uint8_t>> recv();
-  std::optional<std::vector<std::uint8_t>> recv_for(double timeout_s);
 
   /// Graceful shutdown; the peer's recv() returns nullopt after draining.
   void close();

@@ -8,7 +8,6 @@
 #include "amuse/clients.hpp"
 #include "amuse/daemon.hpp"
 #include "amuse/ic.hpp"
-#include "amuse/particles.hpp"
 #include "amuse/rpc.hpp"
 #include "amuse/units.hpp"
 #include "amuse/workers.hpp"
@@ -72,64 +71,6 @@ TEST(Units, ConverterRejectsWrongDimensions) {
   NBodyConverter convert(Quantity(1.0, units::msun),
                          Quantity(1.0, units::parsec));
   EXPECT_THROW(convert.to_nbody(Quantity(1.0, units::kelvin)), UnitError);
-}
-
-// -------------------------------------------------------------- particles
-
-TEST(Particles, AttributesAndCheckedSet) {
-  ParticleSet set;
-  set.add_attribute("mass", units::msun);
-  set.add_rows(3);
-  set.attribute("mass").set(0, Quantity(2.0, units::msun));
-  set.attribute("mass").set(1, Quantity(1.98892e30, units::kg));  // 1 MSun
-  EXPECT_NEAR(set.attribute("mass").at(1).value_in(units::msun), 1.0, 1e-9);
-  EXPECT_THROW(set.attribute("mass").set(2, Quantity(1.0, units::m)),
-               UnitError);
-}
-
-TEST(Particles, ChannelCopiesWithConversion) {
-  ParticleSet se_view;
-  se_view.add_attribute("mass", units::kg);
-  se_view.add_rows(2);
-  se_view.attribute("mass").set(0, Quantity(1.0, units::msun));
-  se_view.attribute("mass").set(1, Quantity(2.0, units::msun));
-
-  ParticleSet dyn_view;
-  dyn_view.add_attribute("mass", units::msun);
-  dyn_view.add_rows(2);
-  se_view.copy_attributes_to(dyn_view, {"mass"});
-  EXPECT_NEAR(dyn_view.attribute("mass").at(0).value_in(units::msun), 1.0,
-              1e-9);
-  EXPECT_NEAR(dyn_view.attribute("mass").at(1).value_in(units::msun), 2.0,
-              1e-9);
-}
-
-TEST(Particles, ChannelSizeMismatchThrows) {
-  ParticleSet a, b;
-  a.add_attribute("mass", units::kg);
-  a.add_rows(2);
-  b.add_attribute("mass", units::kg);
-  b.add_rows(3);
-  EXPECT_THROW(a.copy_attributes_to(b, {"mass"}), CodeError);
-}
-
-TEST(Particles, GatherScatterVec3) {
-  ParticleSet set;
-  set.add_attribute("x", units::parsec);
-  set.add_attribute("y", units::parsec);
-  set.add_attribute("z", units::parsec);
-  set.add_rows(2);
-  set.scatter_vec3("x", "y", "z", {{1, 2, 3}, {4, 5, 6}}, units::parsec);
-  auto gathered = set.gather_vec3("x", "y", "z", units::parsec);
-  EXPECT_DOUBLE_EQ(gathered[1].y, 5.0);
-  // Gather in different unit converts.
-  auto in_au = set.gather_vec3("x", "y", "z", units::au);
-  EXPECT_NEAR(in_au[0].x, 206265.0, 10.0);
-}
-
-TEST(Particles, MissingAttributeThrows) {
-  ParticleSet set;
-  EXPECT_THROW(set.attribute("nope"), ConfigError);
 }
 
 // ----------------------------------------------- local workers + clients

@@ -112,7 +112,7 @@ every = 2
   sched::Workload load = spec.workload();
   ASSERT_EQ(load.models.size(), 5u);
   EXPECT_EQ(load.models[1].n, 150u);
-  EXPECT_TRUE(load.with_stellar_evolution);
+  EXPECT_EQ(load.models[4].role, Role::stellar);
   ASSERT_EQ(load.couplings.size(), 2u);
   EXPECT_EQ(load.couplings[1].every, 2);
   EXPECT_EQ(load.couplings[1].b, 2);  // gasdisk's slot

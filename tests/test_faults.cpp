@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -312,7 +313,9 @@ TEST(Faults, NonDefaultPhysicsSurviveAReplace) {
   }
   JungleTestbed probe;
   const sched::Placement plan = plan_experiment(probe, tuned);
-  const sched::Assignment& gravity = plan.role(sched::Role::gravity);
+  auto stars = std::find(plan.names.begin(), plan.names.end(), "stars");
+  ASSERT_NE(stars, plan.names.end());
+  const sched::Assignment& gravity = plan.roles[stars - plan.names.begin()];
   ASSERT_NE(gravity.host, nullptr);
   ASSERT_FALSE(gravity.resource.empty())
       << "the fault needs gravity on a remote resource";

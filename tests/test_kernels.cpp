@@ -277,12 +277,12 @@ TEST(Hermite, ForcesIndependentOfThreadCount) {
     // Same lane count => bit-identical (chunk->lane mapping cannot matter).
     EXPECT_EQ(four_a.positions()[i].x, four_b.positions()[i].x) << i;
     EXPECT_EQ(four_a.velocities()[i].y, four_b.velocities()[i].y) << i;
-    // 1 lane (sequential symmetric path) vs 4 lanes (tiled path): the
-    // summation order differs, so allow rounding-level drift only.
-    EXPECT_NEAR(one.positions()[i].x, four_a.positions()[i].x, 1e-12) << i;
-    EXPECT_NEAR(one.positions()[i].y, four_a.positions()[i].y, 1e-12) << i;
-    EXPECT_NEAR(one.positions()[i].z, four_a.positions()[i].z, 1e-12) << i;
-    EXPECT_NEAR(one.velocities()[i].x, four_a.velocities()[i].x, 1e-12) << i;
+    // 1 lane vs 4 lanes: both run the tiled path, whose per-row sums do
+    // not depend on which lane computes the row, so the bits agree.
+    EXPECT_EQ(one.positions()[i].x, four_a.positions()[i].x) << i;
+    EXPECT_EQ(one.positions()[i].y, four_a.positions()[i].y) << i;
+    EXPECT_EQ(one.positions()[i].z, four_a.positions()[i].z) << i;
+    EXPECT_EQ(one.velocities()[i].x, four_a.velocities()[i].x) << i;
   }
 }
 

@@ -3,6 +3,7 @@
 // modeled-vs-measured calibration loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -427,8 +428,11 @@ TEST(Diagnostics, IterationLogMarksReplayedStepsDistinctly) {
   scenario::JungleTestbed probe;
   auto plan =
       scenario::placement_for(probe, scenario::Kind::autoplace, options);
-  ASSERT_NE(plan.role(sched::Role::gravity).host, nullptr);
-  std::string gravity_host = plan.role(sched::Role::gravity).host->name();
+  auto stars = std::find(plan.names.begin(), plan.names.end(), "stars");
+  ASSERT_NE(stars, plan.names.end());
+  const sched::Assignment& gravity = plan.roles[stars - plan.names.begin()];
+  ASSERT_NE(gravity.host, nullptr);
+  std::string gravity_host = gravity.host->name();
 
   // The crash lands once, when step 2 reaches its top kick: right after
   // step 1, before step 2 sends any RPC.

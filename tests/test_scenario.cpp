@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -242,10 +243,13 @@ TEST(Scenario, AutoplaceFaultReplacementCompletesRun) {
   options.iterations = 3;
   JungleTestbed probe;
   auto plan = placement_for(probe, Kind::autoplace, options);
-  ASSERT_NE(plan.role(jungle::sched::Role::gravity).host, nullptr);
-  std::string gravity_host =
-      plan.role(jungle::sched::Role::gravity).host->name();
-  ASSERT_FALSE(plan.role(jungle::sched::Role::gravity).resource.empty())
+  auto stars = std::find(plan.names.begin(), plan.names.end(), "stars");
+  ASSERT_NE(stars, plan.names.end());
+  const jungle::sched::Assignment& gravity =
+      plan.roles[static_cast<std::size_t>(stars - plan.names.begin())];
+  ASSERT_NE(gravity.host, nullptr);
+  std::string gravity_host = gravity.host->name();
+  ASSERT_FALSE(gravity.resource.empty())
       << "fault test needs gravity on a remote resource";
 
   Result clean = run_scenario(Kind::autoplace, options);

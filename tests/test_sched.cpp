@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "amuse/scenario.hpp"
 #include "sched/scheduler.hpp"
 
@@ -10,21 +13,31 @@ using jungle::amuse::scenario::Kind;
 
 namespace {
 
-Workload small_load() {
-  Workload load;
-  load.n_stars = 200;
-  load.n_gas = 800;
-  load.iterations = 4;
-  return load;
+/// The embedded-cluster graph (stars, tides, gas, se) at the given sizes.
+Workload classic_load(std::size_t n_stars, std::size_t n_gas,
+                      int iterations = 2) {
+  amuse::scenario::Options options;
+  options.n_stars = n_stars;
+  options.n_gas = n_gas;
+  options.iterations = iterations;
+  return amuse::scenario::classic_spec(Kind::autoplace, options).workload();
 }
+
+Workload small_load() { return classic_load(200, 800, 4); }
 
 /// The paper's production size: at this scale compute dominates messaging
 /// and the remote placements win (the Figs 9/12 regime).
-Workload production_load() {
-  Workload load;
-  load.n_stars = 1000;
-  load.n_gas = 10000;
-  return load;
+Workload production_load() { return classic_load(1000, 10000); }
+
+/// Slot of the model called `name` (throws when the plan has none).
+int slot_of(const Placement& p, const std::string& name) {
+  auto it = std::find(p.names.begin(), p.names.end(), name);
+  if (it == p.names.end()) throw std::out_of_range("no model " + name);
+  return static_cast<int>(it - p.names.begin());
+}
+
+const Assignment& model(const Placement& p, const std::string& name) {
+  return p.roles[static_cast<std::size_t>(slot_of(p, name))];
 }
 
 /// A one-machine world: desktop only, optionally without its GPU — the
@@ -84,10 +97,10 @@ TEST(Sched, LocalCpuTopologyReproducesLocalCpuPlacement) {
   LocalWorld world(/*with_gpu=*/false);
   Scheduler scheduler(world.net, *world.desktop, world.resources);
   Placement p = scheduler.plan(small_load());
-  EXPECT_EQ(p.role(Role::gravity).spec.code, "phigrape");
-  EXPECT_EQ(p.role(Role::coupler).spec.code, "fi");
-  EXPECT_EQ(p.role(Role::hydro).spec.code, "gadget");
-  EXPECT_EQ(p.role(Role::stellar).spec.code, "sse");
+  EXPECT_EQ(model(p, "stars").spec.code, "phigrape");
+  EXPECT_EQ(model(p, "tides").spec.code, "fi");
+  EXPECT_EQ(model(p, "gas").spec.code, "gadget");
+  EXPECT_EQ(model(p, "se").spec.code, "sse");
   for (const Assignment& a : p.roles) EXPECT_TRUE(a.local());
 }
 
@@ -97,8 +110,8 @@ TEST(Sched, LocalGpuTopologyPrefersGpuKernels) {
   LocalWorld world(/*with_gpu=*/true);
   Scheduler scheduler(world.net, *world.desktop, world.resources);
   Placement p = scheduler.plan(small_load());
-  EXPECT_EQ(p.role(Role::gravity).spec.code, "phigrape-gpu");
-  EXPECT_EQ(p.role(Role::coupler).spec.code, "octgrav");
+  EXPECT_EQ(model(p, "stars").spec.code, "phigrape-gpu");
+  EXPECT_EQ(model(p, "tides").spec.code, "octgrav");
 }
 
 TEST(Sched, CostModelMonotoneInLatency) {
@@ -141,20 +154,18 @@ TEST(Sched, CostModelMonotoneInQueueDelay) {
 TEST(Sched, PrefersGpuForTreeKernelsWhenGpuDominates) {
   // Enough stars that gravity dominates the evolve phase: a remote Tesla
   // across a fast link beats the 0.15 GF/core desktop.
-  Workload load = production_load();
-  load.n_stars = 2000;
-  load.n_gas = 500;
+  Workload load = classic_load(2000, 500);
   RemoteWorld world(0.5e-3, 0.0, /*node_gpu_gflops=*/6.0);
   Scheduler scheduler(world.net, *world.desktop, world.resources);
   Placement p = scheduler.plan(load);
-  EXPECT_EQ(p.role(Role::gravity).spec.code, "phigrape-gpu");
-  EXPECT_EQ(p.role(Role::gravity).resource, "far");
+  EXPECT_EQ(model(p, "stars").spec.code, "phigrape-gpu");
+  EXPECT_EQ(model(p, "stars").resource, "far");
   // ... and when the "GPU" is slower than the desktop's cores, it is left
   // alone (the kernels stay CPU-side).
   RemoteWorld weak(0.5e-3, 0.0, /*node_gpu_gflops=*/0.01);
   Scheduler weak_s(weak.net, *weak.desktop, weak.resources);
   Placement q = weak_s.plan(load);
-  EXPECT_NE(q.role(Role::gravity).spec.code, "phigrape-gpu");
+  EXPECT_NE(model(q, "stars").spec.code, "phigrape-gpu");
 }
 
 TEST(Sched, JungleRediscoversPaperPlacementShape) {
@@ -165,13 +176,13 @@ TEST(Sched, JungleRediscoversPaperPlacementShape) {
   Placement plan =
       amuse::scenario::placement_for(bed, Kind::autoplace, options);
   // Gravity belongs on a remote GPU (the LGM Tesla is the fastest device).
-  EXPECT_EQ(plan.role(Role::gravity).spec.code, "phigrape-gpu");
-  EXPECT_EQ(plan.role(Role::gravity).resource, "lgm");
+  EXPECT_EQ(model(plan, "stars").spec.code, "phigrape-gpu");
+  EXPECT_EQ(model(plan, "stars").resource, "lgm");
   // The gas code belongs on the 8-node DAS-4 VU cluster.
-  EXPECT_EQ(plan.role(Role::hydro).resource, "das4-vu");
-  EXPECT_EQ(plan.role(Role::hydro).spec.nranks, 8);
+  EXPECT_EQ(model(plan, "gas").resource, "das4-vu");
+  EXPECT_EQ(model(plan, "gas").spec.nranks, 8);
   // The coupler belongs on a GPU too.
-  EXPECT_TRUE(plan.role(Role::coupler).spec.needs_gpu());
+  EXPECT_TRUE(model(plan, "tides").spec.needs_gpu());
 }
 
 TEST(Sched, AutoplaceModeledCostNeverWorseThanJungleTable) {
@@ -199,11 +210,12 @@ TEST(Sched, ExcludedHostNeverAppearsInPlanOrReplacement) {
                       bed.deployer().resources());
   Workload load = production_load();
   Placement before = scheduler.plan(load);
-  ASSERT_NE(before.role(Role::gravity).host, nullptr);
-  std::string grav_host = before.role(Role::gravity).host->name();
+  ASSERT_NE(model(before, "stars").host, nullptr);
+  std::string grav_host = model(before, "stars").host->name();
 
   scheduler.exclude_host(grav_host);
-  Assignment replacement = scheduler.replace(load, before, Role::gravity);
+  Assignment replacement =
+      scheduler.replace(load, before, slot_of(before, "stars"));
   ASSERT_NE(replacement.host, nullptr);
   EXPECT_NE(replacement.host->name(), grav_host);
 
@@ -220,7 +232,7 @@ TEST(Sched, LinkFaultExcludesWholeResource) {
                       bed.deployer().resources());
   Workload load = production_load();
   Placement before = scheduler.plan(load);
-  std::string grav_resource = before.role(Role::gravity).resource;
+  std::string grav_resource = model(before, "stars").resource;
   ASSERT_FALSE(grav_resource.empty());
   scheduler.exclude_resource(grav_resource);
   Placement after = scheduler.plan(load);
@@ -237,7 +249,7 @@ TEST(Sched, DeadFrontendStrandsItsResource) {
                       bed.deployer().resources());
   Workload load = production_load();
   Placement before = scheduler.plan(load);
-  std::string grav_resource = before.role(Role::gravity).resource;
+  std::string grav_resource = model(before, "stars").resource;
   ASSERT_FALSE(grav_resource.empty());
   std::string frontend =
       bed.deployer().resource(grav_resource).frontend->name();
@@ -279,15 +291,13 @@ TEST(Sched, CommTermMatchesMeasuredSteadyStateWanBytes) {
   double measured_per_step =
       (long_run.wan_ipl_bytes - short_run.wan_ipl_bytes) / 2.0;
 
-  Workload load;
-  load.n_stars = options.n_stars;
-  load.n_gas = options.n_gas;
-  load.with_stellar_evolution = false;
-  DatapathBytes wire = datapath_bytes(load);
   // Only the coupler is remote in the remote_gpu configuration: one fresh
-  // exchange + one all-cache-hit exchange per step.
-  double modeled_per_step = wire.coupler_upload + wire.coupler_reply +
-                            2.0 * wire.idle_call;
+  // exchange + one all-cache-hit exchange per step, priced with the
+  // helpers the scorer's coupling term calls.
+  double modeled_per_step =
+      coupling_upload_bytes(options.n_stars, options.n_gas) +
+      coupling_reply_bytes(options.n_stars, options.n_gas) +
+      2.0 * kCallOverheadBytes;
   EXPECT_GT(measured_per_step, 0.75 * modeled_per_step);
   EXPECT_LT(measured_per_step, 1.25 * modeled_per_step);
 }
