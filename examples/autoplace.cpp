@@ -7,8 +7,6 @@
 // The INI uses the deploy syntax ([site ...], [host ...], [link a b],
 // [resource ...]) plus an optional [scenario] client=HOST section.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "amuse/scenario.hpp"
 
@@ -39,16 +37,14 @@ int main(int argc, char** argv) {
   options.iterations = 2;
 
   if (argc > 1) {
-    std::ifstream file(argv[1]);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
+    util::Config config;
+    try {
+      config = util::Config::load(argv[1]);
+    } catch (const ConfigError& error) {
+      std::fprintf(stderr, "%s\n", error.what());
       return 1;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
-    Result result =
-        run_scenario_config(util::Config::parse(text.str()), options);
-    report(result);
+    report(run_scenario_config(config, options));
     return 0;
   }
 

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "amuse/experiment.hpp"
@@ -59,17 +58,16 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  std::ifstream in(ini_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", ini_path.c_str());
+  util::Config config;
+  try {
+    config = util::Config::load(ini_path);
+  } catch (const ConfigError& error) {
+    std::fprintf(stderr, "%s\n", error.what());
     return 2;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
 
   if (!trace_path.empty()) obs::trace::set_enabled(true);
   try {
-    util::Config config = util::Config::parse(text.str());
     Result result = run_experiment_config(config);
     std::printf("%s\n", result.dashboard.c_str());
     std::printf("experiment '%s': %d iterations, %.3f virtual s/iteration, "

@@ -27,21 +27,6 @@ void merge_field(util::ByteReader& reader, std::vector<T>& into) {
   into.assign(values.begin(), values.end());
 }
 
-/// Decode an f32-truncated position span (fp32_positions was requested) and
-/// widen into the f64 cache. The worker pads odd counts to keep whatever
-/// span follows 8-byte aligned; consume the pad here.
-void merge_positions_fp32(util::ByteReader& reader, std::vector<Vec3>& into) {
-  auto packed = reader.get_vector<float>();
-  const std::size_t count = packed.size() / 3;
-  into.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    into[i] = Vec3{static_cast<double>(packed[3 * i]),
-                   static_cast<double>(packed[3 * i + 1]),
-                   static_cast<double>(packed[3 * i + 2])};
-  }
-  if (count % 2 != 0) reader.get<std::uint32_t>();  // realign pad
-}
-
 }  // namespace
 
 Future DynamicsClient::send_state_request(Fn fn, std::uint64_t want_mask) {
@@ -69,7 +54,7 @@ DynamicsClient::DeltaHeader DynamicsClient::merge_motion(
   if (header.sent_mask & state_field::mass) merge_field(reader, mass);
   if (header.sent_mask & state_field::position) {
     if (fp32_positions_) {
-      merge_positions_fp32(reader, position);
+      get_positions_f32(reader, position);
     } else {
       merge_field(reader, position);
     }
@@ -218,15 +203,7 @@ Future GravityClient::ghost_update_async(std::size_t base,
   args.put<std::uint64_t>(base);
   args.put<std::uint64_t>(fp32 ? 1 : 0);
   if (fp32) {
-    std::vector<float> packed;
-    packed.reserve(positions.size() * 3);
-    for (const Vec3& p : positions) {
-      packed.push_back(static_cast<float>(p.x));
-      packed.push_back(static_cast<float>(p.y));
-      packed.push_back(static_cast<float>(p.z));
-    }
-    args.put_vector(packed);
-    if (positions.size() % 2 != 0) args.put<std::uint32_t>(0);  // realign
+    put_positions_f32(args, positions);
   } else {
     put_span_of(args, positions);
   }

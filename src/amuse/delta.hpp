@@ -3,6 +3,13 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "kernels/vec3.hpp"
+#include "util/bytebuffer.hpp"
+#include "util/error.hpp"
 
 namespace jungle::amuse {
 
@@ -37,6 +44,47 @@ inline constexpr int kCount = 5;
 /// wire format of one reply.
 inline constexpr std::uint64_t fp32_positions = 32;
 }  // namespace state_field
+
+/// The f32 position stream: the wire form of a position span on an
+/// fp32_positions reply and of a ghost update's positions when its flag is
+/// set. Layout: [u64 float count = 3n][f32 x, y, z per position], then a
+/// u32 zero pad when n is odd, so whatever follows stays 8-byte aligned for
+/// zero-copy reads.
+inline void put_positions_f32(util::ByteWriter& out,
+                              std::span<const kernels::Vec3> positions) {
+  std::vector<float> packed;
+  packed.reserve(positions.size() * 3);
+  for (const kernels::Vec3& p : positions) {
+    packed.push_back(static_cast<float>(p.x));
+    packed.push_back(static_cast<float>(p.y));
+    packed.push_back(static_cast<float>(p.z));
+  }
+  out.put_vector(packed);
+  if (positions.size() % 2 != 0) out.put<std::uint32_t>(0);  // realign
+}
+
+/// Read an f32 position stream, widened to f64, into `into` (resized to the
+/// position count). A float count that is not whole positions, or an odd
+/// count without its zero pad, is a malformed frame: CodeError.
+inline void get_positions_f32(util::ByteReader& in,
+                              std::vector<kernels::Vec3>& into) {
+  auto packed = in.get_span<float>();
+  if (packed.size() % 3 != 0) {
+    throw CodeError("f32 positions: " + std::to_string(packed.size()) +
+                    " floats are not whole positions");
+  }
+  const std::size_t count = packed.size() / 3;
+  if (count % 2 != 0 && (in.remaining() < sizeof(std::uint32_t) ||
+                         in.get<std::uint32_t>() != 0)) {
+    throw CodeError("f32 positions: no realign pad after an odd count");
+  }
+  into.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    into[i] = kernels::Vec3{static_cast<double>(packed[3 * i]),
+                            static_cast<double>(packed[3 * i + 1]),
+                            static_cast<double>(packed[3 * i + 2])};
+  }
+}
 
 /// 64-bit content identity: a worker-instance nonce in the top half, the
 /// epoch at which the content last changed in the bottom half. Zero means

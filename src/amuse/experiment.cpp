@@ -450,33 +450,26 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
 namespace {
 
 /// Default worker spec of a pinned model (the scheduler builds its own for
-/// free models): kernel "auto" resolves by the target host's GPU.
+/// free models), from the scheduler's variant specs: kernel "auto" takes
+/// the target host's GPU, an explicit kernel names its variant.
 amuse::WorkerSpec pinned_worker_spec(const ModelSpec& model,
                                      const sim::Host& host, bool local) {
-  amuse::WorkerSpec spec;
-  bool gpu = host.gpu().has_value();
+  const bool gpu = model.kernel.empty() || model.kernel == "auto"
+                       ? host.gpu().has_value()
+                       : amuse::WorkerSpec{.code = model.kernel}.needs_gpu();
   switch (model.role) {
     case Role::gravity:
-      spec.code = model.kernel == "auto"
-                      ? (gpu ? "phigrape-gpu" : "phigrape")
-                      : model.kernel;
-      spec.ncores = spec.code == "phigrape" ? 2 : 1;
-      break;
+      return sched::gravity_spec(gpu);
     case Role::coupler:
-      spec.code = model.kernel == "auto" ? (gpu ? "octgrav" : "fi")
-                                         : model.kernel;
-      spec.ncores = spec.code == "fi" ? 2 : 1;
-      break;
+      return sched::coupler_spec(gpu);
     case Role::hydro:
-      spec.code = "gadget";
-      spec.nranks = model.nranks > 0 ? model.nranks : (local ? 2 : model.nodes);
-      spec.ncores = local ? 1 : 2;
-      break;
+      return sched::hydro_spec(
+          model.nranks > 0 ? model.nranks : (local ? 2 : model.nodes),
+          local ? 1 : 2);
     case Role::stellar:
-      spec.code = "sse";
       break;
   }
-  return spec;
+  return amuse::WorkerSpec{.code = "sse"};
 }
 
 std::optional<sched::Assignment> resolve_pin(JungleTestbed& bed,

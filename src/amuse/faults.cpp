@@ -1,89 +1,60 @@
 #include "amuse/faults.hpp"
 
-#include <cstring>
-
 #include "amuse/faultpoint.hpp"
+#include "util/fnv.hpp"
 
 namespace jungle::amuse {
 
 namespace {
 
-// FNV-1a, 64-bit.
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix_bytes(std::uint64_t& hash, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
+void mix_gravity(util::Fnv1a& hash, const GravityCheckpoint& g) {
+  hash.mix_all(g.state.mass);
+  hash.mix_all(g.state.position);
+  hash.mix_all(g.state.velocity);
+  hash.mix(g.model_time);
 }
 
-void mix_doubles(std::uint64_t& hash, const std::vector<double>& values) {
-  mix_bytes(hash, values.data(), values.size() * sizeof(double));
+void mix_hydro(util::Fnv1a& hash, const HydroCheckpoint& h) {
+  hash.mix_all(h.state.mass);
+  hash.mix_all(h.state.position);
+  hash.mix_all(h.state.velocity);
+  hash.mix_all(h.state.internal_energy);
+  hash.mix_all(h.state.density);
+  hash.mix(h.model_time);
 }
 
-void mix_vecs(std::uint64_t& hash, const std::vector<Vec3>& values) {
-  for (const Vec3& v : values) {
-    mix_bytes(hash, &v.x, sizeof(double));
-    mix_bytes(hash, &v.y, sizeof(double));
-    mix_bytes(hash, &v.z, sizeof(double));
-  }
-}
-
-}  // namespace
-
-namespace {
-
-void mix_gravity(std::uint64_t& hash, const GravityCheckpoint& g) {
-  mix_doubles(hash, g.state.mass);
-  mix_vecs(hash, g.state.position);
-  mix_vecs(hash, g.state.velocity);
-  mix_bytes(hash, &g.model_time, sizeof(double));
-}
-
-void mix_hydro(std::uint64_t& hash, const HydroCheckpoint& h) {
-  mix_doubles(hash, h.state.mass);
-  mix_vecs(hash, h.state.position);
-  mix_vecs(hash, h.state.velocity);
-  mix_doubles(hash, h.state.internal_energy);
-  mix_doubles(hash, h.state.density);
-  mix_bytes(hash, &h.model_time, sizeof(double));
-}
-
-void mix_field(std::uint64_t& hash, const FieldCheckpoint& f) {
-  mix_doubles(hash, f.source_mass);
-  mix_vecs(hash, f.source_position);
+void mix_field(util::Fnv1a& hash, const FieldCheckpoint& f) {
+  hash.mix_all(f.source_mass);
+  hash.mix_all(f.source_position);
 }
 
 }  // namespace
 
 std::uint64_t digest(const GravityCheckpoint& save) {
-  std::uint64_t hash = kFnvOffset;
+  util::Fnv1a hash;
   mix_gravity(hash, save);
-  return hash;
+  return hash.hash;
 }
 
 std::uint64_t digest(const HydroCheckpoint& save) {
-  std::uint64_t hash = kFnvOffset;
+  util::Fnv1a hash;
   mix_hydro(hash, save);
-  return hash;
+  return hash.hash;
 }
 
 std::uint64_t digest(const FieldCheckpoint& save) {
-  std::uint64_t hash = kFnvOffset;
+  util::Fnv1a hash;
   mix_field(hash, save);
-  return hash;
+  return hash.hash;
 }
 
 std::uint64_t digest(const GraphCheckpoint& save) {
-  std::uint64_t hash = kFnvOffset;
-  mix_bytes(hash, &save.epoch, sizeof(save.epoch));
+  util::Fnv1a hash;
+  hash.mix(save.epoch);
   for (const GravityCheckpoint& g : save.gravity) mix_gravity(hash, g);
   for (const HydroCheckpoint& h : save.hydro) mix_hydro(hash, h);
   for (const FieldCheckpoint& f : save.field) mix_field(hash, f);
-  return hash;
+  return hash.hash;
 }
 
 GravityCheckpoint checkpoint_gravity(GravityClient& gravity) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 
 namespace jungle::amuse {
@@ -45,20 +46,18 @@ util::ByteWriter make_error_frame(std::uint32_t request_id,
 /// Deterministic backoff jitter in [0.5, 1.5): an FNV-1a hash of (worker
 /// label, request id, attempt) — no RNG, so a replayed fault schedule
 /// resends at bit-identical times, but concurrent retryers still spread out
-/// instead of thundering in lockstep.
+/// instead of thundering in lockstep. The seed is one digit short of the
+/// FNV offset basis, and deliberately kept so: it fixes every resend time
+/// of a link-fault schedule, and a new seed would move them all.
 double jitter_factor(const std::string& label, std::uint32_t request_id,
                      int attempt) noexcept {
-  std::uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](std::uint8_t byte) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  };
-  for (char c : label) mix(static_cast<std::uint8_t>(c));
+  util::Fnv1a hash{1469598103934665603ULL};
+  hash.mix_bytes(label.data(), label.size());
   for (int i = 0; i < 4; ++i) {
-    mix(static_cast<std::uint8_t>(request_id >> (8 * i)));
+    hash.mix(static_cast<std::uint8_t>(request_id >> (8 * i)));
   }
-  mix(static_cast<std::uint8_t>(attempt));
-  return 0.5 + static_cast<double>(hash % 1024) / 1024.0;
+  hash.mix(static_cast<std::uint8_t>(attempt));
+  return 0.5 + static_cast<double>(hash.hash % 1024) / 1024.0;
 }
 
 // One row per function id. The names label trace spans (`rpc:<name>` on

@@ -19,6 +19,22 @@ void merge_slice(std::vector<T>& merged, const std::vector<T>& slice,
   std::copy(slice.begin(), slice.end(), merged.begin() + lo);
 }
 
+/// Block on every future in `futures`, then clear it. Returns the first
+/// error (null when none failed); one dead shard cannot leave its
+/// siblings' futures dangling.
+std::exception_ptr drain(std::vector<Future>& futures) {
+  std::exception_ptr first;
+  for (Future& pending : futures) {
+    try {
+      pending.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  futures.clear();
+  return first;
+}
+
 }  // namespace
 
 ShardedGravityClient::ShardedGravityClient(
@@ -32,16 +48,9 @@ ShardedGravityClient::ShardedGravityClient(
 ShardedGravityClient::~ShardedGravityClient() = default;
 
 void ShardedGravityClient::drain_pending() {
-  std::exception_ptr first;
-  for (Future& pending : pending_) {
-    try {
-      pending.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
+  if (std::exception_ptr first = drain(pending_)) {
+    std::rethrow_exception(first);
   }
-  pending_.clear();
-  if (first) std::rethrow_exception(first);
 }
 
 void ShardedGravityClient::add_particles(std::span<const double> masses,
@@ -64,18 +73,23 @@ void ShardedGravityClient::pull_owned(std::uint64_t want_mask) {
   replies.reserve(subs_.size());
   for (auto& sub : subs_) replies.push_back(sub->request_state(want_mask));
   for (std::size_t k = 0; k < subs_.size(); ++k) {
-    const GravityState& slice = subs_[k]->finish_state(replies[k], want_mask);
-    const auto [lo, hi] = ranges_[k];
-    const std::size_t count = hi - lo;
-    if (want_mask & state_field::mass) {
-      merge_slice(cache_.mass, slice.mass, lo, count);
-    }
-    if (want_mask & state_field::position) {
-      merge_slice(cache_.position, slice.position, lo, count);
-    }
-    if (want_mask & state_field::velocity) {
-      merge_slice(cache_.velocity, slice.velocity, lo, count);
-    }
+    merge_owned(k, replies[k], want_mask);
+  }
+}
+
+void ShardedGravityClient::merge_owned(std::size_t k, Future& reply,
+                                       std::uint64_t want_mask) {
+  const GravityState& slice = subs_[k]->finish_state(reply, want_mask);
+  const auto [lo, hi] = ranges_[k];
+  const std::size_t count = hi - lo;
+  if (want_mask & state_field::mass) {
+    merge_slice(cache_.mass, slice.mass, lo, count);
+  }
+  if (want_mask & state_field::position) {
+    merge_slice(cache_.position, slice.position, lo, count);
+  }
+  if (want_mask & state_field::velocity) {
+    merge_slice(cache_.velocity, slice.velocity, lo, count);
   }
 }
 
@@ -125,20 +139,7 @@ const GravityState& ShardedGravityClient::finish_state(
     Future& reply, std::uint64_t want_mask) {
   drain_pending();
   for (std::size_t k = 0; k < subs_.size(); ++k) {
-    Future& shard_reply = (k == 0) ? reply : pending_state_[k - 1];
-    const GravityState& slice =
-        subs_[k]->finish_state(shard_reply, want_mask);
-    const auto [lo, hi] = ranges_[k];
-    const std::size_t count = hi - lo;
-    if (want_mask & state_field::mass) {
-      merge_slice(cache_.mass, slice.mass, lo, count);
-    }
-    if (want_mask & state_field::position) {
-      merge_slice(cache_.position, slice.position, lo, count);
-    }
-    if (want_mask & state_field::velocity) {
-      merge_slice(cache_.velocity, slice.velocity, lo, count);
-    }
+    merge_owned(k, k == 0 ? reply : pending_state_[k - 1], want_mask);
   }
   pending_state_.clear();
   return cache_;
@@ -265,22 +266,9 @@ void ShardedGravityClient::set_fp32_positions(bool enabled) {
 void ShardedGravityClient::reset_delta_caches() {
   // Fault path: pending futures may belong to a poisoned pipe — drain them
   // quietly (the fault machinery has already diagnosed the death).
-  for (Future& pending : pending_) {
-    try {
-      pending.get();
-    } catch (...) {
-    }
-  }
-  pending_.clear();
-  for (auto* stash : {&pending_state_, &pending_dynamics_}) {
-    for (Future& pending : *stash) {
-      try {
-        pending.get();
-      } catch (...) {
-      }
-    }
-    stash->clear();
-  }
+  drain(pending_);
+  drain(pending_state_);
+  drain(pending_dynamics_);
   GravityClient::reset_delta_caches();
   for (auto& sub : subs_) sub->reset_delta_caches();
 }
@@ -295,13 +283,7 @@ RpcClient& ShardedGravityClient::fault_rpc() {
 }
 
 void ShardedGravityClient::close() {
-  for (Future& pending : pending_) {
-    try {
-      pending.get();
-    } catch (...) {
-    }
-  }
-  pending_.clear();
+  drain(pending_);  // quietly: close runs on the fault path too
   pending_state_.clear();
   pending_dynamics_.clear();
   for (auto& sub : subs_) sub->close();

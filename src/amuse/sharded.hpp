@@ -78,13 +78,15 @@ class ShardedGravityClient : public GravityClient {
  private:
   /// Block on every stashed future (evolves/kicks/ghost pushes of shards
   /// other than the one whose future was handed to the caller). The first
-  /// error is rethrown after all are drained, so one dead shard cannot leave
-  /// siblings' futures dangling.
+  /// error is rethrown after all are drained.
   void drain_pending();
   /// Pull each shard's owned position/velocity slice into the merged cache,
   /// then push every shard its ghost rows as two contiguous frames.
   void exchange_ghosts();
   void pull_owned(std::uint64_t want_mask);
+  /// Finish shard k's state `reply` and copy its owned slice of the
+  /// `want_mask` fields into the merged cache.
+  void merge_owned(std::size_t k, Future& reply, std::uint64_t want_mask);
 
   std::vector<std::unique_ptr<GravityClient>> subs_;
   std::vector<std::pair<std::size_t, std::size_t>> ranges_;

@@ -6,6 +6,11 @@
 #include <map>
 
 #include "amuse/delta.hpp"
+#include "kernels/hermite.hpp"
+#include "kernels/sph.hpp"
+#include "kernels/sse.hpp"
+#include "kernels/treefield.hpp"
+#include "mpi/mpi.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 
@@ -14,6 +19,19 @@ namespace jungle::amuse {
 using kernels::Vec3;
 
 namespace {
+
+/// Where and how a worker's compute is charged in the jungle model.
+struct WorkerCost {
+  sim::Host* host = nullptr;
+  sim::DeviceKind device = sim::DeviceKind::cpu;
+  int ncores = 1;
+  /// Worker-side meters (null = unmetered). run_worker wires them to
+  /// worker.<meter>.{flops,compute_s,substeps} so the scheduler can compare
+  /// measured compute against its model per role.
+  obs::metrics::Counter* flops = nullptr;
+  obs::metrics::Counter* compute_s = nullptr;
+  obs::metrics::Counter* substeps = nullptr;
+};
 
 // Charge `flops` to the worker's host/device, blocking its process for the
 // modelled duration. Small trivial calls stay cheap via a floor of zero.
@@ -48,22 +66,13 @@ struct StateFieldWriter {
   std::function<void(util::ByteWriter&, std::uint64_t)> write;
 };
 
-/// Frame a position array, full f64 by default or truncated to f32 when the
-/// request carried the fp32_positions modifier (opt-in on low-bandwidth
-/// links). The f32 form is padded to an 8-byte boundary so any following
-/// span stays alignment-safe for zero-copy reads.
+/// Frame a position array, full f64 by default or as the f32 stream when
+/// the request carried the fp32_positions modifier (opt-in on
+/// low-bandwidth links).
 void put_positions(util::ByteWriter& out, std::span<const Vec3> positions,
                    std::uint64_t modifiers) {
   if (modifiers & state_field::fp32_positions) {
-    std::vector<float> packed;
-    packed.reserve(positions.size() * 3);
-    for (const Vec3& p : positions) {
-      packed.push_back(static_cast<float>(p.x));
-      packed.push_back(static_cast<float>(p.y));
-      packed.push_back(static_cast<float>(p.z));
-    }
-    out.put_vector(packed);
-    if (positions.size() % 2 != 0) out.put<std::uint32_t>(0);  // realign
+    put_positions_f32(out, positions);
   } else {
     out.put_span_view(positions);
   }
@@ -105,30 +114,6 @@ util::ByteWriter delta_state_reply(const StateEpochs& epochs,
     if (sent_mask & field.bit) field.write(result, modifiers);
   }
   return result;
-}
-
-/// A decoded kick frame: the acceleration to apply and the dt to multiply
-/// it by on this side of the wire (Δv_i = accel_i * dt).
-struct KickFrame {
-  std::span<const Vec3> accel;
-  double dt = 1.0;
-};
-
-/// Apply a kick frame: either the shipped accel array (cached for later) or
-/// a replay of the previous one (flags: kick_flags::repeat) under the dt
-/// that always rides along.
-KickFrame read_kick(util::ByteReader& args, std::vector<Vec3>& cache) {
-  auto flags = args.get<std::uint64_t>();
-  double dt = args.get<double>();
-  if (flags & kick_flags::repeat) {
-    if (cache.empty()) {
-      throw CodeError("kick repeat with no cached kick");
-    }
-    return {cache, dt};
-  }
-  auto accel = args.get_span<Vec3>();
-  cache.assign(accel.begin(), accel.end());
-  return {cache, dt};
 }
 
 // A malformed update frame is rejected whole, before any of it is applied:
@@ -176,8 +161,50 @@ void check_indexed(const char* what, std::span<const std::int32_t> indices,
   }
 }
 
-}  // namespace
+/// Apply a kick frame to `rows` consecutive rows of `kernel` from `base` on:
+/// Δv_i = accel_i * dt, with either the shipped accel array (cached for
+/// later) or a replay of the previous one (flags: kick_flags::repeat) under
+/// the dt that always rides along.
+template <typename Kernel>
+void kick_rows(const char* what, util::ByteReader& args,
+               std::vector<Vec3>& cache, Kernel& kernel, std::size_t base,
+               std::size_t rows) {
+  auto flags = args.get<std::uint64_t>();
+  double dt = args.get<double>();
+  if (flags & kick_flags::repeat) {
+    if (cache.empty()) throw CodeError("kick repeat with no cached kick");
+  } else {
+    auto accel = args.get_span<Vec3>();
+    cache.assign(accel.begin(), accel.end());
+  }
+  check_rows(what, cache.size(), rows);
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    kernel.kick(static_cast<int>(base + i), cache[i] * dt);
+  }
+}
 
+/// The mass, position and velocity fields of a get_state reply, framed from
+/// the given rows of a kernel's arrays.
+std::vector<StateFieldWriter> motion_fields(std::span<const double> mass,
+                                            std::span<const Vec3> position,
+                                            std::span<const Vec3> velocity) {
+  return {
+      {state_field::mass, 0,
+       [mass](util::ByteWriter& out, std::uint64_t) {
+         out.put_span_view(mass);
+       }},
+      {state_field::position, 1,
+       [position](util::ByteWriter& out, std::uint64_t modifiers) {
+         put_positions(out, position, modifiers);
+       }},
+      {state_field::velocity, 2,
+       [velocity](util::ByteWriter& out, std::uint64_t) {
+         out.put_span_view(velocity);
+       }},
+  };
+}
+
+/// phiGRAPE worker: direct N-body over the RPC protocol.
 Dispatcher make_gravity_dispatcher(
     std::shared_ptr<kernels::HermiteIntegrator> integrator, WorkerCost cost) {
   auto epochs = std::make_shared<StateEpochs>();
@@ -219,28 +246,15 @@ Dispatcher make_gravity_dispatcher(
         // its property, not ours to re-export.
         const std::size_t lo = integrator->owned_lo();
         const std::size_t count = integrator->owned_count();
-        const StateFieldWriter fields[] = {
-            {state_field::mass, 0,
-             [&](util::ByteWriter& out, std::uint64_t) {
-               out.put_span_view(
-                   std::span<const double>(integrator->masses())
-                       .subspan(lo, count));
-             }},
-            {state_field::position, 1,
-             [&](util::ByteWriter& out, std::uint64_t modifiers) {
-               put_positions(out,
-                             std::span<const Vec3>(integrator->positions())
-                                 .subspan(lo, count),
-                             modifiers);
-             }},
-            {state_field::velocity, 2,
-             [&](util::ByteWriter& out, std::uint64_t) {
-               out.put_span_view(
-                   std::span<const Vec3>(integrator->velocities())
-                       .subspan(lo, count));
-             }},
-        };
-        return delta_state_reply(*epochs, args, fields);
+        return delta_state_reply(
+            *epochs, args,
+            motion_fields(
+                std::span<const double>(integrator->masses())
+                    .subspan(lo, count),
+                std::span<const Vec3>(integrator->positions())
+                    .subspan(lo, count),
+                std::span<const Vec3>(integrator->velocities())
+                    .subspan(lo, count)));
       }
       case Fn::grav_get_energies: {
         // Energies cost one O(N^2) potential pass.
@@ -253,14 +267,8 @@ Dispatcher make_gravity_dispatcher(
       case Fn::grav_kick_all: {
         // Sharded: the frame carries the owned slice of the full accel
         // array, applied at the owned offset.
-        KickFrame kick = read_kick(args, *kick_cache);
-        check_rows("grav_kick_all", kick.accel.size(),
-                   integrator->owned_count());
-        const std::size_t base = integrator->owned_lo();
-        for (std::size_t i = 0; i < kick.accel.size(); ++i) {
-          integrator->kick(static_cast<int>(base + i),
-                           kick.accel[i] * kick.dt);
-        }
+        kick_rows("grav_kick_all", args, *kick_cache, *integrator,
+                  integrator->owned_lo(), integrator->owned_count());
         epochs->bump(state_field::velocity);
         return result;
       }
@@ -355,20 +363,8 @@ Dispatcher make_gravity_dispatcher(
         auto flags = args.get<std::uint64_t>();
         std::vector<Vec3> unpacked;
         std::span<const Vec3> positions;
-        if (flags & 1) {  // f32-truncated positions (low-bandwidth link)
-          auto packed = args.get_vector<float>();
-          if (packed.size() % 3 != 0) {
-            throw CodeError("grav_ghost_update: " +
-                            std::to_string(packed.size()) +
-                            " floats are not whole positions");
-          }
-          const std::size_t count = packed.size() / 3;
-          if (count % 2 != 0) args.get<std::uint32_t>();  // realign pad
-          for (std::size_t i = 0; i < count; ++i) {
-            unpacked.push_back(Vec3{static_cast<double>(packed[3 * i]),
-                                    static_cast<double>(packed[3 * i + 1]),
-                                    static_cast<double>(packed[3 * i + 2])});
-          }
+        if (flags & 1) {  // the f32 stream (low-bandwidth link)
+          get_positions_f32(args, unpacked);
           positions = unpacked;
         } else {
           positions = args.get_span<Vec3>();
@@ -391,8 +387,6 @@ Dispatcher make_gravity_dispatcher(
   };
 }
 
-namespace {
-
 /// Per-direction cache of the coupler worker: the last sources and points a
 /// client shipped under a tag (with their content ids), and the accel that
 /// was computed from them. An unchanged cross-kick half (same source and
@@ -409,8 +403,7 @@ struct FieldTagCache {
   bool has_accel = false;
 };
 
-}  // namespace
-
+/// Octgrav/Fi worker: tree gravity field evaluations.
 Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
                                  WorkerCost cost) {
   auto tags = std::make_shared<std::map<std::uint64_t, FieldTagCache>>();
@@ -482,6 +475,7 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
   };
 }
 
+/// SSE worker: parameterized stellar evolution (compute cost ~ trivial).
 Dispatcher make_se_dispatcher(
     std::shared_ptr<kernels::StellarEvolution> stellar, WorkerCost cost) {
   // Masses as of the last delta exchange: the baseline the changed-star
@@ -545,136 +539,144 @@ Dispatcher make_se_dispatcher(
   };
 }
 
-namespace {
-
-// Shared by the serial and parallel hydro dispatchers: everything except
-// evolve, which differs.
-util::ByteWriter hydro_common(kernels::SphSystem& sph, Fn fn,
-                              util::ByteReader& args, const WorkerCost& cost,
-                              StateEpochs& epochs,
-                              std::vector<Vec3>& kick_cache) {
-  util::ByteWriter result = reply_writer();
-  switch (fn) {
-    case Fn::hydro_add_gas: {
-      auto masses = args.get_span<double>();
-      auto positions = args.get_span<Vec3>();
-      auto velocities = args.get_span<Vec3>();
-      auto energies = args.get_span<double>();
-      check_columns("hydro_add_gas", {masses.size(), positions.size(),
-                                      velocities.size(), energies.size()});
-      for (std::size_t i = 0; i < masses.size(); ++i) {
-        sph.add_particle(masses[i], positions[i], velocities[i], energies[i]);
-      }
-      epochs.bump(state_field::hydro_all);
-      return result;
-    }
-    case Fn::hydro_get_state: {
-      // internal_energies() materializes (u is stored as entropy inside);
-      // keep the copy alive across the reply serialization.
-      std::vector<double> energies = sph.internal_energies();
-      const StateFieldWriter fields[] = {
-          {state_field::mass, 0,
-           [&](util::ByteWriter& out, std::uint64_t) {
-             out.put_span_view(std::span<const double>(sph.masses()));
-           }},
-          {state_field::position, 1,
-           [&](util::ByteWriter& out, std::uint64_t modifiers) {
-             put_positions(out, std::span<const Vec3>(sph.positions()),
-                           modifiers);
-           }},
-          {state_field::velocity, 2,
-           [&](util::ByteWriter& out, std::uint64_t) {
-             out.put_span_view(std::span<const Vec3>(sph.velocities()));
-           }},
-          {state_field::internal_energy, 3,
-           [&](util::ByteWriter& out, std::uint64_t) {
-             out.put_span(std::span<const double>(energies));
-           }},
-          {state_field::density, 4,
-           [&](util::ByteWriter& out, std::uint64_t) {
-             out.put_span_view(std::span<const double>(sph.densities()));
-           }},
-      };
-      return delta_state_reply(epochs, args, fields);
-    }
-    case Fn::hydro_get_energies: {
-      double n = static_cast<double>(sph.size());
-      charge(cost, n * std::max(1.0, std::log2(std::max(2.0, n))) * 100.0);
-      result.put<double>(sph.kinetic_energy());
-      result.put<double>(sph.thermal_energy());
-      result.put<double>(sph.potential_energy());
-      return result;
-    }
-    case Fn::hydro_kick_all: {
-      KickFrame kick = read_kick(args, kick_cache);
-      check_rows("hydro_kick_all", kick.accel.size(), sph.size());
-      for (std::size_t i = 0; i < kick.accel.size(); ++i) {
-        sph.kick(static_cast<int>(i), kick.accel[i] * kick.dt);
-      }
-      epochs.bump(state_field::velocity);
-      return result;
-    }
-    case Fn::hydro_inject: {
-      auto indices = args.get_span<std::int32_t>();
-      // An odd index count leaves the next span 4-byte aligned; copy out.
-      auto amounts = args.get_vector<double>();
-      check_indexed("hydro_inject", indices, amounts.size(), sph.size());
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        sph.inject_energy(indices[i], amounts[i]);
-      }
-      epochs.bump(state_field::internal_energy);
-      return result;
-    }
-    case Fn::hydro_get_time: {
-      result.put<double>(sph.time());
-      return result;
-    }
-    case Fn::hydro_set_time: {
-      sph.set_time(args.get<double>());
-      return result;
-    }
-    default:
-      throw CodeError("gadget: unsupported function id " +
-                      std::to_string(static_cast<int>(fn)));
-  }
-}
-
 constexpr std::uint64_t kHydroEvolveBumps =
     state_field::position | state_field::velocity |
     state_field::internal_energy | state_field::density;
 
-}  // namespace
+/// How a gadget worker runs hydro_evolve: advance the model to t_end and
+/// return the flops left to charge (a rank-parallel model charges each rank
+/// as it goes and returns 0).
+using HydroEvolve = std::function<double(double t_end)>;
 
+/// Gadget worker, serial or rank-parallel: only `evolve` differs.
 Dispatcher make_hydro_dispatcher(std::shared_ptr<kernels::SphSystem> sph,
-                                 WorkerCost cost) {
+                                 HydroEvolve evolve, WorkerCost cost) {
   auto epochs = std::make_shared<StateEpochs>();
   auto kick_cache = std::make_shared<std::vector<Vec3>>();
-  return [sph, cost, epochs,
-          kick_cache](Fn fn, util::ByteReader& args) -> util::ByteWriter {
-    if (fn == Fn::hydro_evolve) {
-      util::ByteWriter result = reply_writer();
-      double t_end = args.get<double>();
-      auto ngb_before = sph->neighbour_interactions();
-      auto tree_before = sph->tree_interactions();
-      auto steps_before = sph->substeps();
-      sph->evolve(t_end);
-      if (cost.substeps != nullptr) {
-        cost.substeps->add(
-            static_cast<double>(sph->substeps() - steps_before));
+  return [sph, evolve = std::move(evolve), cost, epochs, kick_cache](
+             Fn fn, util::ByteReader& args) -> util::ByteWriter {
+    util::ByteWriter result = reply_writer();
+    switch (fn) {
+      case Fn::hydro_evolve: {
+        double t_end = args.get<double>();
+        auto steps_before = sph->substeps();
+        double flops = evolve(t_end);
+        if (cost.substeps != nullptr) {
+          cost.substeps->add(
+              static_cast<double>(sph->substeps() - steps_before));
+        }
+        charge(cost, flops);
+        epochs->bump(kHydroEvolveBumps);
+        return result;
       }
-      charge(cost,
-             static_cast<double>(sph->neighbour_interactions() - ngb_before) *
-                     kernels::SphSystem::kFlopsPerNeighbour +
-                 static_cast<double>(sph->tree_interactions() - tree_before) *
-                     kernels::SphSystem::kFlopsPerTreeInteraction);
-      epochs->bump(kHydroEvolveBumps);
-      return result;
+      case Fn::hydro_add_gas: {
+        auto masses = args.get_span<double>();
+        auto positions = args.get_span<Vec3>();
+        auto velocities = args.get_span<Vec3>();
+        auto energies = args.get_span<double>();
+        check_columns("hydro_add_gas", {masses.size(), positions.size(),
+                                        velocities.size(), energies.size()});
+        for (std::size_t i = 0; i < masses.size(); ++i) {
+          sph->add_particle(masses[i], positions[i], velocities[i],
+                            energies[i]);
+        }
+        epochs->bump(state_field::hydro_all);
+        return result;
+      }
+      case Fn::hydro_get_state: {
+        // internal_energies() materializes (u is stored as entropy inside);
+        // keep the copy alive across the reply serialization.
+        std::vector<double> energies = sph->internal_energies();
+        std::vector<StateFieldWriter> fields =
+            motion_fields(sph->masses(), sph->positions(), sph->velocities());
+        fields.push_back({state_field::internal_energy, 3,
+                          [&](util::ByteWriter& out, std::uint64_t) {
+                            out.put_span(std::span<const double>(energies));
+                          }});
+        fields.push_back({state_field::density, 4,
+                          [&](util::ByteWriter& out, std::uint64_t) {
+                            out.put_span_view(
+                                std::span<const double>(sph->densities()));
+                          }});
+        return delta_state_reply(*epochs, args, fields);
+      }
+      case Fn::hydro_get_energies: {
+        double n = static_cast<double>(sph->size());
+        charge(cost, n * std::max(1.0, std::log2(std::max(2.0, n))) * 100.0);
+        result.put<double>(sph->kinetic_energy());
+        result.put<double>(sph->thermal_energy());
+        result.put<double>(sph->potential_energy());
+        return result;
+      }
+      case Fn::hydro_kick_all: {
+        kick_rows("hydro_kick_all", args, *kick_cache, *sph, 0, sph->size());
+        epochs->bump(state_field::velocity);
+        return result;
+      }
+      case Fn::hydro_inject: {
+        auto indices = args.get_span<std::int32_t>();
+        // An odd index count leaves the next span 4-byte aligned; copy out.
+        auto amounts = args.get_vector<double>();
+        check_indexed("hydro_inject", indices, amounts.size(), sph->size());
+        for (std::size_t i = 0; i < indices.size(); ++i) {
+          sph->inject_energy(indices[i], amounts[i]);
+        }
+        epochs->bump(state_field::internal_energy);
+        return result;
+      }
+      case Fn::hydro_get_time: {
+        result.put<double>(sph->time());
+        return result;
+      }
+      case Fn::hydro_set_time: {
+        sph->set_time(args.get<double>());
+        return result;
+      }
+      default:
+        throw CodeError("gadget: unsupported function id " +
+                        std::to_string(static_cast<int>(fn)));
     }
-    return hydro_common(*sph, fn, args, cost, *epochs, *kick_cache);
   };
 }
 
 // ---------------------------------------------------------- parallel SPH
+
+/// Parallel Gadget worker: SPH with the density/force/integrate phases
+/// partitioned over MPI ranks and slice exchanges over the simulated
+/// interconnect — the paper's "8 nodes, C/MPI/Ibis gas dynamics (Gadget)".
+class ParallelSph {
+ public:
+  ParallelSph(sim::Network& net, std::vector<sim::Host*> hosts, int nranks,
+              kernels::SphSystem::Params params, int ncores_per_rank);
+
+  kernels::SphSystem& sph() noexcept { return sph_; }
+
+  /// Called on the driver (rank 0) process.
+  void evolve(double t_end);
+  void stop();
+
+  /// Meter rank-0's compute (flops + modeled seconds — representative of
+  /// elapsed time, the ranks being symmetric).
+  void set_meters(obs::metrics::Counter* flops,
+                  obs::metrics::Counter* compute_s) noexcept {
+    m_flops_ = flops;
+    m_compute_s_ = compute_s;
+  }
+
+  mpi::MpiWorld& world() noexcept { return world_; }
+
+ private:
+  void rank_loop(mpi::Comm& comm);
+  void parallel_steps(mpi::Comm& comm, double t_end);
+  std::pair<std::size_t, std::size_t> slice(int rank) const;
+
+  kernels::SphSystem sph_;
+  mpi::MpiWorld world_;
+  int ncores_per_rank_;
+  bool stopped_ = false;
+  obs::metrics::Counter* m_flops_ = nullptr;
+  obs::metrics::Counter* m_compute_s_ = nullptr;
+};
 
 ParallelSph::ParallelSph(sim::Network& net, std::vector<sim::Host*> hosts,
                          int nranks, kernels::SphSystem::Params params,
@@ -786,27 +788,7 @@ void ParallelSph::parallel_steps(mpi::Comm& comm, double t_end) {
   }
 }
 
-Dispatcher make_parallel_hydro_dispatcher(std::shared_ptr<ParallelSph> sph,
-                                          WorkerCost cost) {
-  auto epochs = std::make_shared<StateEpochs>();
-  auto kick_cache = std::make_shared<std::vector<Vec3>>();
-  return [sph, cost, epochs,
-          kick_cache](Fn fn, util::ByteReader& args) -> util::ByteWriter {
-    if (fn == Fn::hydro_evolve) {
-      util::ByteWriter result = reply_writer();
-      double t_end = args.get<double>();
-      auto steps_before = sph->sph().substeps();
-      sph->evolve(t_end);  // cost charged per rank inside
-      if (cost.substeps != nullptr) {
-        cost.substeps->add(
-            static_cast<double>(sph->sph().substeps() - steps_before));
-      }
-      epochs->bump(kHydroEvolveBumps);
-      return result;
-    }
-    return hydro_common(sph->sph(), fn, args, cost, *epochs, *kick_cache);
-  };
-}
+}  // namespace
 
 // -------------------------------------------------------------- factory
 
@@ -850,13 +832,34 @@ void run_worker(std::unique_ptr<MessagePipe> pipe, const WorkerSpec& spec,
     if (spec.nranks <= 1) {
       auto sph = std::make_shared<kernels::SphSystem>(params);
       sph->set_thread_pool(&pool);
-      dispatcher = make_hydro_dispatcher(std::move(sph), cost);
+      kernels::SphSystem* serial = sph.get();
+      // Charged by the neighbour and tree interactions the evolve ran.
+      auto evolve = [serial](double t_end) {
+        auto ngb_before = serial->neighbour_interactions();
+        auto tree_before = serial->tree_interactions();
+        serial->evolve(t_end);
+        return static_cast<double>(serial->neighbour_interactions() -
+                                   ngb_before) *
+                   kernels::SphSystem::kFlopsPerNeighbour +
+               static_cast<double>(serial->tree_interactions() -
+                                   tree_before) *
+                   kernels::SphSystem::kFlopsPerTreeInteraction;
+      };
+      dispatcher = make_hydro_dispatcher(std::move(sph), evolve, cost);
     } else {
       parallel = std::make_shared<ParallelSph>(net, hosts, spec.nranks,
                                                params, spec.ncores);
       parallel->set_meters(cost.flops, cost.compute_s);
       parallel->sph().set_thread_pool(&pool);
-      dispatcher = make_parallel_hydro_dispatcher(parallel, cost);
+      ParallelSph* ranks = parallel.get();
+      auto evolve = [ranks](double t_end) {
+        ranks->evolve(t_end);  // each rank charges its own compute
+        return 0.0;
+      };
+      // The dispatcher's handle on the model keeps the ranks alive too.
+      dispatcher = make_hydro_dispatcher(
+          std::shared_ptr<kernels::SphSystem>(parallel, &parallel->sph()),
+          evolve, cost);
     }
   } else {
     throw CodeError("unknown worker code '" + spec.code + "'");

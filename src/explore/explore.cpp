@@ -1,12 +1,12 @@
 #include "explore/explore.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "sim/network.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace jungle::explore {
 
@@ -18,41 +18,18 @@ namespace faultpoint = amuse::faultpoint;
 
 namespace {
 
+/// The schedule format's name of each victim kind.
+constexpr std::pair<Injection::Kind, const char*> kKindNames[] = {
+    {Injection::Kind::crash, "crash"},   {Injection::Kind::link, "link"},
+    {Injection::Kind::daemon, "daemon"}, {Injection::Kind::proxy, "proxy"},
+    {Injection::Kind::worker, "worker"}, {Injection::Kind::timer, "timer"},
+};
+
 const char* kind_name(Injection::Kind kind) {
-  switch (kind) {
-    case Injection::Kind::crash:
-      return "crash";
-    case Injection::Kind::link:
-      return "link";
-    case Injection::Kind::daemon:
-      return "daemon";
-    case Injection::Kind::proxy:
-      return "proxy";
-    case Injection::Kind::worker:
-      return "worker";
-    case Injection::Kind::timer:
-      return "timer";
+  for (const auto& [each, name] : kKindNames) {
+    if (each == kind) return name;
   }
   return "crash";
-}
-
-bool parse_kind(const std::string& text, Injection::Kind& kind) {
-  if (text == "crash") {
-    kind = Injection::Kind::crash;
-  } else if (text == "link") {
-    kind = Injection::Kind::link;
-  } else if (text == "daemon") {
-    kind = Injection::Kind::daemon;
-  } else if (text == "proxy") {
-    kind = Injection::Kind::proxy;
-  } else if (text == "worker") {
-    kind = Injection::Kind::worker;
-  } else if (text == "timer") {
-    kind = Injection::Kind::timer;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 /// Timer-tier skew: off the protocol-point grid on purpose. Not a multiple
@@ -60,29 +37,22 @@ bool parse_kind(const std::string& text, Injection::Kind& kind) {
 /// addressed point and its successor are doing.
 constexpr double kTimerSkew = 0.075;
 
-// FNV-1a, same constants as the checkpoint digest (amuse/faults.cpp) — two
-// independent hash families buy nothing here.
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix_bytes(std::uint64_t& hash, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-}
-
-void mix_string(std::uint64_t& hash, const std::string& text) {
-  mix_bytes(hash, text.data(), text.size());
-  mix_bytes(hash, "\0", 1);  // delimit: ("ab","c") != ("a","bc")
-}
-
-void mix_int(std::uint64_t& hash, int value) {
-  mix_bytes(hash, &value, sizeof(value));
+void mix_string(util::Fnv1a& hash, const std::string& text) {
+  hash.mix_bytes(text.data(), text.size());
+  hash.mix_bytes("\0", 1);  // delimit: ("ab","c") != ("a","bc")
 }
 
 }  // namespace
+
+bool parse_kind(const std::string& text, Injection::Kind& kind) {
+  for (const auto& [each, name] : kKindNames) {
+    if (text == name) {
+      kind = each;
+      return true;
+    }
+  }
+  return false;
+}
 
 std::string format_schedule(const Schedule& schedule) {
   std::ostringstream out;
@@ -269,16 +239,16 @@ RunReport Explorer::run_schedule(const Schedule& schedule) {
   // victims around the same iterations and recovered onto the same
   // placement leave the run in the same state — whatever protocol point the
   // fault hit on the way. Extensions are explored from one representative.
-  std::uint64_t hash = kFnvOffset;
+  util::Fnv1a hash;
   for (int i = 0; i < report.fired; ++i) {
     const Injection& inj = schedule[static_cast<std::size_t>(i)];
-    mix_int(hash, inj.iteration);
-    mix_int(hash, static_cast<int>(inj.kind));
+    hash.mix(inj.iteration);
+    hash.mix(static_cast<int>(inj.kind));
     mix_string(hash, inj.victim);
   }
   mix_string(hash, report.placement);
-  mix_int(hash, report.restarts);
-  report.resume_hash = hash;
+  hash.mix(report.restarts);
+  report.resume_hash = hash.hash;
   return report;
 }
 
@@ -291,6 +261,10 @@ const RunReport& Explorer::golden() {
   }
   return golden_;
 }
+
+/// Energy drift a recovered run may show, relative to the golden run's total
+/// energy.
+constexpr double kEnergyTolerance = 1e-8;
 
 void Explorer::check(const Schedule& schedule, const RunReport& report,
                      std::vector<Violation>& violations) {
@@ -319,7 +293,7 @@ void Explorer::check(const Schedule& schedule, const RunReport& report,
   double drift = std::fabs(report.energy - golden_.energy);
   double scale = std::fabs(golden_.energy);
   if (scale < 1.0) scale = 1.0;
-  if (drift > options_.energy_tolerance * scale)
+  if (drift > kEnergyTolerance * scale)
     flag("energy drift " + std::to_string(drift) + " exceeds tolerance");
   // Crashed hosts take their processes down, so fewer survivors than the
   // golden run is expected; *more* means recovery leaked a worker, socket
@@ -355,8 +329,6 @@ void Explorer::dfs(const Schedule& base,
     // earlier points belong to runs already explored at shallower depth.
     if (entry.fired != static_cast<int>(base.size())) continue;
     for (const Injection& victim : victims_) {
-      if (victim.kind == Injection::Kind::link && !options_.link_faults)
-        continue;
       // Re-killing a dead victim is a no-op run: skip it statically. The
       // process tier is exempt — a supervised restart brings the victim
       // back, and killing it *again* (the double-fault mid-backoff case)

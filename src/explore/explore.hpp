@@ -58,6 +58,9 @@ using Schedule = std::vector<Injection>;
 /// e.g. "ckpt.commit@1#0=crash:node0;recover.replace@-1#0=link:metro-wan"
 std::string format_schedule(const Schedule& schedule);
 Schedule parse_schedule(const std::string& text);  // throws ConfigError
+/// The format's name of a victim kind ("crash", "link", "daemon", ...);
+/// false when `text` names none.
+bool parse_kind(const std::string& text, Injection::Kind& kind);
 
 /// Fault-point hook that fires a schedule and records the trace of every
 /// fault point the run reached (the DFS frontier for deeper schedules).
@@ -124,9 +127,6 @@ struct Options {
   int max_faults = 2;      // DFS depth bound
   int max_schedules = 0;   // stop after this many runs (0 = unbounded)
   int iterations = 0;      // override the spec's iteration count (0 = keep)
-  bool link_faults = true; // also cut WAN links, not just crash hosts
-  /// Energy drift tolerance relative to the golden run's total energy.
-  double energy_tolerance = 1e-8;
   /// Restrict the victim set to these kinds (empty = every kind). The CLI
   /// spells Kind::crash "host".
   std::set<Injection::Kind> victim_kinds;

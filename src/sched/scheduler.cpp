@@ -80,8 +80,6 @@ std::string Scheduler::resource_of(const std::string& host_name) const {
   return "";
 }
 
-namespace {
-
 amuse::WorkerSpec gravity_spec(bool gpu) {
   amuse::WorkerSpec spec;
   spec.code = gpu ? "phigrape-gpu" : "phigrape";
@@ -103,6 +101,8 @@ amuse::WorkerSpec hydro_spec(int nranks, int ncores) {
   spec.ncores = ncores;
   return spec;
 }
+
+namespace {
 
 const sim::Host* first_gpu(const std::vector<const sim::Host*>& nodes) {
   for (const sim::Host* node : nodes) {

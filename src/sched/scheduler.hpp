@@ -51,6 +51,14 @@ struct Placement {
   std::string describe() const;
 };
 
+/// The worker spec of each kernel variant, for the scheduler's candidates
+/// and the runner's pinned models alike: the CPU variants (phigrape, fi)
+/// charge 2 cores, the GPU variants (phigrape-gpu, octgrav) 1.
+amuse::WorkerSpec gravity_spec(bool gpu);
+amuse::WorkerSpec coupler_spec(bool gpu);
+/// Gadget on `nranks` ranks charging `ncores` cores each.
+amuse::WorkerSpec hydro_spec(int nranks, int ncores);
+
 /// Adaptive placement scheduler: scores candidate kernel->host assignments
 /// against the jungle's discovered resources and network topology, and
 /// emits the cheapest feasible Placement for an arbitrary experiment graph

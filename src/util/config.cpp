@@ -1,5 +1,6 @@
 #include "util/config.hpp"
 
+#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -57,6 +58,14 @@ Config Config::parse(const std::string& text) {
     config.values_[section][key] = value;
   }
   return config;
+}
+
+Config Config::load(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw ConfigError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse(text.str());
 }
 
 bool Config::has_section(const std::string& section) const {

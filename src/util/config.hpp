@@ -18,6 +18,9 @@ namespace jungle::util {
 class Config {
  public:
   static Config parse(const std::string& text);
+  /// Read and parse the file at `path`; throws ConfigError("cannot open
+  /// <path>") when it cannot be read.
+  static Config load(const std::string& path);
 
   /// All section names, in file order.
   const std::vector<std::string>& sections() const noexcept { return order_; }

@@ -268,6 +268,58 @@ TEST(AmuseLocal, WorkerErrorPropagatesAsCodeError) {
   EXPECT_TRUE(threw);
 }
 
+TEST(AmuseWire, F32PositionStreamRoundTripsAndRejectsMalformedFrames) {
+  // Values exact in f32 come back bit for bit, at odd and even counts, and
+  // whatever follows the stream stays 8-byte aligned.
+  for (std::size_t n = 0; n <= 5; ++n) {
+    std::vector<Vec3> positions;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double k = static_cast<double>(i);
+      positions.push_back(Vec3{0.5 + k, -1.25 * k, 0.375});
+    }
+    util::ByteWriter out;
+    put_positions_f32(out, positions);
+    out.put<std::uint64_t>(0xfeed);
+    util::ByteReader in(std::move(out).take());
+    std::vector<Vec3> back(9);  // resized to the stream's count
+    get_positions_f32(in, back);
+    ASSERT_EQ(back.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(back[i].x, positions[i].x) << n;
+      EXPECT_EQ(back[i].y, positions[i].y) << n;
+      EXPECT_EQ(back[i].z, positions[i].z) << n;
+    }
+    EXPECT_EQ(in.cursor() % 8, 0u) << n;
+    EXPECT_EQ(in.get<std::uint64_t>(), 0xfeedu) << n;
+    EXPECT_TRUE(in.exhausted()) << n;
+  }
+  // Other values round to the nearest f32.
+  {
+    const Vec3 p{0.1, 1.0 / 3.0, -2.0e-7};
+    util::ByteWriter out;
+    put_positions_f32(out, std::vector<Vec3>{p});
+    util::ByteReader in(std::move(out).take());
+    std::vector<Vec3> back;
+    get_positions_f32(in, back);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].x, static_cast<double>(static_cast<float>(p.x)));
+    EXPECT_EQ(back[0].y, static_cast<double>(static_cast<float>(p.y)));
+    EXPECT_EQ(back[0].z, static_cast<double>(static_cast<float>(p.z)));
+  }
+  auto decode = [](util::ByteWriter out) {
+    util::ByteReader in(std::move(out).take());
+    std::vector<Vec3> back;
+    get_positions_f32(in, back);
+  };
+  util::ByteWriter seven;  // not whole positions
+  seven.put_vector(std::vector<float>(7, 0.5f));
+  seven.put<std::uint32_t>(0);
+  EXPECT_THROW(decode(std::move(seven)), CodeError);
+  util::ByteWriter unpadded;  // one position, no realign pad
+  unpadded.put_vector(std::vector<float>(3, 0.5f));
+  EXPECT_THROW(decode(std::move(unpadded)), CodeError);
+}
+
 TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
   // Hand-built update and state-loading frames that do not fit the model:
   // an index past the particles, fewer values than indices, more kick rows
@@ -419,6 +471,16 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
                       Fn::grav_ghost_update, ghosts(3, 2, 2, false)});
     frames.push_back({"f32 ghosts: 2 positions, 1 velocity", stars.rpc(),
                       Fn::grav_ghost_update, ghosts(0, 2, 1, true)});
+    {
+      util::ByteWriter args = RpcClient::request();
+      args.put<std::uint64_t>(0);  // base
+      args.put<std::uint64_t>(1);  // the f32 stream
+      args.put_vector(std::vector<float>(7, 0.5f));
+      args.put<std::uint32_t>(0);  // realign after 28 float bytes
+      args.put_vector(vec3s(2));
+      frames.push_back({"f32 ghosts: 7 floats", stars.rpc(),
+                        Fn::grav_ghost_update, std::move(args)});
+    }
     frames.push_back({"shard rows [3, 1) of 4", stars.rpc(),
                       Fn::grav_set_shard, shard(3, 1)});
     frames.push_back({"shard rows [0, 5) of 4", stars.rpc(),

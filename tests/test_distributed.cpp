@@ -16,6 +16,7 @@
 #include "amuse/faults.hpp"
 #include "amuse/ic.hpp"
 #include "amuse/workers.hpp"
+#include "util/fnv.hpp"
 #include "zorilla/zorilla.hpp"
 
 using namespace jungle;
@@ -347,28 +348,16 @@ Bridge::Config feedback_config() {
 /// states.
 std::uint64_t trajectory_digest(const GravityState& stars,
                                 const HydroState& gas) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  auto mix = [&](double value) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffU;
-      hash *= 1099511628211ULL;
-    }
-  };
+  util::Fnv1a hash;
   for (const auto* values : {&stars.mass, &gas.mass, &gas.internal_energy,
                              &gas.density}) {
-    for (double value : *values) mix(value);
+    hash.mix_all(*values);
   }
   for (const auto* rows : {&stars.position, &stars.velocity, &gas.position,
                            &gas.velocity}) {
-    for (const Vec3& row : *rows) {
-      mix(row.x);
-      mix(row.y);
-      mix(row.z);
-    }
+    hash.mix_all(*rows);
   }
-  return hash;
+  return hash.hash;
 }
 
 /// trajectory_digest of a BridgeRig run of four feedback_config steps,

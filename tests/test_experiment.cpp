@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "amuse/experiment.hpp"
 #include "amuse/faultpoint.hpp"
@@ -28,14 +26,9 @@ ExperimentSpec tiny_classic() {
   return scenario::classic_spec(scenario::Kind::local_gpu, options);
 }
 
-std::string example_ini(const std::string& name) {
-  std::string path =
-      std::string(JUNGLE_SOURCE_DIR) + "/examples/experiments/" + name;
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
+util::Config example_ini(const std::string& name) {
+  return util::Config::load(std::string(JUNGLE_SOURCE_DIR) +
+                            "/examples/experiments/" + name);
 }
 
 }  // namespace
@@ -165,7 +158,7 @@ TEST(Experiment, SpecIniRejectsUnknownKeys) {
     if (entry.path().extension() != ".ini") continue;
     std::string name = entry.path().filename().string();
     EXPECT_NO_THROW(ExperimentSpec::from_config(
-        util::Config::parse(example_ini(name))))
+        example_ini(name)))
         << name;
     ++shipped;
   }
@@ -510,7 +503,7 @@ TEST(Experiment, TriplePlummerIniRunsUnderAutoplace) {
   // Acceptance: a >= 3-model experiment defined purely in an INI runs under
   // autoplace with the scheduler placing the full role set — no C++ per
   // experiment.
-  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
+  util::Config config = example_ini("triple-plummer.ini");
   ExperimentSpec spec = ExperimentSpec::from_config(config);
   ASSERT_EQ(spec.models.size(), 4u);  // three clusters + the shared coupler
   ASSERT_EQ(spec.couplings.size(), 3u);
@@ -539,7 +532,7 @@ TEST(Experiment, TriplePlummerEnergyDriftBounded) {
   // A gravity-only coupled N=3 run must conserve total energy (including
   // the cross-system terms the couplings mediate) to within the tree
   // coupler's approximation error over a few bridge steps.
-  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
+  util::Config config = example_ini("triple-plummer.ini");
   ExperimentSpec spec = ExperimentSpec::from_config(config);
 
   spec.iterations = 1;
@@ -617,7 +610,7 @@ TEST(Experiment, CouplingCadenceRunsAndConservesMomentumShape) {
 TEST(Experiment, CheckpointCaptureHasAllReadsInFlightAtOnce) {
   // The per-step checkpoint issues every model's state read and dynamics
   // read before it consumes any reply: the capture costs one round trip.
-  util::Config config = util::Config::parse(example_ini("triple-plummer.ini"));
+  util::Config config = example_ini("triple-plummer.ini");
   ExperimentSpec spec = ExperimentSpec::from_config(config);
   spec.checkpointing = true;
   JungleTestbed bed(config);

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "explore/explore.hpp"
@@ -18,18 +16,9 @@ using namespace jungle::explore;
 
 namespace {
 
-std::string example_ini(const std::string& name) {
-  std::string path =
-      std::string(JUNGLE_SOURCE_DIR) + "/examples/experiments/" + name;
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
 util::Config triple_plummer() {
-  return util::Config::parse(example_ini("triple-plummer.ini"));
+  return util::Config::load(std::string(JUNGLE_SOURCE_DIR) +
+                            "/examples/experiments/triple-plummer.ini");
 }
 
 }  // namespace

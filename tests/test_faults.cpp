@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,16 +31,11 @@ using namespace jungle::amuse::experiment;
 
 namespace {
 
-std::string source_file(const std::string& relative) {
-  std::string path = std::string(JUNGLE_SOURCE_DIR) + "/" + relative;
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
+util::Config source_file(const std::string& relative) {
+  return util::Config::load(std::string(JUNGLE_SOURCE_DIR) + "/" + relative);
 }
 
-std::string example_ini(const std::string& name) {
+util::Config example_ini(const std::string& name) {
   return source_file("examples/experiments/" + name);
 }
 
@@ -92,7 +85,7 @@ struct AfterStep {
 Outcome run_example(const std::string& ini, const std::vector<Shot>& shots,
                     const std::function<void(ExperimentSpec&)>& mutate = {},
                     const AfterStep& after = {}) {
-  util::Config config = util::Config::parse(example_ini(ini));
+  util::Config config = example_ini(ini);
   ExperimentSpec spec = ExperimentSpec::from_config(config);
   spec.checkpointing = true;
   if (mutate) mutate(spec);
@@ -488,8 +481,7 @@ struct ClassicOutcome {
 ClassicOutcome run_deep_wan_classic(
     bool checkpointing,
     std::optional<std::pair<faultpoint::Point, int>> shot = std::nullopt) {
-  util::Config config = util::Config::parse(
-      source_file("examples/topologies/deep-wan-3hop.ini"));
+  util::Config config = source_file("examples/topologies/deep-wan-3hop.ini");
   scenario::Options options;
   options.n_stars = 64;
   options.n_gas = 256;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 
 #include "amuse/ic.hpp"
@@ -14,6 +13,7 @@
 #include "kernels/sse.hpp"
 #include "kernels/treefield.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -288,33 +288,12 @@ TEST(Hermite, ForcesIndependentOfThreadCount) {
 
 namespace {
 
-// FNV-1a over the bytes of counts and of doubles' bit patterns.
-struct Fnv1a {
-  std::uint64_t hash = 14695981039346656037ULL;
-  void mix(std::uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffU;
-      hash *= 1099511628211ULL;
-    }
-  }
-  void mix(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  }
-  void mix(const Vec3& v) {
-    mix(v.x);
-    mix(v.y);
-    mix(v.z);
-  }
-};
-
 // FNV-1a over the bit patterns of a Hermite system's dynamic state.
 std::uint64_t state_digest(const HermiteIntegrator& nbody) {
-  Fnv1a fnv;
+  util::Fnv1a fnv;
   for (const auto* rows : {&nbody.positions(), &nbody.velocities(),
                            &nbody.accelerations(), &nbody.jerks()}) {
-    for (const Vec3& v : *rows) fnv.mix(v);
+    fnv.mix_all(*rows);
   }
   return fnv.hash;
 }
@@ -769,13 +748,13 @@ namespace {
 // neighbour count. Any change in which neighbours are found, or in the order
 // their contributions are summed, moves it.
 std::uint64_t sph_digest(const SphSystem& sph) {
-  Fnv1a fnv;
+  util::Fnv1a fnv;
   for (const auto* column : {&sph.densities(), &sph.smoothing()}) {
-    for (double v : *column) fnv.mix(v);
+    fnv.mix_all(*column);
   }
   for (const auto* rows :
        {&sph.accelerations(), &sph.positions(), &sph.velocities()}) {
-    for (const Vec3& v : *rows) fnv.mix(v);
+    fnv.mix_all(*rows);
   }
   fnv.mix(sph.neighbour_interactions());
   return fnv.hash;

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "amuse/faultpoint.hpp"
 #include "amuse/scenario.hpp"
@@ -21,13 +19,8 @@ Options small_options() {
 }
 
 jungle::util::Config load_topology(const std::string& name) {
-  std::string path =
-      std::string(JUNGLE_SOURCE_DIR) + "/examples/topologies/" + name;
-  std::ifstream in(path);
-  if (!in) throw jungle::ConfigError("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return jungle::util::Config::parse(text.str());
+  return jungle::util::Config::load(std::string(JUNGLE_SOURCE_DIR) +
+                                    "/examples/topologies/" + name);
 }
 
 }  // namespace

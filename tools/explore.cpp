@@ -1,7 +1,7 @@
 // explore — fault-schedule explorer CLI.
 //
 //   explore <experiment.ini> [--max-faults N] [--max-schedules N]
-//           [--iterations N] [--no-links] [--fail-out FILE]
+//           [--iterations N] [--fail-out FILE]
 //           [--victims host,daemon,proxy,worker,timer,link]
 //   explore <experiment.ini> --replay "<schedule>"
 //
@@ -10,7 +10,10 @@
 // every run (see DESIGN.md, "Fault model & schedule exploration"). Exits 1
 // when any schedule violates an invariant; each violating schedule is a
 // one-line repro for --replay. --fail-out appends violating schedules to a
-// file (one per line) for CI artifact upload.
+// file (one per line) for CI artifact upload. --victims restricts the
+// victim kinds (default: all); "host" is the whole-machine crash tier,
+// written "crash" in schedules, and a list without "link" keeps every WAN
+// link up. A file that cannot be read or parsed exits 2.
 
 #include <fstream>
 #include <iostream>
@@ -26,39 +29,28 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <experiment.ini> [--max-faults N] [--max-schedules N]"
-               " [--iterations N] [--no-links] [--fail-out FILE]"
+               " [--iterations N] [--fail-out FILE]"
                " [--victims host,daemon,proxy,worker,timer,link]"
                " [--replay \"<schedule>\"]\n";
   return 2;
 }
 
-/// --victims value: comma-separated kinds; "host" is the whole-machine
-/// crash tier (Kind::crash on the wire format).
+/// --victims value: comma-separated kinds in the schedule format's names,
+/// plus "host" for the whole-machine crash tier (Kind::crash).
 std::set<jungle::explore::Injection::Kind> parse_victims(
     const std::string& text) {
-  using Kind = jungle::explore::Injection::Kind;
-  std::set<Kind> kinds;
+  std::set<jungle::explore::Injection::Kind> kinds;
   std::istringstream in(text);
   std::string item;
   while (std::getline(in, item, ',')) {
     if (item.empty()) continue;
-    if (item == "host" || item == "crash")
-      kinds.insert(Kind::crash);
-    else if (item == "link")
-      kinds.insert(Kind::link);
-    else if (item == "daemon")
-      kinds.insert(Kind::daemon);
-    else if (item == "proxy")
-      kinds.insert(Kind::proxy);
-    else if (item == "worker")
-      kinds.insert(Kind::worker);
-    else if (item == "timer")
-      kinds.insert(Kind::timer);
-    else {
+    jungle::explore::Injection::Kind kind;
+    if (!jungle::explore::parse_kind(item == "host" ? "crash" : item, kind)) {
       std::cerr << "unknown victim kind \"" << item
                 << "\" (host, daemon, proxy, worker, timer, link)\n";
       std::exit(2);
     }
+    kinds.insert(kind);
   }
   return kinds;
 }
@@ -95,8 +87,6 @@ int main(int argc, char** argv) {
       options.max_schedules = std::stoi(value());
     else if (arg == "--iterations")
       options.iterations = std::stoi(value());
-    else if (arg == "--no-links")
-      options.link_faults = false;
     else if (arg == "--victims")
       options.victim_kinds = parse_victims(value());
     else if (arg == "--replay")
@@ -116,15 +106,8 @@ int main(int argc, char** argv) {
   if (ini_path.empty()) return usage(argv[0]);
 
   try {
-    std::ifstream in(ini_path);
-    if (!in) {
-      std::cerr << "cannot read " << ini_path << "\n";
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    jungle::explore::Explorer explorer(
-        jungle::util::Config::parse(text.str()), options);
+    jungle::explore::Explorer explorer(jungle::util::Config::load(ini_path),
+                                       options);
 
     if (!replay.empty()) {
       // One deterministic run of the given schedule, checked against the

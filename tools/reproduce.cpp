@@ -15,11 +15,9 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -330,12 +328,8 @@ double gadget_evolve_s(int nranks) {
 
 /// An INI file of the source tree, parsed.
 util::Config load_ini(const std::string& relative_path) {
-  std::string path = std::string(JUNGLE_SOURCE_DIR) + "/" + relative_path;
-  std::ifstream in(path);
-  if (!in) throw ConfigError("cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return util::Config::parse(text.str());
+  return util::Config::load(std::string(JUNGLE_SOURCE_DIR) + "/" +
+                            relative_path);
 }
 
 /// Ext: the data path at the sizes its retired synchronous figures were
