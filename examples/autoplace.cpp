@@ -36,28 +36,33 @@ int main(int argc, char** argv) {
   options.n_gas = 4000;
   options.iterations = 2;
 
+  util::Config config;
   if (argc > 1) {
-    util::Config config;
     try {
       config = util::Config::load(argv[1]);
     } catch (const ConfigError& error) {
       std::fprintf(stderr, "%s\n", error.what());
       return 1;
     }
-    report(run_scenario_config(config, options));
-    return 0;
   }
-
-  // Built-in testbed: compare the scheduler's choice with the hard-coded
-  // Fig-12 placement it is supposed to rediscover (or beat).
-  {
-    JungleTestbed bed;
-    auto table = placement_for(bed, Kind::jungle, options);
-    std::printf("fig-12 table: %s\n", table.describe().c_str());
-    std::printf("   modeled  : %.3f s/iteration\n\n",
-                table.modeled_seconds_per_iteration);
+  try {
+    if (argc > 1) {
+      report(run_scenario_config(config, options));
+      return 0;
+    }
+    // Built-in testbed: compare the scheduler's choice with the hard-coded
+    // Fig-12 placement it is supposed to rediscover (or beat).
+    {
+      JungleTestbed bed;
+      auto table = placement_for(bed, Kind::jungle, options);
+      std::printf("fig-12 table: %s\n", table.describe().c_str());
+      std::printf("   modeled  : %.3f s/iteration\n\n",
+                  table.modeled_seconds_per_iteration);
+    }
+    report(run_scenario(Kind::autoplace, options));
+  } catch (const jungle::Error& error) {
+    std::fprintf(stderr, "autoplace failed: %s\n", error.what());
+    return 1;
   }
-  Result result = run_scenario(Kind::autoplace, options);
-  report(result);
   return 0;
 }

@@ -165,7 +165,7 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
   // Phase 2 — every cross-gravity query in flight together, ordered by
   // target system. Sources and evaluation points ride along only when
   // their content id changed; an unchanged pair is answered from the
-  // field client's copy of the coupler's cache, with no RPC at all.
+  // field client's cached accel, with no RPC at all.
   obs::trace::Span queries_phase = obs::trace::span("field_queries", "bridge");
   std::vector<PendingQuery> queries;
   for (int target : involved) {

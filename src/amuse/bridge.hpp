@@ -24,8 +24,8 @@ namespace jungle::amuse {
 /// and the delta state exchange keeps unchanged fields off the wire. A step
 /// only waits on a reply it consumes:
 ///  - a fetch of a system whose cached coupling fields are current is
-///    skipped, and a field query the coupler would answer "unchanged" is
-///    answered by the field client;
+///    skipped, and a field query whose inputs the field client's cached
+///    accel was computed from is answered by that client;
 ///  - the top kicks ride ahead of the evolves on each worker's FIFO pipe,
 ///    and the bottom kick's state fetch rides right behind them;
 ///  - the bottom kicks, the stellar mass update and the feedback are not
@@ -104,12 +104,10 @@ class Bridge {
   void settle();
 
   double time() const noexcept { return time_; }
-  int steps_done() const noexcept { return steps_; }
 
   /// Call-sequence trace ("kick:gas->stars", "evolve:parallel", ...) — the
   /// E6 experiment asserts this matches the Fig-7 schedule.
   const std::vector<std::string>& trace() const noexcept { return trace_; }
-  void clear_trace() { trace_.clear(); }
 
   // No state accessors here on purpose: the pipelined path fetches only
   // mass+position, and only when they may have moved, so the clients'

@@ -212,16 +212,6 @@ Future GravityClient::ghost_update_async(std::size_t base,
   return rpc_->call(Fn::grav_ghost_update, std::move(args));
 }
 
-void FieldClient::set_sources(std::span<const double> masses,
-                              std::span<const Vec3> positions) {
-  util::ByteWriter args = RpcClient::request();
-  put_span_of(args, masses);
-  put_span_of(args, positions);
-  last_mass_.assign(masses.begin(), masses.end());
-  last_position_.assign(positions.begin(), positions.end());
-  rpc_->call_sync(Fn::field_set_sources, std::move(args));
-}
-
 std::optional<Future> FieldClient::accel_for_async(
     FieldTag tag, StateId sources_id, std::span<const double> source_mass,
     std::span<const Vec3> source_position, StateId points_id,
@@ -247,10 +237,6 @@ std::optional<Future> FieldClient::accel_for_async(
     put_span_of(args, source_mass);
     put_span_of(args, source_position);
     record.sources_id = sources_id;
-    // The checkpoint view of this stateless-per-kick worker: the last
-    // source set that actually travelled.
-    last_mass_.assign(source_mass.begin(), source_mass.end());
-    last_position_.assign(source_position.begin(), source_position.end());
   }
   if (send_points) {
     put_span_of(args, points);
@@ -264,13 +250,6 @@ const std::vector<Vec3>& FieldClient::finish_accel(
   TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
   if (!reply) return record.accel;  // known "unchanged", answered locally
   util::ByteReader reader = reply->get();
-  auto flags = reader.get<std::uint64_t>();
-  if (flags & accel_reply_flags::unchanged) {
-    if (record.accel_sources_id == 0) {
-      throw CodeError("field: unchanged reply without a cached accel");
-    }
-    return record.accel;
-  }
   record.accel = reader.get_vector<Vec3>();
   // accel_for_async left the query's ids in sources_id/points_id.
   record.accel_sources_id = record.sources_id;

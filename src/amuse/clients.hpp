@@ -23,8 +23,9 @@ using kernels::Vec3;
 /// fields that changed since travel back (delta exchange). They also know
 /// when that cache's coupling fields provably equal the worker's, so the
 /// bridge can skip a fetch whose reply would carry nothing. The field proxy
-/// keeps per-direction source/point/accel caches mirroring the coupler
-/// worker's and answers a query whose reply would be "unchanged" itself.
+/// keeps per-direction source/point/accel caches and answers a query whose
+/// inputs the cached accel was computed from itself; the coupler worker
+/// computes every query that reaches it.
 /// The delta exchange is always on; a client with empty caches simply asks
 /// for, and receives, everything.
 
@@ -200,7 +201,6 @@ class GravityClient : public DynamicsClient {
   /// Sync full-state fetch (delta-aware: only changed fields travel).
   GravityState get_state();
   Future request_state(std::uint64_t want_mask) override;
-  Future request_state() { return request_state(state_field::gravity_all); }
   virtual const GravityState& finish_state(Future& reply,
                                            std::uint64_t want_mask);
   void merge_state(Future& reply, std::uint64_t want_mask) override {
@@ -264,23 +264,12 @@ class FieldClient : public ModelClient {
   explicit FieldClient(std::unique_ptr<RpcClient> rpc)
       : ModelClient(std::move(rpc)) {}
 
-  void set_sources(std::span<const double> masses,
-                   std::span<const Vec3> positions);
-  /// Client-side copy of the last sources sent — what a checkpoint of this
-  /// otherwise stateless-per-kick worker consists of.
-  const std::vector<double>& last_source_mass() const noexcept {
-    return last_mass_;
-  }
-  const std::vector<Vec3>& last_source_position() const noexcept {
-    return last_position_;
-  }
   /// One-shot epoch-tagged cross-gravity query (the pipelined data path):
   /// sources and points are only uploaded when their content id differs
-  /// from what the worker already caches under `tag`, and a reply of
-  /// "unchanged" re-uses the locally cached accel of the same inputs. When
-  /// the last accel under `tag` was computed for exactly these (nonzero)
-  /// ids, the worker's answer is known to be "unchanged": no RPC is issued
-  /// and nullopt comes back for finish_accel to resolve locally.
+  /// from what the worker already caches under `tag`. When the last accel
+  /// under `tag` was computed for exactly these (nonzero) ids, the answer
+  /// is known to be unchanged: no RPC is issued and nullopt comes back for
+  /// finish_accel to resolve from the locally cached accel.
   std::optional<Future> accel_for_async(FieldTag tag, StateId sources_id,
                                         std::span<const double> source_mass,
                                         std::span<const Vec3> source_position,
@@ -289,7 +278,6 @@ class FieldClient : public ModelClient {
   const std::vector<Vec3>& finish_accel(FieldTag tag,
                                         std::optional<Future>& reply);
 
-  /// The last sources sent survive: they are the checkpoint to restore from.
   void reset_delta_caches() override { tags_.clear(); }
 
  private:
@@ -297,14 +285,11 @@ class FieldClient : public ModelClient {
     StateId sources_id = 0;
     StateId points_id = 0;
     std::vector<Vec3> accel;
-    /// The ids `accel` was computed for (what the worker's tag cache holds
-    /// after the last answered query); 0 until a reply landed.
+    /// The ids `accel` was computed for; 0 until a reply landed.
     StateId accel_sources_id = 0;
     StateId accel_points_id = 0;
   };
 
-  std::vector<double> last_mass_;
-  std::vector<Vec3> last_position_;
   std::map<std::uint64_t, TagRecord> tags_;
 };
 
@@ -322,7 +307,6 @@ class HydroClient : public DynamicsClient {
 
   HydroState get_state();
   Future request_state(std::uint64_t want_mask) override;
-  Future request_state() { return request_state(state_field::hydro_all); }
   const HydroState& finish_state(Future& reply, std::uint64_t want_mask);
   void merge_state(Future& reply, std::uint64_t want_mask) override {
     finish_state(reply, want_mask);

@@ -51,7 +51,6 @@ class IbisDaemon {
   IbisDaemon& operator=(const IbisDaemon&) = delete;
 
   sim::Host& host() noexcept { return local_; }
-  int workers_started() const noexcept { return next_worker_id_ - 1; }
 
  private:
   /// Everything one script<->worker relay needs across proxy generations.

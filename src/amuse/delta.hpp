@@ -183,8 +183,5 @@ namespace accel_flags {
 inline constexpr std::uint64_t has_sources = 1;
 inline constexpr std::uint64_t has_points = 2;
 }
-namespace accel_reply_flags {
-inline constexpr std::uint64_t unchanged = 1;
-}
 
 }  // namespace jungle::amuse

@@ -839,8 +839,8 @@ class GraphRun {
 
   /// Load the committed checkpoint into a fresh or revived worker. Before the
   /// first step the checkpoint is epoch 0 and the worker gets its initial
-  /// conditions as particles; after it, restore_* also sets the kernel
-  /// parameters and the absolute clock.
+  /// conditions as particles; after it, restore_* also sets the absolute
+  /// clock. A coupler loads nothing.
   void load(std::size_t i) {
     ModelRuntime& model = models_[i];
     bool initial = bridge_ == nullptr;
@@ -864,8 +864,7 @@ class GraphRun {
         }
         break;
       case Role::coupler:
-        if (!initial) restore_field(model.field(), committed_.field[i]);
-        break;
+        break;  // a fresh client ships sources and points on its first query
       case Role::stellar:
         model.stellar().add_stars(model.zams);
         if (committed_.time > 0.0) {
@@ -1128,9 +1127,7 @@ class GraphRun {
           if (hooked) digests[i] = digest(staged.hydro[i]);
           break;
         case Role::coupler:
-          staged.field[i] = checkpoint_field(models_[i].field());
-          if (hooked) digests[i] = digest(staged.field[i]);
-          break;
+          break;  // evaluates only what each query ships
         case Role::stellar:
           break;  // re-derived from the ZAMS masses on restore
       }

@@ -23,11 +23,6 @@ void mix_hydro(util::Fnv1a& hash, const HydroCheckpoint& h) {
   hash.mix(h.model_time);
 }
 
-void mix_field(util::Fnv1a& hash, const FieldCheckpoint& f) {
-  hash.mix_all(f.source_mass);
-  hash.mix_all(f.source_position);
-}
-
 }  // namespace
 
 std::uint64_t digest(const GravityCheckpoint& save) {
@@ -42,18 +37,11 @@ std::uint64_t digest(const HydroCheckpoint& save) {
   return hash.hash;
 }
 
-std::uint64_t digest(const FieldCheckpoint& save) {
-  util::Fnv1a hash;
-  mix_field(hash, save);
-  return hash.hash;
-}
-
 std::uint64_t digest(const GraphCheckpoint& save) {
   util::Fnv1a hash;
   hash.mix(save.epoch);
   for (const GravityCheckpoint& g : save.gravity) mix_gravity(hash, g);
   for (const HydroCheckpoint& h : save.hydro) mix_hydro(hash, h);
-  for (const FieldCheckpoint& f : save.field) mix_field(hash, f);
   return hash.hash;
 }
 
@@ -91,13 +79,6 @@ HydroCheckpoint finish_checkpoint(HydroClient& hydro, PendingCapture& reads) {
   return save;
 }
 
-FieldCheckpoint checkpoint_field(FieldClient& field) {
-  FieldCheckpoint save;
-  save.source_mass = field.last_source_mass();
-  save.source_position = field.last_source_position();
-  return save;
-}
-
 void restore_gravity(GravityClient& gravity, const GravityCheckpoint& save) {
   faultpoint::reach(faultpoint::Point::recover_restore, -1,
                     gravity.rpc().label());
@@ -127,14 +108,6 @@ void restore_hydro(HydroClient& hydro, const HydroCheckpoint& save) {
   // the checkpoint does not hold them, so the fresh worker restarts from
   // its seed h and a restore after epoch 0 is not bit-exact.
   hydro.set_time(save.model_time);
-}
-
-void restore_field(FieldClient& field, const FieldCheckpoint& save) {
-  faultpoint::reach(faultpoint::Point::recover_restore, -1,
-                    field.rpc().label());
-  if (!save.source_mass.empty()) {
-    field.set_sources(save.source_mass, save.source_position);
-  }
 }
 
 }  // namespace jungle::amuse

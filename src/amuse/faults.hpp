@@ -12,10 +12,13 @@ namespace jungle::amuse {
 /// should be possible to transparently find a replacement machine"). The
 /// script checkpoints worker state after each bridge step; when a worker
 /// dies (WorkerDiedError from the RPC layer), it starts a replacement on
-/// another resource and reloads the checkpoint. All three evolving model
-/// kinds are covered — gravity (phiGRAPE), hydro (Gadget) and the coupling
-/// field kernel (Octgrav/Fi) — which is what lets the placement scheduler
-/// re-place any kernel mid-run, not just the star cluster.
+/// another resource and reloads the checkpoint. Both evolving model kinds
+/// are covered — gravity (phiGRAPE) and hydro (Gadget). The coupling field
+/// kernel (Octgrav/Fi) needs no checkpoint: it evaluates only the sources
+/// and points each query ships, and a replaced or revived coupler's client
+/// starts with empty caches, so its first query ships both. Together this
+/// lets the placement scheduler re-place any kernel mid-run, not just the
+/// star cluster.
 ///
 /// Checkpoints hold model state only. Physics parameters (eps2, eta, theta)
 /// live in the WorkerSpec every start, re-place and supervised restart
@@ -39,19 +42,13 @@ struct HydroCheckpoint {
   double model_time = 0.0;
 };
 
-/// The field worker is stateless between kicks except for its sources; the
-/// checkpoint is the last source set the client shipped.
-struct FieldCheckpoint {
-  std::vector<double> source_mass;
-  std::vector<Vec3> source_position;
-};
-
 /// One consistent snapshot of the *whole* model graph. Slot-indexed in
 /// declaration order; exactly one of the per-slot entries is meaningful,
 /// matching the model's role (stellar models re-derive from their ZAMS
-/// masses instead). Capture stages into a fresh GraphCheckpoint and the
-/// runner installs it with a single move — all models commit or none, so a
-/// death anywhere during checkpointing can never leave mixed-epoch saves.
+/// masses instead, and couplers hold no state to save). Capture stages into
+/// a fresh GraphCheckpoint and the runner installs it with a single move —
+/// all models commit or none, so a death anywhere during checkpointing can
+/// never leave mixed-epoch saves.
 struct GraphCheckpoint {
   /// Bridge steps the snapshot describes (0 = initial conditions). The
   /// rollback target is *this* number — pairing the clock with the states
@@ -64,12 +61,10 @@ struct GraphCheckpoint {
   double time = 0.0;
   std::vector<GravityCheckpoint> gravity;
   std::vector<HydroCheckpoint> hydro;
-  std::vector<FieldCheckpoint> field;
 
   void resize(std::size_t n_models) {
     gravity.resize(n_models);
     hydro.resize(n_models);
-    field.resize(n_models);
   }
 };
 
@@ -82,11 +77,9 @@ std::uint64_t digest(const GraphCheckpoint& save);
 /// *which* model diverged, not just that the graph did.
 std::uint64_t digest(const GravityCheckpoint& save);
 std::uint64_t digest(const HydroCheckpoint& save);
-std::uint64_t digest(const FieldCheckpoint& save);
 
 /// Snapshot live workers.
 GravityCheckpoint checkpoint_gravity(GravityClient& gravity);
-FieldCheckpoint checkpoint_field(FieldClient& field);
 
 /// The same snapshots in two halves. request_checkpoint issues one model's
 /// reads (its full state, then its dynamics or clock) without waiting;
@@ -111,6 +104,5 @@ HydroCheckpoint finish_checkpoint(HydroClient& hydro, PendingCapture& reads);
 /// a restore sends state, not physics parameters.
 void restore_gravity(GravityClient& gravity, const GravityCheckpoint& save);
 void restore_hydro(HydroClient& hydro, const HydroCheckpoint& save);
-void restore_field(FieldClient& field, const FieldCheckpoint& save);
 
 }  // namespace jungle::amuse

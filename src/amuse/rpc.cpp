@@ -82,7 +82,6 @@ constexpr FnInfo kFnTable[] = {
     {Fn::grav_set_shard, "grav_set_shard", true},
     // absolute-index overwrite, replay-cached
     {Fn::grav_ghost_update, "grav_ghost_update", true},
-    {Fn::field_set_sources, "field_set_sources", false},
     {Fn::field_accel_for, "field_accel_for", true},
     {Fn::hydro_add_gas, "hydro_add_gas", false},
     {Fn::hydro_evolve, "hydro_evolve", false},

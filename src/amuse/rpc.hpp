@@ -26,7 +26,7 @@ namespace jungle::amuse {
 /// a worker-side dispatch loop.
 
 /// Function ids. Ranges per interface keep dispatch tables readable. The
-/// ids of retired calls (10, 31, 50, 74, 75) stay unused, so every other
+/// ids of retired calls (10, 30, 31, 50, 74, 75) stay unused, so every other
 /// call keeps its wire number.
 enum class Fn : std::uint16_t {
   ping = 0,
@@ -65,10 +65,10 @@ enum class Fn : std::uint16_t {
   grav_ghost_update = 23,
 
   // GravityField (Octgrav / Fi)
-  field_set_sources = 30,
   /// One-shot cross-gravity query: epoch-tagged sources + evaluation points
   /// in a single frame (both directions of a cross-kick pipeline as two
-  /// concurrent calls), with worker-side caching of unchanged inputs.
+  /// concurrent calls), with worker-side caching of unchanged inputs. The
+  /// reply is the accel span alone.
   field_accel_for = 32,
 
   // Hydrodynamics (Gadget)
@@ -228,7 +228,6 @@ class Future {
   explicit Future(std::shared_ptr<State> state) : state_(std::move(state)) {}
 
   util::ByteReader get();
-  bool ready() const noexcept { return !state_->box.empty(); }
 
  private:
   std::shared_ptr<State> state_;
@@ -266,12 +265,10 @@ class RpcClient {
   void set_call_timeout(double timeout_s) noexcept {
     call_timeout_s_ = timeout_s;
   }
-  double call_timeout() const noexcept { return call_timeout_s_; }
 
   /// What poisoned this client (meaningful once !alive()): recovery uses
   /// the cause per worker, not just the first error it happened to catch.
   WorkerDiedError::Cause death_cause() const noexcept { return death_cause_; }
-  const std::string& death_host() const noexcept { return death_host_; }
 
   /// Fail every outstanding and future call (used by the daemon client when
   /// the registry reports the worker died). `cause`/`host` record what the

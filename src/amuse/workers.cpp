@@ -49,10 +49,6 @@ void charge(const WorkerCost& cost, double flops) {
   cost.host->compute(flops, cost.device, cost.ncores);
 }
 
-std::vector<Vec3> read_vec3s(util::ByteReader& reader) {
-  return reader.get_vector<Vec3>();
-}
-
 // ---------------------------------------------- delta state exchange
 
 /// One field of a delta get_state reply: its bit, its index in the epochs
@@ -388,9 +384,10 @@ Dispatcher make_gravity_dispatcher(
 }
 
 /// Per-direction cache of the coupler worker: the last sources and points a
-/// client shipped under a tag (with their content ids), and the accel that
-/// was computed from them. An unchanged cross-kick half (same source and
-/// point ids) is answered without recomputation or payload bytes.
+/// client shipped under a tag (with their content ids), so a query re-ships
+/// only what changed. `accel` holds the last reply's payload, which the
+/// reply frame points at. Whether a query's answer is already known is the
+/// client's decision alone: every query that arrives is computed.
 struct FieldTagCache {
   std::vector<double> source_mass;
   std::vector<Vec3> source_position;
@@ -398,9 +395,6 @@ struct FieldTagCache {
   std::vector<Vec3> points;
   StateId points_id = 0;
   std::vector<Vec3> accel;
-  StateId accel_sources_id = 0;
-  StateId accel_points_id = 0;
-  bool has_accel = false;
 };
 
 /// Octgrav/Fi worker: tree gravity field evaluations.
@@ -411,15 +405,6 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
                              util::ByteReader& args) -> util::ByteWriter {
     util::ByteWriter result = reply_writer();
     switch (fn) {
-      case Fn::field_set_sources: {
-        auto masses = args.get_vector<double>();
-        auto positions = read_vec3s(args);
-        check_columns("field_set_sources", {masses.size(), positions.size()});
-        field->set_sources(masses, positions);
-        charge(cost, static_cast<double>(positions.size()) *
-                         kernels::BarnesHutTree::kBuildFlopsPerParticle);
-        return result;
-      }
       case Fn::field_accel_for: {
         auto tag = args.get<std::uint64_t>();
         auto sources_id = args.get<StateId>();
@@ -445,15 +430,6 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
           throw CodeError("field: no cached points for tag " +
                           std::to_string(tag));
         }
-        // Identical inputs (nonzero ids, same as last computation): the
-        // accel is byte-identical too — reply "unchanged", no payload, no
-        // recompute. This is what empties the first half-kick of every step.
-        if (cache.has_accel && sources_id != 0 && points_id != 0 &&
-            cache.accel_sources_id == sources_id &&
-            cache.accel_points_id == points_id) {
-          result.put<std::uint64_t>(accel_reply_flags::unchanged);
-          return result;
-        }
         field->set_sources(cache.source_mass, cache.source_position);
         charge(cost, static_cast<double>(cache.source_position.size()) *
                          kernels::BarnesHutTree::kBuildFlopsPerParticle);
@@ -461,10 +437,6 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
         cache.accel = field->accel_at(cache.points);
         charge(cost, static_cast<double>(field->interactions() - before) *
                          kernels::BarnesHutTree::kFlopsPerInteraction);
-        cache.accel_sources_id = sources_id;
-        cache.accel_points_id = points_id;
-        cache.has_accel = true;
-        result.put<std::uint64_t>(0);
         result.put_span_view(std::span<const Vec3>(cache.accel));
         return result;
       }

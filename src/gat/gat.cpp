@@ -160,11 +160,9 @@ bool Broker::has_credential(const std::string& cert) const {
 
 std::shared_ptr<Job> Broker::submit(const JobDescription& desc,
                                     Resource& resource) {
-  trace_.clear();
   std::string failures;
   for (auto& adapter : adapters_) {
     if (!adapter->supports(resource)) continue;
-    trace_.push_back(adapter->name());
     auto job = std::make_shared<Job>(net_.simulation());
     job->set_adapter(adapter->name());
     try {

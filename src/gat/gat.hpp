@@ -183,11 +183,6 @@ class Broker {
   }
   bool has_credential(const std::string& cert) const;
 
-  /// Adapter names tried during the last submit, in order (tests/monitoring).
-  const std::vector<std::string>& last_adapter_trace() const noexcept {
-    return trace_;
-  }
-
   sim::Network& network() noexcept { return net_; }
   smartsockets::SmartSockets& sockets() noexcept { return sockets_; }
   sim::Host& client() noexcept { return client_; }
@@ -198,7 +193,6 @@ class Broker {
   sim::Host& client_;
   std::vector<std::unique_ptr<Adapter>> adapters_;
   std::vector<std::string> credentials_;
-  std::vector<std::string> trace_;
 };
 
 /// File staging service (JavaGAT file interface): blocking copy that charges

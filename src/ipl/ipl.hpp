@@ -48,7 +48,6 @@ class RegistryServer {
   RegistryServer& operator=(const RegistryServer&) = delete;
 
   sim::Host& host() noexcept { return host_; }
-  std::size_t member_count() const noexcept { return members_.size(); }
 
  private:
   struct Member {

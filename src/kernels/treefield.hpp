@@ -20,8 +20,6 @@ class TreeField {
   void set_sources(std::span<const double> masses,
                    std::span<const Vec3> positions) {
     tree_.build(positions, masses);
-    builds_ += 1;
-    built_particles_ += positions.size();
   }
 
   /// Batched evaluation, parallel over the thread pool; no per-call
@@ -41,12 +39,9 @@ class TreeField {
 
   std::size_t source_count() const noexcept { return tree_.source_count(); }
   std::uint64_t interactions() const noexcept { return tree_.interactions(); }
-  std::uint64_t built_particles() const noexcept { return built_particles_; }
 
  private:
   BarnesHutTree tree_;
-  std::uint64_t builds_ = 0;
-  std::uint64_t built_particles_ = 0;
 };
 
 }  // namespace jungle::kernels

@@ -114,10 +114,6 @@ class Scheduler {
   /// ("" when it is the client or unknown).
   std::string resource_of(const std::string& host_name) const;
 
-  bool host_excluded(const std::string& host_name) const {
-    return dead_hosts_.count(host_name) != 0;
-  }
-
  private:
   std::vector<Assignment> candidates(const ModelLoad& model) const;
   bool usable(const sim::Host& host) const;

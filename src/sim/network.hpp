@@ -105,8 +105,6 @@ class Network {
   /// Loopback characteristics (paper §5: ">8 Gbit/second even on a modest
   /// laptop ... extremely small latency").
   void set_loopback(double latency_s, double bandwidth_Bps);
-  double loopback_bandwidth() const noexcept { return loopback_bw_; }
-  double loopback_latency() const noexcept { return loopback_lat_; }
 
   /// Firewall check for a *new inbound connection* at `to` from `from`.
   /// Same-site traffic is unrestricted (clusters trust their own LAN).

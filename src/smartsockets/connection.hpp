@@ -57,7 +57,6 @@ class ConnectionEnd {
 
   bool broken() const noexcept { return broken_; }
   ConnectionKind kind() const noexcept { return kind_; }
-  sim::Host& local_host() noexcept { return *local_; }
   sim::Host& remote_host() noexcept;
 
   /// Total payload bytes sent from this end (monitoring).

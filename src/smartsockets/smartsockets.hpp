@@ -19,9 +19,6 @@ class ServerSocket {
       : host_(&host), service_(std::move(service)), accept_queue_(sim) {}
 
   std::shared_ptr<ConnectionEnd> accept() { return accept_queue_.get(); }
-  std::optional<std::shared_ptr<ConnectionEnd>> accept_for(double timeout_s) {
-    return accept_queue_.get_for(timeout_s);
-  }
 
   sim::Host& host() noexcept { return *host_; }
   const std::string& service() const noexcept { return service_; }

@@ -196,6 +196,39 @@ TEST(AmuseLocal, FieldWorkerComputesCrossGravity) {
   });
 }
 
+TEST(AmuseLocal, FieldQueryFromAResetClientIsRecomputed) {
+  // A revived coupler's client forgets what it shipped; the worker keeps
+  // its tag cache. The same query, asked again with the same nonzero ids,
+  // must come back computed, not as a reply the client can no longer
+  // resolve.
+  LocalWorld w;
+  w.run([&] {
+    WorkerSpec spec;
+    spec.code = "fi";
+    FieldClient field(start_local_worker(w.sockets, w.net, *w.desktop,
+                                         *w.desktop, spec,
+                                         ChannelKind::socket));
+    std::vector<double> masses{1.0, 0.5};
+    std::vector<Vec3> sources{{0, 0, 0}, {0, 1, 0}};
+    std::vector<Vec3> points{{2, 0, 0}, {0, 0, 3}};
+    const auto tag = FieldTag::stars_on_gas;
+    auto query = [&] {
+      auto reply = field.accel_for_async(tag, make_state_id(4, 1), masses,
+                                         sources, make_state_id(5, 1), points);
+      EXPECT_TRUE(reply.has_value());
+      return field.finish_accel(tag, reply);
+    };
+    std::vector<Vec3> first = query();
+    field.reset_delta_caches();
+    std::vector<Vec3> again = query();
+    ASSERT_EQ(again.size(), first.size());
+    EXPECT_EQ(std::memcmp(again.data(), first.data(),
+                          first.size() * sizeof(Vec3)),
+              0);
+    field.close();
+  });
+}
+
 TEST(AmuseLocal, SseWorkerRoundTrip) {
   LocalWorld w;
   w.run([&] {
@@ -344,7 +377,6 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     auto cloud = ic::gas_sphere(8, rng, 2.0, 1.5);
     gas.add_gas(cloud.mass, cloud.position, cloud.velocity,
                 cloud.internal_energy);
-    field.set_sources(cloud.mass, cloud.position);
     // The coupler's tag cache: the cloud's sources stay cached under a
     // nonzero id, so a probe ships only its points (zero id: recomputed).
     const auto probe_tag = static_cast<FieldTag>(9);
@@ -485,8 +517,6 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
                       Fn::grav_set_shard, shard(3, 1)});
     frames.push_back({"shard rows [0, 5) of 4", stars.rpc(),
                       Fn::grav_set_shard, shard(0, 5)});
-    frames.push_back({"field: 1 source mass, 3 positions", field.rpc(),
-                      Fn::field_set_sources, columns(doubles(1), vec3s(3))});
     frames.push_back({"accel_for: 1 source mass, 3 positions", field.rpc(),
                       Fn::field_accel_for, accel_for(1, 3)});
     for (Frame& frame : frames) {
@@ -522,7 +552,6 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     EXPECT_EQ(stars.model_time(), 2.0 / 64.0);
     gas.evolve(1.0 / 64.0);
     EXPECT_EQ(gas.get_state().mass.size(), 8u);
-    field.set_sources(model.mass, model.position);
     auto reply = field.accel_for_async(FieldTag::gas_on_stars, 0, model.mass,
                                        model.position, 0, cloud.position);
     EXPECT_EQ(field.finish_accel(FieldTag::gas_on_stars, reply).size(), 8u);
@@ -643,7 +672,6 @@ const std::pair<Fn, std::string> kEveryFn[] = {
     FN_ROW(grav_reset),
     FN_ROW(grav_set_shard),
     FN_ROW(grav_ghost_update),
-    FN_ROW(field_set_sources),
     FN_ROW(field_accel_for),
     FN_ROW(hydro_add_gas),
     FN_ROW(hydro_evolve),

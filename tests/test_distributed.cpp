@@ -696,8 +696,8 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
     double first_cost = lab.sim.now() - t0;
 
     // Same content ids: nothing is uploaded, nothing recomputed, and the
-    // cached accelerations come back bit-identical. The client knows the
-    // coupler would answer "unchanged", so no RPC is issued at all.
+    // cached accelerations come back bit-identical. The client holds the
+    // accel of these very ids, so no RPC is issued at all.
     double t1 = lab.sim.now();
     std::optional<Future> second = field.accel_for_async(
         FieldTag::gas_on_stars, sources_id, model.mass, model.position,
@@ -855,8 +855,9 @@ TEST(Distributed, DashboardReflectsWorkerJobs) {
 
 TEST(Distributed, SteadyTopKickIssuesNoDataFreeRoundTrips) {
   // The top half-kick of a steady step waits on no round trip: both caches
-  // are current since the previous bottom kick, the coupler would answer
-  // "unchanged", and the kick acks are collected during the evolve. The
+  // are current since the previous bottom kick, the field client answers
+  // from its cached accel, and the kick acks are collected during the
+  // evolve. The
   // bottom kick's state fetch goes out behind the evolve, so the bottom
   // window itself sends only the field queries and the kicks.
   Lab lab;

@@ -15,6 +15,7 @@
 // written "crash" in schedules, and a list without "link" keeps every WAN
 // link up. A file that cannot be read or parsed exits 2.
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -81,12 +82,24 @@ int main(int argc, char** argv) {
       }
       return argv[i];
     };
+    // The whole value must be a decimal integer: "abc" and "3x" are errors.
+    auto number = [&]() -> int {
+      std::string text = value();
+      int parsed = 0;
+      auto [end, error] =
+          std::from_chars(text.data(), text.data() + text.size(), parsed);
+      if (error != std::errc() || end != text.data() + text.size()) {
+        std::cerr << arg << " needs an integer, not \"" << text << "\"\n";
+        std::exit(usage(argv[0]));
+      }
+      return parsed;
+    };
     if (arg == "--max-faults")
-      options.max_faults = std::stoi(value());
+      options.max_faults = number();
     else if (arg == "--max-schedules")
-      options.max_schedules = std::stoi(value());
+      options.max_schedules = number();
     else if (arg == "--iterations")
-      options.iterations = std::stoi(value());
+      options.iterations = number();
     else if (arg == "--victims")
       options.victim_kinds = parse_victims(value());
     else if (arg == "--replay")
