@@ -5,13 +5,12 @@
 //
 //   ./build/run_experiment examples/experiments/triple-plummer.ini
 //
-// Pass --trace[=PATH] (or set JUNGLE_TRACE=PATH) to record every RPC,
-// kernel and bridge phase as a Chrome trace-event file (load it in
-// chrome://tracing or https://ui.perfetto.dev), plus a metrics dump
-// (PATH with a -metrics.json suffix) holding the registry snapshot and
-// the per-iteration log.
+// Pass --trace[=PATH] (default trace.json) to record every RPC, kernel and
+// bridge phase as a Chrome trace-event file (load it in chrome://tracing or
+// https://ui.perfetto.dev), plus a metrics dump (PATH with a -metrics.json
+// suffix) holding the registry snapshot and the per-iteration log. Set
+// JUNGLE_LOG=info to print the run's progress.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -37,9 +36,6 @@ std::string metrics_path_for(const std::string& trace_path) {
 int main(int argc, char** argv) {
   std::string ini_path;
   std::string trace_path;
-  if (const char* env = std::getenv("JUNGLE_TRACE")) {
-    trace_path = *env != '\0' ? env : "trace.json";
-  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--trace") {

@@ -25,30 +25,22 @@ struct PendingQuery {
 };
 
 /// Accumulates one target system's per-coupling accelerations into a
-/// single (accel, dt) kick frame. The common single-direction case ships
-/// the coupler's accel span as-is with the worker multiplying by dt;
-/// multiple directions keep a raw sum while their cadences agree, and
-/// pre-scale client-side (dt = 1 on the wire) the moment they differ.
+/// single kick frame. The common single-direction case ships the coupler's
+/// accel span as-is; multiple directions ship their sum. The worker
+/// multiplies by the kick's dt.
 class KickSum {
  public:
-  void add(std::span<const Vec3> accel, double dt,
-           const std::string& target) {
+  void add(std::span<const Vec3> accel, const std::string& target) {
     if (directions_ == 0) {
       single_ = accel;
-      dt_ = dt;
     } else {
       if (directions_ == 1) sum_.assign(single_.begin(), single_.end());
       if (sum_.size() != accel.size()) {
         throw CodeError("bridge: coupled accel sizes differ for system '" +
                         target + "'");
       }
-      if (dt != dt_ && !mixed_) {
-        for (Vec3& value : sum_) value = value * dt_;
-        mixed_ = true;
-        dt_ = 1.0;
-      }
       for (std::size_t i = 0; i < sum_.size(); ++i) {
-        sum_[i] = sum_[i] + (mixed_ ? accel[i] * dt : accel[i]);
+        sum_[i] = sum_[i] + accel[i];
       }
     }
     ++directions_;
@@ -58,14 +50,11 @@ class KickSum {
   std::span<const Vec3> accel() const {
     return directions_ == 1 ? single_ : std::span<const Vec3>(sum_);
   }
-  double dt() const { return dt_; }
 
  private:
   std::span<const Vec3> single_;
   std::vector<Vec3> sum_;
-  double dt_ = 0.0;
   int directions_ = 0;
-  bool mixed_ = false;
 };
 
 }  // namespace
@@ -85,6 +74,7 @@ Bridge::Bridge(std::vector<System> systems, std::vector<Coupling> couplings,
     }
   }
   int n = static_cast<int>(systems_.size());
+  coupled_.assign(systems_.size(), false);
   for (const Coupling& coupling : couplings_) {
     if (coupling.field == nullptr) {
       throw CodeError("bridge: coupling without a field client");
@@ -93,9 +83,8 @@ Bridge::Bridge(std::vector<System> systems, std::vector<Coupling> couplings,
         coupling.b >= n || coupling.a == coupling.b) {
       throw CodeError("bridge: coupling references invalid system indices");
     }
-    if (coupling.every < 1) {
-      throw CodeError("bridge: coupling cadence must be >= 1");
-    }
+    coupled_[coupling.a] = true;
+    coupled_[coupling.b] = true;
   }
   stellar_.reserve(stellar.size());
   for (Stellar& wiring : stellar) {
@@ -108,41 +97,8 @@ Bridge::Bridge(std::vector<System> systems, std::vector<Coupling> couplings,
   }
 }
 
-std::vector<int> Bridge::active_couplings(int step_index, bool bottom) const {
-  // A coupling with cadence k fires at the boundaries of its k-step window:
-  // at the top of step s when s % k == 0 (kick covering the window ahead)
-  // and at the bottom when (s + 1) % k == 0 (closing the window), each with
-  // dt = k * bridge_dt / 2 — the nested-BRIDGE scheme. k == 1 reduces to
-  // the classic kick–evolve–kick of Fig 7.
-  std::vector<int> active;
-  for (int c = 0; c < static_cast<int>(couplings_.size()); ++c) {
-    int every = couplings_[c].every;
-    int phase = bottom ? step_index + 1 : step_index;
-    if (phase % every == 0) active.push_back(c);
-  }
-  return active;
-}
-
-std::vector<int> Bridge::involved_systems(
-    const std::vector<int>& active) const {
-  // Which systems participate in a phase, in declaration order.
-  std::vector<int> involved;
-  for (int i = 0; i < static_cast<int>(systems_.size()); ++i) {
-    for (int c : active) {
-      if (couplings_[c].a == i || couplings_[c].b == i) {
-        involved.push_back(i);
-        break;
-      }
-    }
-  }
-  return involved;
-}
-
-std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
-                                       StateFetches fetched) {
-  std::vector<int> involved = involved_systems(active);
-
-  // Phase 1 — the state of every involved system whose cached mass and
+std::vector<Future> Bridge::cross_kick(StateFetches fetched) {
+  // Phase 1 — the state of every coupled system whose cached mass and
   // position may be stale, fetched concurrently: one round trip, and only
   // the coupling fields (mass+position) that changed since the cached copy.
   // A current system's fetch would carry nothing and is skipped — after a
@@ -152,11 +108,14 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
   {
     obs::trace::Span phase = obs::trace::span("state_fetch", "bridge");
     fetched.resize(systems_.size());
-    for (int i : involved) {
-      if (fetched[i] || systems_[i].dynamics->coupling_current()) continue;
+    for (std::size_t i = 0; i < systems_.size(); ++i) {
+      if (!coupled_[i] || fetched[i] ||
+          systems_[i].dynamics->coupling_current()) {
+        continue;
+      }
       fetched[i] = systems_[i].dynamics->request_state(state_field::coupling);
     }
-    for (int i : involved) {
+    for (std::size_t i = 0; i < systems_.size(); ++i) {
       if (!fetched[i]) continue;
       systems_[i].dynamics->merge_state(*fetched[i], state_field::coupling);
     }
@@ -168,8 +127,8 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
   // field client's cached accel, with no RPC at all.
   obs::trace::Span queries_phase = obs::trace::span("field_queries", "bridge");
   std::vector<PendingQuery> queries;
-  for (int target : involved) {
-    for (int c : active) {
+  for (int target = 0; target < static_cast<int>(systems_.size()); ++target) {
+    for (int c = 0; c < static_cast<int>(couplings_.size()); ++c) {
       const Coupling& coupling = couplings_[c];
       if (coupling.a != target && coupling.b != target) continue;
       int dir = coupling.a == target ? 0 : 1;
@@ -190,21 +149,20 @@ std::vector<Future> Bridge::cross_kick(const std::vector<int>& active,
   // acceleration travels as a 16-byte repeat). The caller waits for them.
   std::vector<Future> kicks_done;
   std::vector<KickSum> kicks(systems_.size());
-  for (int target : involved) {
+  for (int target = 0; target < static_cast<int>(systems_.size()); ++target) {
     KickSum& kick = kicks[static_cast<std::size_t>(target)];
     for (PendingQuery& query : queries) {
       if (query.target != target) continue;
       const Coupling& coupling = couplings_[query.coupling];
       const std::vector<Vec3>& accel = coupling.field->finish_accel(
           pair_field_tag(query.coupling, query.dir), query.reply);
-      kick.add(accel, coupling.every * config_.dt / 2.0,
-               systems_[target].name);
+      kick.add(accel, systems_[target].name);
       trace_.push_back("kick:" + systems_[query.source].name + "->" +
                        systems_[target].name);
     }
     if (kick.empty()) continue;
     kicks_done.push_back(
-        systems_[target].dynamics->kick_async(kick.accel(), kick.dt()));
+        systems_[target].dynamics->kick_async(kick.accel(), config_.dt / 2.0));
   }
   return kicks_done;
 }
@@ -214,11 +172,10 @@ void Bridge::step() {
   int step_index = config_.step_offset + steps_;
 
   faultpoint::reach(faultpoint::Point::step_top_kick, step_index);
-  std::vector<int> top = active_couplings(step_index, /*bottom=*/false);
   std::vector<Future> top_kicks;
-  if (!top.empty()) {
+  if (!couplings_.empty()) {
     obs::trace::Span phase = obs::trace::span("cross_kick:top", "bridge");
-    top_kicks = cross_kick(top);
+    top_kicks = cross_kick();
   }
 
   // Parallel evolve: all systems advance concurrently; total wall time is
@@ -226,14 +183,11 @@ void Bridge::step() {
   // call below rides a worker's FIFO pipe behind the one before it:
   //  - the top kicks are still in flight, so each worker applies its kick
   //    before the evolve queued behind it;
-  //  - each bottom-kick participant's coupling fetch follows its evolve,
+  //  - each coupled system's coupling fetch follows its evolve,
   //    so the reply carries the evolved state and lands right behind the
   //    evolve's;
   //  - the previous step's unacked calls ran before all of it.
   // Their acks are collected while the evolves run.
-  std::vector<int> bottom = active_couplings(step_index, /*bottom=*/true);
-  std::vector<bool> fetch_bottom(systems_.size(), false);
-  for (int i : involved_systems(bottom)) fetch_bottom[i] = true;
   StateFetches fetched(systems_.size());
   faultpoint::reach(faultpoint::Point::step_evolve, step_index);
   {
@@ -243,7 +197,7 @@ void Bridge::step() {
     for (std::size_t i = 0; i < systems_.size(); ++i) {
       DynamicsClient& system = *systems_[i].dynamics;
       evolving.push_back(system.evolve_async(time_ + dt));
-      if (fetch_bottom[i]) {
+      if (coupled_[i]) {
         fetched[i] = system.request_state(state_field::coupling);
       }
     }
@@ -257,9 +211,9 @@ void Bridge::step() {
   // depends on them, and the next call on each pipe queues behind them.
   // They are collected by the next step's evolve wait or by settle().
   faultpoint::reach(faultpoint::Point::step_bottom_kick, step_index);
-  if (!bottom.empty()) {
+  if (!couplings_.empty()) {
     obs::trace::Span phase = obs::trace::span("cross_kick:bottom", "bridge");
-    for (Future& kick : cross_kick(bottom, std::move(fetched))) {
+    for (Future& kick : cross_kick(std::move(fetched))) {
       unacked_.push_back(std::move(kick));
     }
   }

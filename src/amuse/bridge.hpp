@@ -13,11 +13,12 @@ namespace jungle::amuse {
 /// 2011), generalized from the hard-wired stars+gas pair to a *vector* of
 /// coupled systems: a BRIDGE-style kick–evolve–kick scheme where tree
 /// *coupling* kernels (Octgrav or Fi) provide the cross-gravity between any
-/// pair of evolving systems (phiGRAPE star clusters, Gadget gas, ...), and
-/// stellar evolution (SSE) is folded into its target system every n-th step
-/// at a slower rate. The classic embedded-cluster bridge is the two-system,
-/// one-coupling instance of this scheme and its physics is bit-identical to
-/// the pre-generalization code path (tested).
+/// pair of evolving systems (phiGRAPE star clusters, Gadget gas, ...). Every
+/// coupling kicks both of its systems by dt/2 at the top and the bottom of
+/// every step; only stellar evolution (SSE) runs at a slower rate, folded
+/// into its target system every n-th step. The classic embedded-cluster
+/// bridge is the two-system, one-coupling instance of this scheme and its
+/// physics is bit-identical to the pre-generalization code path (tested).
 ///
 /// The coupling data path is pipelined: each cross-kick phase (state fetch,
 /// field queries, kicks) issues every system's calls as concurrent futures,
@@ -44,14 +45,12 @@ class Bridge {
   };
 
   /// One pairwise coupling: `field` evaluates the cross-gravity between
-  /// systems `a` and `b` every `every`-th bridge step (1 = the classic
-  /// every-step Fig-7 cadence; a larger cadence pays kicks of every*dt/2 at
-  /// the boundaries of its window, nested-BRIDGE style).
+  /// systems `a` and `b`, which it kicks by dt/2 at the top and the bottom
+  /// of every bridge step (Fig 7).
   struct Coupling {
     FieldClient* field = nullptr;
     int a = 0;
     int b = 1;
-    int every = 1;
   };
 
   /// Stellar-evolution wiring: SSE masses flow into the gravity system
@@ -77,16 +76,16 @@ class Bridge {
     double supernova_energy = 0.0;
     /// Restart support (the bit-exact rollback convention): a bridge
     /// rebuilt after a fault begins at the committed checkpoint — its clock
-    /// at these exact bits, its step count (which sets the SE and coupling
-    /// cadence phase) at `step_offset`. Workers restored at the same
-    /// absolute time then receive evolve targets identical to the
-    /// fault-free run's. Both stay 0 for a fresh run.
+    /// at these exact bits, its step count (which sets the SE cadence phase
+    /// and the fault points' step index) at `step_offset`. Workers restored
+    /// at the same absolute time then receive evolve targets identical to
+    /// the fault-free run's. Both stay 0 for a fresh run.
     double t_start = 0.0;
     int step_offset = 0;
   };
 
   /// The classic Fig-7 bridge is the two-system instance: systems
-  /// {stars, gas}, one coupling {&coupler, 0, 1, 1}, and optionally one
+  /// {stars, gas}, one coupling {&coupler, 0, 1}, and optionally one
   /// stellar link {&se, &stars, &gas}.
   Bridge(std::vector<System> systems, std::vector<Coupling> couplings,
          std::vector<Stellar> stellar, Config config);
@@ -136,15 +135,10 @@ class Bridge {
   /// Coupling-state replies in flight, indexed by system (nullopt: none).
   using StateFetches = std::vector<std::optional<Future>>;
 
-  /// Couplings that fire on a phase, given the step they belong to.
-  std::vector<int> active_couplings(int step_index, bool bottom) const;
-  /// Systems that take part in the given couplings, in declaration order.
-  std::vector<int> involved_systems(const std::vector<int>& active) const;
   /// Runs one coupling phase up to sending its kicks and returns the kick
   /// acks still in flight. `fetched` holds coupling-state requests the
   /// caller already sent; the phase sends the rest.
-  std::vector<Future> cross_kick(const std::vector<int>& active,
-                                 StateFetches fetched = {});
+  std::vector<Future> cross_kick(StateFetches fetched = {});
   void stellar_update();
   void stellar_update_one(StellarLink& link);
   /// The state a stellar update reads from `client` (gravity or hydro).
@@ -153,6 +147,8 @@ class Bridge {
 
   std::vector<System> systems_;
   std::vector<Coupling> couplings_;
+  /// Per system: whether any coupling kicks it (fixed at construction).
+  std::vector<bool> coupled_;
   std::vector<StellarLink> stellar_;
   Config config_;
   double time_ = 0.0;

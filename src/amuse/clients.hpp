@@ -166,8 +166,7 @@ class DynamicsClient : public ModelClient {
   void commit_state(const DeltaHeader& header, std::uint64_t want_mask);
   /// Kick with repeat-suppression: an unchanged acceleration (the first
   /// half-kick of a step whose coupling inputs did not change) travels as
-  /// a 16-byte "repeat" frame even when the half-kick dt differs
-  /// (couplings firing at different cadences).
+  /// a 16-byte "repeat" frame.
   Future send_kick(Fn fn, std::span<const Vec3> accel, double dt);
   /// Called by every call that can move mass or position on the worker.
   void invalidate_coupling() noexcept {

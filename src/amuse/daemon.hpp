@@ -15,7 +15,7 @@ namespace jungle::amuse {
 /// The AMUSE worker channels (paper §4.1/§5): the default MPI channel and
 /// the socket channel run the worker locally; the Ibis channel goes through
 /// the daemon to any resource in the Jungle.
-enum class ChannelKind { mpi, socket, ibis };
+enum class ChannelKind { mpi, socket };
 
 /// Start a worker on `host` and return the RPC client for it, using the
 /// local MPI or socket channel. `home` is the script's machine (the client

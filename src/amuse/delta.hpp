@@ -165,8 +165,7 @@ inline FieldTag pair_field_tag(int coupling, int dir) noexcept {
 ///   [u64 flags][f64 dt] (+ [accel span] unless `repeat`).
 /// A half-kick whose acceleration is unchanged (the common case right after
 /// an all-cache-hit coupling phase) replays the worker's cached accel under
-/// a possibly different dt — 16 payload bytes instead of the whole array,
-/// and robust to couplings firing at different cadences.
+/// the frame's dt — 16 payload bytes instead of the whole array.
 namespace kick_flags {
 inline constexpr std::uint64_t repeat = 1;
 }

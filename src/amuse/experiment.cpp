@@ -24,10 +24,9 @@ using sched::Role;
 
 // ---------------------------------------------------------------- testbed
 
-JungleTestbed::JungleTestbed(bool verbose) {
+JungleTestbed::JungleTestbed() {
   using sim::net::gbit;
   using sim::net::ms;
-  if (verbose) log::set_threshold(log::Level::info);
   obs::trace::bind_clock(
       this, [this] { return sim_.now(); },
       [this] { return sim_.current_name(); });
@@ -98,8 +97,7 @@ JungleTestbed::JungleTestbed(bool verbose) {
            "dasvu6", "dasvu7"});
 }
 
-JungleTestbed::JungleTestbed(const util::Config& config, bool verbose) {
-  if (verbose) log::set_threshold(log::Level::info);
+JungleTestbed::JungleTestbed(const util::Config& config) {
   obs::trace::bind_clock(
       this, [this] { return sim_.now(); },
       [this] { return sim_.current_name(); });
@@ -279,14 +277,6 @@ void ExperimentSpec::validate() const {
     if (coupling.a == coupling.b) {
       fail(label + " couples '" + coupling.a + "' to itself");
     }
-    if (coupling.every < 1) fail(label + ": every must be >= 1");
-    if (iterations % coupling.every != 0) {
-      // A truncated window would end after an opening kick whose closing
-      // half never fires — a silently lopsided trajectory.
-      fail(label + ": iterations (" + std::to_string(iterations) +
-           ") must cover whole coupling windows (every = " +
-           std::to_string(coupling.every) + ")");
-    }
   }
   for (std::size_t i = 0; i < models.size(); ++i) {
     if (models[i].role == Role::coupler && !field_used[i]) {
@@ -314,8 +304,7 @@ sched::Workload ExperimentSpec::workload() const {
   }
   for (const CouplingSpec& coupling : couplings) {
     load.couplings.push_back(
-        {find(coupling.field), find(coupling.a), find(coupling.b),
-         coupling.every});
+        {find(coupling.field), find(coupling.a), find(coupling.b)});
   }
   return load;
 }
@@ -431,14 +420,12 @@ ExperimentSpec ExperimentSpec::from_config(const util::Config& config) {
       model.place = config.get_or(section, "place", "");
       spec.models.push_back(std::move(model));
     } else if (util::starts_with(section, "coupling ")) {
-      reject_unknown_keys(config, section, {"field", "a", "b", "every"});
+      reject_unknown_keys(config, section, {"field", "a", "b"});
       CouplingSpec coupling;
       coupling.name = util::trim(section.substr(9));
       coupling.field = config.get(section, "field");
       coupling.a = config.get(section, "a");
       coupling.b = config.get(section, "b");
-      coupling.every =
-          static_cast<int>(config.get_int_or(section, "every", 1));
       spec.couplings.push_back(std::move(coupling));
     }
   }
@@ -1034,8 +1021,7 @@ class GraphRun {
       couplings.push_back(
           {&slot(coupling.field).field(),
            system_of[static_cast<std::size_t>(spec_.find(coupling.a))],
-           system_of[static_cast<std::size_t>(spec_.find(coupling.b))],
-           coupling.every});
+           system_of[static_cast<std::size_t>(spec_.find(coupling.b))]});
     }
     std::vector<Bridge::Stellar> stellar;
     for (std::size_t i = 0; i < models_.size(); ++i) {

@@ -79,7 +79,6 @@ struct CouplingSpec {
   std::string field;  // field-role model evaluating the cross-gravity
   std::string a;      // two dynamic (gravity/hydro) models
   std::string b;
-  int every = 1;      // cross-kick cadence in bridge steps
 };
 
 struct ExperimentSpec {
@@ -173,11 +172,11 @@ struct Result {
 /// between them. Owned by the caller via this handle.
 class JungleTestbed {
  public:
-  explicit JungleTestbed(bool verbose = false);
+  JungleTestbed();
   /// Build the testbed from a deploy INI instead (sites/hosts/links and
   /// [resource ...] sections, plus an optional `[scenario] client = HOST`).
   /// This is what makes any topology file a runnable experiment.
-  explicit JungleTestbed(const util::Config& config, bool verbose = false);
+  explicit JungleTestbed(const util::Config& config);
   /// Unwind all simulated processes before the network/sockets they touch.
   ~JungleTestbed() {
     obs::trace::unbind_clock(this);

@@ -24,7 +24,6 @@ experiment::ExperimentSpec classic_spec(Kind kind, const Options& options) {
   spec.dt = options.dt;
   spec.iterations = options.iterations;
   spec.se_every = options.se_every;
-  spec.seed = options.seed;
   // time scale: ~0.47 Myr per N-body time for 1000 MSun / 1 pc; SN energy
   // scaled into N-body units for a 2 M_cluster gas cloud.
   spec.myr_per_nbody_time = 0.47;
@@ -115,7 +114,7 @@ experiment::ExperimentSpec classic_spec(Kind kind, const Options& options) {
   // (the stars/gas draws come first in the IC stream, so the trajectory is
   // unchanged either way).
   if (options.with_stellar_evolution) spec.models.push_back(se);
-  spec.couplings = {{"stars-gas", "tides", "stars", "gas", 1}};
+  spec.couplings = {{"stars-gas", "tides", "stars", "gas"}};
   return spec;
 }
 

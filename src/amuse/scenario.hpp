@@ -38,7 +38,6 @@ struct Options {
   double dt = 1.0 / 32.0;
   bool with_stellar_evolution = true;
   int se_every = 4;
-  std::uint64_t seed = 20120301;
 };
 
 /// The embedded-cluster experiment of one paper configuration, as a spec:

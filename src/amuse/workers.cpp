@@ -6,10 +6,10 @@
 #include <map>
 
 #include "amuse/delta.hpp"
+#include "kernels/bhtree.hpp"
 #include "kernels/hermite.hpp"
 #include "kernels/sph.hpp"
 #include "kernels/sse.hpp"
-#include "kernels/treefield.hpp"
 #include "mpi/mpi.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -398,8 +398,8 @@ struct FieldTagCache {
 };
 
 /// Octgrav/Fi worker: tree gravity field evaluations.
-Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
-                                 WorkerCost cost) {
+Dispatcher make_field_dispatcher(
+    std::shared_ptr<kernels::BarnesHutTree> field, WorkerCost cost) {
   auto tags = std::make_shared<std::map<std::uint64_t, FieldTagCache>>();
   return [field, cost, tags](Fn fn,
                              util::ByteReader& args) -> util::ByteWriter {
@@ -430,11 +430,12 @@ Dispatcher make_field_dispatcher(std::shared_ptr<kernels::TreeField> field,
           throw CodeError("field: no cached points for tag " +
                           std::to_string(tag));
         }
-        field->set_sources(cache.source_mass, cache.source_position);
+        field->build(cache.source_position, cache.source_mass);
         charge(cost, static_cast<double>(cache.source_position.size()) *
                          kernels::BarnesHutTree::kBuildFlopsPerParticle);
         auto before = field->interactions();
-        cache.accel = field->accel_at(cache.points);
+        cache.accel.resize(cache.points.size());
+        field->accel_at(cache.points, cache.accel);
         charge(cost, static_cast<double>(field->interactions() - before) *
                          kernels::BarnesHutTree::kFlopsPerInteraction);
         result.put_span_view(std::span<const Vec3>(cache.accel));
@@ -791,7 +792,8 @@ void run_worker(std::unique_ptr<MessagePipe> pipe, const WorkerSpec& spec,
     integrator->set_thread_pool(&pool);
     dispatcher = make_gravity_dispatcher(std::move(integrator), cost);
   } else if (spec.code == "octgrav" || spec.code == "fi") {
-    auto field = std::make_shared<kernels::TreeField>(spec.theta, spec.eps2);
+    auto field =
+        std::make_shared<kernels::BarnesHutTree>(spec.theta, spec.eps2);
     field->set_thread_pool(&pool);
     dispatcher = make_field_dispatcher(std::move(field), cost);
   } else if (spec.code == "sse") {

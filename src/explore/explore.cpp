@@ -1,7 +1,9 @@
 #include "explore/explore.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "sim/network.hpp"
@@ -36,6 +38,14 @@ const char* kind_name(Injection::Kind kind) {
 /// of the 0.05 s hop-retry tick, so the crash lands *between* whatever the
 /// addressed point and its successor are doing.
 constexpr double kTimerSkew = 0.075;
+
+/// The whole field must be a decimal integer (a recovery point's
+/// iteration is -1): "1x" and "" are rejected, not read as 1 and 0.
+bool parse_int(std::string_view text, int& value) {
+  auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  return error == std::errc() && end == text.data() + text.size();
+}
 
 void mix_string(util::Fnv1a& hash, const std::string& text) {
   hash.mix_bytes(text.data(), text.size());
@@ -84,12 +94,10 @@ Schedule parse_schedule(const std::string& text) {
     Injection inj;
     if (!faultpoint::parse(item.substr(0, at), inj.point))
       fail("unknown fault point \"" + item.substr(0, at) + "\"");
-    try {
-      inj.iteration = std::stoi(item.substr(at + 1, hash - at - 1));
-      inj.occurrence = std::stoi(item.substr(hash + 1, eq - hash - 1));
-    } catch (const std::exception&) {
+    std::string_view fields(item);
+    if (!parse_int(fields.substr(at + 1, hash - at - 1), inj.iteration) ||
+        !parse_int(fields.substr(hash + 1, eq - hash - 1), inj.occurrence))
       fail("iteration/occurrence must be integers");
-    }
     std::string kind = item.substr(eq + 1, colon - eq - 1);
     if (!parse_kind(kind, inj.kind))
       fail("kind must be crash, link, daemon, proxy, worker or timer, "

@@ -38,12 +38,11 @@ struct ModelLoad {
 };
 
 /// One pairwise coupling of the graph: `field` (an index into models, role
-/// coupler) bridges dynamic models `a` and `b` every `every`-th step.
+/// coupler) bridges dynamic models `a` and `b` on every step.
 struct CouplingLoad {
   int field = -1;
   int a = -1;
   int b = -1;
-  int every = 1;
 };
 
 /// What one bridge iteration of an experiment does, in numbers the cost

@@ -121,10 +121,6 @@ const sim::Host* first_cpu(const std::vector<const sim::Host*>& nodes) {
   return nodes.front();
 }
 
-/// Couplings a slot participates in fire at most every `every`-th step;
-/// its wire volume scales by the highest frequency among them.
-double coupling_weight(int every) { return 1.0 / std::max(1, every); }
-
 }  // namespace
 
 std::vector<Assignment> Scheduler::candidates(const ModelLoad& model) const {
@@ -340,39 +336,33 @@ double Scheduler::score_graph(const Workload& load,
   // sharing a field worker adding their bytes on its wire. The post-kick
   // cross-kick is all delta-cache hits — header-only RPCs and 16-byte kick
   // repeats — while the post-evolve one moves the changed positions, fresh
-  // field inputs and fresh accel+dt kicks. Couplings with a slower cadence
-  // weigh in at their firing frequency.
+  // field inputs and fresh accel+dt kicks.
   double coupling = 0.0;
   if (!load.couplings.empty()) {
-    // Highest firing frequency per dynamic slot, 0 when uncoupled.
-    std::vector<double> freq(static_cast<std::size_t>(slots), 0.0);
+    std::vector<bool> coupled(static_cast<std::size_t>(slots), false);
     for (const CouplingLoad& c : load.couplings) {
-      double w = coupling_weight(c.every);
-      freq[static_cast<std::size_t>(c.a)] =
-          std::max(freq[static_cast<std::size_t>(c.a)], w);
-      freq[static_cast<std::size_t>(c.b)] =
-          std::max(freq[static_cast<std::size_t>(c.b)], w);
+      coupled[static_cast<std::size_t>(c.a)] = true;
+      coupled[static_cast<std::size_t>(c.b)] = true;
     }
 
     double fetch_fresh = 0.0, kick_fresh = 0.0;
     double fetch_idle = 0.0, kick_idle = 0.0;
     for (int i = 0; i < slots; ++i) {
-      if (freq[static_cast<std::size_t>(i)] <= 0.0) continue;
+      if (!coupled[static_cast<std::size_t>(i)]) continue;
       const ModelLoad& model = models[static_cast<std::size_t>(i)];
       const LinkCost& link = wire[static_cast<std::size_t>(i)];
-      double w = freq[static_cast<std::size_t>(i)];
       double fetch =
           link.call_seconds(state_fetch_bytes(model.n, link.fp_truncate));
       double kick = link.call_seconds(kick_bytes(model.n));
       double idle = link.call_seconds(kCallOverheadBytes);
       double repeat =
           link.call_seconds(kCallOverheadBytes + kKickHeaderBytes);
-      fetch_fresh = std::max(fetch_fresh, w * fetch);
-      kick_fresh = std::max(kick_fresh, w * kick);
-      fetch_idle = std::max(fetch_idle, w * idle);
-      kick_idle = std::max(kick_idle, w * repeat);
+      fetch_fresh = std::max(fetch_fresh, fetch);
+      kick_fresh = std::max(kick_fresh, kick);
+      fetch_idle = std::max(fetch_idle, idle);
+      kick_idle = std::max(kick_idle, repeat);
       Assignment& a = placement.roles[static_cast<std::size_t>(i)];
-      a.comm_seconds += w * (fetch + kick + idle + repeat) + link.rtt_s;
+      a.comm_seconds += fetch + kick + idle + repeat + link.rtt_s;
     }
 
     // Field workers answer their couplings' queries concurrently with each
@@ -386,13 +376,12 @@ double Scheduler::score_graph(const Workload& load,
       for (const CouplingLoad& c : load.couplings) {
         if (c.field != f) continue;
         used = true;
-        double w = coupling_weight(c.every);
         std::size_t n_a = models[static_cast<std::size_t>(c.a)].n;
         std::size_t n_b = models[static_cast<std::size_t>(c.b)].n;
         fresh_bytes +=
-            w * (coupling_upload_bytes(n_a, n_b) + coupling_reply_bytes(n_a, n_b));
-        idle_calls += w * 2.0;
-        compute += w * coupler_compute_seconds(n_a, n_b, rate(f));
+            coupling_upload_bytes(n_a, n_b) + coupling_reply_bytes(n_a, n_b);
+        idle_calls += 2.0;
+        compute += coupler_compute_seconds(n_a, n_b, rate(f));
       }
       if (!used) continue;
       compute *= calibration_.scale_for(models[static_cast<std::size_t>(f)].name);
@@ -564,33 +553,25 @@ Assignment Scheduler::replace(const Workload& load, const Placement& current,
   if (slot < 0 || static_cast<std::size_t>(slot) >= load.models.size()) {
     throw CodeError("sched: replace slot out of range");
   }
+  const std::string& name = load.models[static_cast<std::size_t>(slot)].name;
   // Named re-place step: the fault-schedule explorer injects a second
   // fault exactly here to exercise "death while re-placing the first".
-  amuse::faultpoint::reach(
-      amuse::faultpoint::Point::recover_replace, -1,
-      load.models[static_cast<std::size_t>(slot)].name);
+  amuse::faultpoint::reach(amuse::faultpoint::Point::recover_replace, -1,
+                           name);
+  // The same search as plan(), over this slot's candidates alone: every
+  // other slot stays pinned where it runs, and ties keep the first
+  // candidate.
+  std::vector<std::optional<Assignment>> pins(current.roles.begin(),
+                                              current.roles.end());
+  pins[static_cast<std::size_t>(slot)].reset();
   Assignment best;
-  double best_cost = std::numeric_limits<double>::infinity();
-  bool found = false;
-  for (const Assignment& candidate :
-       candidates(load.models[static_cast<std::size_t>(slot)])) {
-    Placement trial = current;
-    trial.roles[static_cast<std::size_t>(slot)] = candidate;
-    if (!fits(trial)) continue;
-    double cost = score_graph(load, trial);
-    if (cost < best_cost) {
-      best = trial.roles[static_cast<std::size_t>(slot)];
-      best_cost = cost;
-      found = true;
-    }
+  try {
+    best = plan(load, pins).roles[static_cast<std::size_t>(slot)];
+  } catch (const CodeError&) {
+    throw CodeError("sched: no feasible replacement for model '" + name +
+                    "'");
   }
-  if (!found) {
-    throw CodeError("sched: no feasible replacement for model '" +
-                    load.models[static_cast<std::size_t>(slot)].name + "'");
-  }
-  log::warn("sched") << "re-placing "
-                     << load.models[static_cast<std::size_t>(slot)].name
-                     << " onto " << best.where();
+  log::warn("sched") << "re-placing " << name << " onto " << best.where();
   return best;
 }
 

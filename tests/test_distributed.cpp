@@ -319,7 +319,7 @@ struct BridgeRig {
   /// kernel, SE masses into the stars with feedback into the gas.
   Bridge bridge(const Bridge::Config& config) {
     return Bridge({{"stars", stars.get()}, {"gas", gas.get()}},
-                  {{coupler.get(), 0, 1, 1}},
+                  {{coupler.get(), 0, 1}},
                   {{se.get(), stars.get(), gas.get()}}, config);
   }
 
@@ -918,7 +918,7 @@ TEST(Distributed, EveryStateMovingCallMakesTheNextCouplingFetch) {
     Bridge::Config config;
     config.dt = 1.0 / 128.0;
     Bridge bridge({{"stars", &stars}, {"gas", &gas}},
-                  {{rig.coupler.get(), 0, 1, 1}}, {}, config);
+                  {{rig.coupler.get(), 0, 1}}, {}, config);
 
     // Reload a snapshot with raw RPCs, behind the client's back, so the
     // only invalidating client call of its case is the one under test.

@@ -83,7 +83,6 @@ b = two
 field = tides
 a = one
 b = gasdisk
-every = 2
 )";
   ExperimentSpec spec = ExperimentSpec::from_config(util::Config::parse(ini));
   EXPECT_NO_THROW(spec.validate());
@@ -99,7 +98,6 @@ every = 2
   EXPECT_EQ(spec.models[3].role, Role::coupler);
   EXPECT_EQ(spec.models[4].of, "one");
   ASSERT_EQ(spec.couplings.size(), 2u);
-  EXPECT_EQ(spec.couplings[1].every, 2);
 
   // ... and the workload mirrors the graph for the scheduler.
   sched::Workload load = spec.workload();
@@ -107,7 +105,6 @@ every = 2
   EXPECT_EQ(load.models[1].n, 150u);
   EXPECT_EQ(load.models[4].role, Role::stellar);
   ASSERT_EQ(load.couplings.size(), 2u);
-  EXPECT_EQ(load.couplings[1].every, 2);
   EXPECT_EQ(load.couplings[1].b, 2);  // gasdisk's slot
 }
 
@@ -137,6 +134,12 @@ TEST(Experiment, SpecIniRejectsUnknownKeys) {
                    "evry = 2\n");
   EXPECT_NE(error.find("'evry'"), std::string::npos) << error;
   EXPECT_NE(error.find("[coupling link]"), std::string::npos) << error;
+
+  // Every coupling kicks on every step: there is no cadence key.
+  error = error_of(graph +
+                   "[coupling link]\nfield = f\na = solo\nb = x\n"
+                   "every = 2\n");
+  EXPECT_NE(error.find("'every'"), std::string::npos) << error;
 
   // Retired knobs are unknown keys too, not silently ignored.
   for (const char* retired :
@@ -226,10 +229,6 @@ TEST(Experiment, ValidationCatchesEmptyAndMalformedGraphs) {
 
   spec = tiny_classic();
   spec.models[0].ic = "gas-sphere";  // not a gravity recipe (nor a typo)
-  EXPECT_THROW(spec.validate(), ConfigError);
-
-  spec = tiny_classic();
-  spec.couplings[0].every = 3;  // truncated window: 2 iterations % 3 != 0
   EXPECT_THROW(spec.validate(), ConfigError);
 }
 
@@ -395,8 +394,9 @@ TEST(Experiment, ClassicPairBitIdenticalToOldBridgePath) {
   options.dt = 1.0 / 64.0;
   options.se_every = 2;
 
-  Result via_spec = run_experiment(
-      scenario::classic_spec(scenario::Kind::local_gpu, options));
+  ExperimentSpec spec =
+      scenario::classic_spec(scenario::Kind::local_gpu, options);
+  Result via_spec = run_experiment(spec);
   ASSERT_EQ(via_spec.models.size(), 2u);
   const GravityState& stars_spec = via_spec.models[0].gravity;
   const HydroState& gas_spec = via_spec.models[1].hydro;
@@ -424,7 +424,7 @@ TEST(Experiment, ClassicPairBitIdenticalToOldBridgePath) {
                                        ChannelKind::mpi));
     StellarClient stellar(start_local_worker(sockets, net, desktop, desktop,
                                              sse, ChannelKind::mpi));
-    util::Rng rng(options.seed);
+    util::Rng rng(spec.seed);
     auto model = ic::plummer_sphere(options.n_stars, rng);
     stars.add_particles(model.mass, model.position, model.velocity);
     auto cloud = ic::gas_sphere(options.n_gas, rng, 2.0, 1.5);
@@ -567,44 +567,6 @@ TEST(Experiment, GravityOnlySingleModelRuns) {
   EXPECT_DOUBLE_EQ(result.bound_gas_fraction, 1.0);  // no gas anywhere
   double virial = -2.0 * result.models[0].kinetic / result.models[0].potential;
   EXPECT_NEAR(virial, 1.0, 0.2);
-}
-
-TEST(Experiment, CouplingCadenceRunsAndConservesMomentumShape) {
-  // Two clusters coupled every 2nd step: the nested-BRIDGE cadence must
-  // run and keep the pair bound (kicks of every*dt/2 at window bounds).
-  ExperimentSpec spec;
-  spec.name = "cadence";
-  spec.iterations = 4;
-  ModelSpec one;
-  one.name = "one";
-  one.role = Role::gravity;
-  one.n = 64;
-  one.offset = {-1.5, 0.0, 0.0};
-  one.place = "local";
-  ModelSpec two = one;
-  two.name = "two";
-  two.offset = {1.5, 0.0, 0.0};
-  ModelSpec tides;
-  tides.name = "tides";
-  tides.role = Role::coupler;
-  tides.place = "local";
-  spec.models = {one, two, tides};
-  spec.couplings = {{"pair", "tides", "one", "two", 2}};
-  Result result = run_experiment(spec);
-  ASSERT_EQ(result.models.size(), 2u);
-  // Both clusters should still be roughly where they started (bound,
-  // slow drift), not ejected: centres stay within a few length units.
-  for (const ModelResult& model : result.models) {
-    kernels::Vec3 com{};
-    double mass = 0.0;
-    for (std::size_t i = 0; i < model.gravity.mass.size(); ++i) {
-      com = com + model.gravity.position[i] * model.gravity.mass[i];
-      mass += model.gravity.mass[i];
-    }
-    com = com * (1.0 / mass);
-    EXPECT_LT(std::abs(com.x), 3.0);
-    EXPECT_LT(std::abs(com.y), 1.0);
-  }
 }
 
 TEST(Experiment, CheckpointCaptureHasAllReadsInFlightAtOnce) {

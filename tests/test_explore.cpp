@@ -44,6 +44,8 @@ TEST(Explore, ScheduleFormatRoundTrips) {
   EXPECT_THROW(parse_schedule("no.such.point@0#0=crash:x"), ConfigError);
   EXPECT_THROW(parse_schedule("step.evolve@0#0=melt:x"), ConfigError);
   EXPECT_THROW(parse_schedule("step.evolve@0#0=crash:"), ConfigError);
+  EXPECT_THROW(parse_schedule("step.evolve@1x#0=crash:x"), ConfigError);
+  EXPECT_THROW(parse_schedule("step.evolve@1#0x=crash:x"), ConfigError);
 }
 
 TEST(Explore, ProcessTierKindsRoundTrip) {

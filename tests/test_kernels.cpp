@@ -11,7 +11,6 @@
 #include "kernels/simd.hpp"
 #include "kernels/sph.hpp"
 #include "kernels/sse.hpp"
-#include "kernels/treefield.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
 #include "util/parallel.hpp"
@@ -254,6 +253,20 @@ TEST(BarnesHut, BatchedAccelMatchesSerialBitExactly) {
   EXPECT_EQ(tree.interactions() - before, count);
 }
 
+TEST(BarnesHut, CrossForcesAreSymmetricInMass) {
+  // Field of a 2-mass source at a probe: doubling source masses doubles
+  // the acceleration.
+  BarnesHutTree tree(0.6, 0.0);
+  std::vector<double> masses{1.0, 1.0};
+  std::vector<Vec3> sources{{1, 0, 0}, {-1, 0, 0}};
+  tree.build(sources, masses);
+  Vec3 a1 = tree.accel_at(Vec3{0, 1, 0});
+  std::vector<double> doubled{2.0, 2.0};
+  tree.build(sources, doubled);
+  Vec3 a2 = tree.accel_at(Vec3{0, 1, 0});
+  EXPECT_NEAR(a2.norm(), 2.0 * a1.norm(), 1e-12);
+}
+
 TEST(Hermite, ForcesIndependentOfThreadCount) {
   // N above kParallelThreshold so the tiled parallel path engages.
   const std::size_t n = 400;
@@ -427,20 +440,6 @@ TEST(Hermite, TiledPathMatchesGoldenDigest) {
   nbody.evolve(1.0 / 64.0);
   nbody.set_thread_pool(nullptr);
   EXPECT_EQ(state_digest(nbody), 0x9e5e1c7b225498eeULL);
-}
-
-TEST(TreeField, CrossForcesAreSymmetricInMass) {
-  // Field of a 2-mass source at a probe: doubling source masses doubles
-  // the acceleration.
-  TreeField field(0.6, 0.0);
-  std::vector<double> masses{1.0, 1.0};
-  std::vector<Vec3> sources{{1, 0, 0}, {-1, 0, 0}};
-  field.set_sources(masses, sources);
-  Vec3 a1 = field.accel_at(std::vector<Vec3>{{0, 1, 0}})[0];
-  std::vector<double> doubled{2.0, 2.0};
-  field.set_sources(doubled, sources);
-  Vec3 a2 = field.accel_at(std::vector<Vec3>{{0, 1, 0}})[0];
-  EXPECT_NEAR(a2.norm(), 2.0 * a1.norm(), 1e-12);
 }
 
 // -------------------------------------------------------------------- sse

@@ -177,7 +177,7 @@ std::vector<Stage> gas_expulsion() {
     config.feedback_efficiency = 0.5;
     config.wind_specific_energy = 100.0;
     config.supernova_energy = 100.0;
-    Bridge bridge({{"stars", &stars}, {"gas", &gas}}, {{&coupler, 0, 1, 1}},
+    Bridge bridge({{"stars", &stars}, {"gas", &gas}}, {{&coupler, 0, 1}},
                   {{&stellar, &stars, &gas}}, config);
 
     for (int stage = 0; stage < 4; ++stage) {
