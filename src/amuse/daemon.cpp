@@ -119,8 +119,8 @@ void IbisDaemon::supervise_accept_loop() {
   // The loop never returns normally, so an exit means it was killed or its
   // host crashed; only the former is recoverable in place. The listener's
   // backlog mailbox keeps queued START connections across the gap, so a
-  // start_worker issued during the outage just blocks until the restarted
-  // loop accepts it.
+  // START sent during the outage just waits until the restarted loop
+  // accepts it.
   local_.simulation().watch_exit(accept_pid_, [this] {
     if (stopping_ || !local_.is_up()) return;
     if (accept_restarts_ >= kSupervisorBudget) {
@@ -498,53 +498,70 @@ void IbisDaemon::send_death_notice(WorkerChannel& channel,
 
 // -------------------------------------------------------- script client
 
-std::unique_ptr<RpcClient> DaemonClient::start_worker(
-    const WorkerSpec& spec, const std::string& resource, int nodes) {
+DaemonClient::PendingStart::~PendingStart() {
+  if (!connection_) return;
+  try {
+    connection_->close();  // the daemon's relay sees EOF and stops the worker
+  } catch (const Error&) {
+    // already gone; nothing to release
+  }
+}
+
+DaemonClient::PendingStart DaemonClient::request(const WorkerSpec& spec,
+                                                 const std::string& resource,
+                                                 int nodes) {
   faultpoint::reach(faultpoint::Point::spawn_worker, -1,
                     spec.code + "@" + resource);
+  PendingStart pending(spec, resource, nodes);
+  send_start(pending);
+  return pending;
+}
+
+void DaemonClient::send_start(PendingStart& pending) {
+  auto connection = sockets_.connect(local_, local_, IbisDaemon::kService,
+                                     sim::TrafficClass::control);
+  util::ByteWriter start;
+  start.put<std::uint8_t>(static_cast<std::uint8_t>(daemon_wire::Op::start));
+  put_spec(start, pending.spec_);
+  start.put_string(pending.resource_);
+  start.put<std::int32_t>(pending.nodes_);
+  connection->send(std::move(start).take());
+  pending.connection_ = std::move(connection);
+}
+
+std::unique_ptr<RpcClient> DaemonClient::finish(PendingStart&& pending) {
   // Deployment crosses a queue, a WAN and a remote frontend; transient
   // hiccups (a queue briefly full, a frontend rebooting) deserve a bounded
   // retry with backoff before the failure is escalated to the fault path.
   constexpr int kAttempts = 3;
-  constexpr double kBackoff = 0.5;  // virtual seconds, doubles per retry
+  constexpr double kBackoff = 0.5;  // virtual seconds, times the attempt
   for (int attempt = 1;; ++attempt) {
     try {
-      return start_worker_once(spec, resource, nodes);
+      auto response = pending.connection_->recv();
+      if (!response) throw CodeError("daemon closed during worker startup");
+      util::ByteReader reader(std::move(*response));
+      auto op = static_cast<daemon_wire::Op>(reader.get<std::uint8_t>());
+      if (op == daemon_wire::Op::fail) {
+        throw CodeError("worker " + pending.spec_.code +
+                        " startup failed on " + pending.resource_ + ": " +
+                        reader.get_string());
+      }
+      if (op != daemon_wire::Op::ready) {
+        throw WireError("daemon: unexpected startup reply");
+      }
+      return std::make_unique<RpcClient>(
+          local_,
+          std::make_unique<ConnectionPipe>(std::move(pending.connection_)),
+          pending.spec_.code + "@" + pending.resource_);
     } catch (const CodeError& failure) {
       if (attempt >= kAttempts) throw;
       log::warn("amuse") << "worker start attempt " << attempt << "/"
                          << kAttempts << " failed (" << failure.what()
                          << "); retrying";
       local_.simulation().sleep(kBackoff * attempt);
+      send_start(pending);
     }
   }
-}
-
-std::unique_ptr<RpcClient> DaemonClient::start_worker_once(
-    const WorkerSpec& spec, const std::string& resource, int nodes) {
-  auto connection = sockets_.connect(local_, local_, IbisDaemon::kService,
-                                     sim::TrafficClass::control);
-  util::ByteWriter start;
-  start.put<std::uint8_t>(static_cast<std::uint8_t>(daemon_wire::Op::start));
-  put_spec(start, spec);
-  start.put_string(resource);
-  start.put<std::int32_t>(nodes);
-  connection->send(std::move(start).take());
-
-  auto response = connection->recv();
-  if (!response) throw CodeError("daemon closed during worker startup");
-  util::ByteReader reader(std::move(*response));
-  auto op = static_cast<daemon_wire::Op>(reader.get<std::uint8_t>());
-  if (op == daemon_wire::Op::fail) {
-    throw CodeError("worker " + spec.code + " startup failed on " + resource +
-                    ": " + reader.get_string());
-  }
-  if (op != daemon_wire::Op::ready) {
-    throw WireError("daemon: unexpected startup reply");
-  }
-  return std::make_unique<RpcClient>(
-      local_, std::make_unique<ConnectionPipe>(std::move(connection)),
-      spec.code + "@" + resource);
 }
 
 }  // namespace jungle::amuse

@@ -113,26 +113,59 @@ class IbisDaemon {
   bool stopping_ = false;
 };
 
-/// Script-side access to the daemon. start_worker blocks until the remote
-/// worker is up (job submitted, proxy joined, ports connected) and returns
-/// the RPC client whose frames flow through the daemon.
+/// Script-side access to the daemon. A worker start has two halves:
+/// request() reaches the spawn.worker fault point, connects to the daemon and
+/// sends START, and returns as soon as the request is handed over, like
+/// JavaGAT's submit; finish() waits for READY or FAIL and returns the RPC
+/// client whose frames flow through the daemon. A script that starts several
+/// workers requests them all before it finishes any, so their jobs stage in,
+/// queue and boot at their sites at the same time and deployment waits for
+/// the slowest site instead of for the sum of all of them.
 class DaemonClient {
  public:
+  /// A START the daemon has been sent and whose reply is not read yet.
+  /// Destroying one that was never finished closes its connection: the
+  /// daemon then stops the worker as soon as it is up, so an abandoned
+  /// start leaves no job behind.
+  class PendingStart {
+   public:
+    PendingStart(PendingStart&&) noexcept = default;
+    PendingStart& operator=(PendingStart&&) = delete;
+    ~PendingStart();
+
+   private:
+    friend class DaemonClient;
+    PendingStart(const WorkerSpec& spec, std::string resource, int nodes)
+        : spec_(spec), resource_(std::move(resource)), nodes_(nodes) {}
+
+    WorkerSpec spec_;
+    std::string resource_;
+    int nodes_ = 1;
+    std::shared_ptr<smartsockets::ConnectionEnd> connection_;
+  };
+
   DaemonClient(smartsockets::SmartSockets& sockets, sim::Host& local)
       : sockets_(sockets), local_(local) {}
+
+  PendingStart request(const WorkerSpec& spec, const std::string& resource,
+                       int nodes = 1);
 
   /// Throws CodeError when the daemon reports a startup failure (e.g. the
   /// resource has no GPU or the middleware is unreachable). Startup
   /// failures are retried a few times with backoff first — deployment
-  /// crosses queues and WANs, where transient refusals are normal.
+  /// crosses queues and WANs, where transient refusals are normal — by
+  /// sending START again on a fresh connection.
+  std::unique_ptr<RpcClient> finish(PendingStart&& pending);
+
+  /// One worker on its own: finish(request(...)).
   std::unique_ptr<RpcClient> start_worker(const WorkerSpec& spec,
                                           const std::string& resource,
-                                          int nodes = 1);
+                                          int nodes = 1) {
+    return finish(request(spec, resource, nodes));
+  }
 
  private:
-  std::unique_ptr<RpcClient> start_worker_once(const WorkerSpec& spec,
-                                               const std::string& resource,
-                                               int nodes);
+  void send_start(PendingStart& pending);
 
   smartsockets::SmartSockets& sockets_;
   sim::Host& local_;

@@ -635,19 +635,26 @@ class GraphRun {
     double wall_start = bed_.simulation().now();
     restarts_mark_ = result_.restarts;
     cursor_ = read_metrics();
-    while (completed_ < spec_.iterations) {
+    // A worker that dies after the last commit, before its final state is
+    // read, rolls back onto that last checkpoint like any other death; no
+    // step is replayed then.
+    for (;;) {
       try {
-        step();
+        if (completed_ < spec_.iterations) {
+          step();
+          continue;
+        }
+        // Without checkpoints the last step's acks are still in flight.
+        bridge_->settle();
+        double wall = bed_.simulation().now() - wall_start;
+        result_.seconds_per_iteration = wall / spec_.iterations;
+        finish();
+        return;
       } catch (const WorkerDiedError& death) {
         if (!spec_.checkpointing) throw;
         recover(death);
       }
     }
-    // Without checkpoints the last step's acks are still in flight.
-    bridge_->settle();
-    double wall = bed_.simulation().now() - wall_start;
-    result_.seconds_per_iteration = wall / spec_.iterations;
-    finish();
   }
 
   /// WAN totals plus the dashboard: the Figs 10/11 analog and the placement
@@ -759,45 +766,84 @@ class GraphRun {
     }
   }
 
-  /// Start model i's worker where the plan puts it. A sharded gravity model
-  /// (workers > 1) starts K single-node workers — the cluster queue hands
-  /// each its own node — and wraps them in the ShardedGravityClient facade,
-  /// so the bridge/couplings/fault machinery see one model.
-  void start(std::size_t i) {
+  /// A remote model's start in flight: one daemon START per worker (K for a
+  /// sharded model, in shard order) and the spawn span, which runs from the
+  /// request to the last READY.
+  struct PendingSlot {
+    obs::trace::Span spawn;
+    std::vector<DaemonClient::PendingStart> workers;
+  };
+
+  /// Model i's worker k where the plan puts it. A sharded gravity model
+  /// (workers > 1) runs K single-node workers — the cluster queue hands each
+  /// its own node. Shard 0 carries the model's meter name so calibration
+  /// reads worker.<name>.compute_s ~ total/K, matching the modeled
+  /// compute / K; the others are distinguishable in traces.
+  sched::Assignment worker(std::size_t i, int k) const {
+    sched::Assignment a = plan_.roles[i];
+    if (spec_.models[i].workers > 1) {
+      a.nodes = 1;
+      if (k > 0) a.spec.meter += "#" + std::to_string(k);
+    }
+    return a;
+  }
+  int worker_count(std::size_t i) const {
+    return std::max(spec_.models[i].workers, 1);
+  }
+
+  /// Send the START of every worker of remote model i, closing the client
+  /// it had. finish_start() collects the replies.
+  PendingSlot request_start(std::size_t i) {
     const ModelSpec& model = spec_.models[i];
-    obs::trace::Span spawn = obs::trace::span("spawn:" + model.name, "deploy");
+    if (models_[i].client) models_[i].client->close();
+    PendingSlot pending{obs::trace::async_span("spawn:" + model.name, "deploy"),
+                        {}};
+    for (int k = 0; k < worker_count(i); ++k) {
+      sched::Assignment a = worker(i, k);
+      pending.workers.push_back(daemon_.request(a.spec, a.resource, a.nodes));
+    }
+    return pending;
+  }
+
+  /// Start model i's worker where the plan puts it: wait for the replies
+  /// to a remote model's request_start(), or start a local worker now. A
+  /// sharded model's K workers are wrapped in the ShardedGravityClient
+  /// facade, so the bridge/couplings/fault machinery see one model.
+  void finish_start(std::size_t i, std::optional<PendingSlot> pending) {
+    const ModelSpec& model = spec_.models[i];
     ModelRuntime& runtime = models_[i];
-    auto start_rpc = [&](const sched::Assignment& a, const std::string& meter) {
-      std::unique_ptr<RpcClient> rpc =
-          a.local() ? start_local_worker(bed_.sockets(), bed_.network(),
-                                         client_, client_, a.spec,
-                                         ChannelKind::mpi)
-                    : daemon_.start_worker(a.spec, a.resource, a.nodes);
-      rpc->set_call_timeout(kRpcCallTimeout);
+    std::vector<std::unique_ptr<RpcClient>> rpcs;
+    if (pending) {
+      for (DaemonClient::PendingStart& worker : pending->workers) {
+        rpcs.push_back(daemon_.finish(std::move(worker)));
+      }
+      pending->spawn.end();
+    } else {
+      if (runtime.client) runtime.client->close();
+      obs::trace::Span spawn =
+          obs::trace::span("spawn:" + model.name, "deploy");
+      for (int k = 0; k < worker_count(i); ++k) {
+        rpcs.push_back(start_local_worker(bed_.sockets(), bed_.network(),
+                                          client_, client_, worker(i, k).spec,
+                                          ChannelKind::mpi));
+      }
+    }
+    for (std::size_t k = 0; k < rpcs.size(); ++k) {
+      rpcs[k]->set_call_timeout(kRpcCallTimeout);
       // Client-side RPC metrics under the model name, matching the
       // worker-side series wired through WorkerSpec::meter.
-      rpc->set_meter(meter);
-      return rpc;
-    };
+      rpcs[k]->set_meter(worker(i, static_cast<int>(k)).spec.meter);
+    }
     if (model.role == Role::gravity && model.workers > 1) {
       std::vector<std::unique_ptr<GravityClient>> shards;
-      shards.reserve(static_cast<std::size_t>(model.workers));
-      for (int k = 0; k < model.workers; ++k) {
-        sched::Assignment shard = plan_.roles[i];
-        shard.nodes = 1;
-        // Shard 0 carries the model's meter name so calibration reads
-        // worker.<name>.compute_s ~ total/K, matching the modeled
-        // compute / K; the others are distinguishable in traces.
-        std::string meter =
-            k == 0 ? model.name : model.name + "#" + std::to_string(k);
-        shard.spec.meter = meter;
-        shards.push_back(
-            std::make_unique<GravityClient>(start_rpc(shard, meter)));
+      shards.reserve(rpcs.size());
+      for (auto& rpc : rpcs) {
+        shards.push_back(std::make_unique<GravityClient>(std::move(rpc)));
       }
       runtime.client =
           std::make_unique<ShardedGravityClient>(std::move(shards));
     } else {
-      auto rpc = start_rpc(plan_.roles[i], model.name);
+      auto rpc = std::move(rpcs.front());
       switch (model.role) {
         case Role::gravity:
           runtime.client = std::make_unique<GravityClient>(std::move(rpc));
@@ -822,6 +868,13 @@ class GraphRun {
         bed_.network().path_fp_truncate(client_, *host)) {
       dynamics->set_fp32_positions(true);
     }
+  }
+
+  /// Start model i's worker with nothing else in flight.
+  void start(std::size_t i) {
+    finish_start(i, plan_.roles[i].local()
+                        ? std::nullopt
+                        : std::optional<PendingSlot>(request_start(i)));
   }
 
   /// Load the committed checkpoint into a fresh or revived worker. Before the
@@ -861,23 +914,37 @@ class GraphRun {
     }
   }
 
-  /// Bring the models in `slots` up: start a worker for each in order (a
-  /// revived slot keeps the one it has), then load each in order. Deployment
-  /// and recovery alike are exposed to the jungle — a node can crash
-  /// mid-spawn or mid-load, a frontend can die between the re-place decision
-  /// and the submit — so every failed attempt excludes what failed, re-places
-  /// the model (or revives it in place) and starts and loads it again,
-  /// within the budget. Returns the number of failed attempts.
+  /// Bring the models in `slots` up: send the START of every remote worker
+  /// that needs one, in slot order, before waiting on any reply, so their
+  /// jobs deploy at the same time; then finish each start in order (a local
+  /// slot starts here, a revived one keeps the worker it has), then load each
+  /// in order. Deployment and recovery alike are exposed to the jungle — a
+  /// node can crash mid-spawn or mid-load, a frontend can die between the
+  /// re-place decision and the submit — so every failed attempt excludes
+  /// what failed, re-places the model (or revives it in place) and starts
+  /// and loads it again on its own, within the budget. A request still
+  /// pending when this throws closes its connection, and the daemon stops
+  /// that worker. Returns the number of failed attempts.
   int bring_up(const std::vector<std::size_t>& slots) {
     int failures = 0;
     std::vector<bool> started(models_.size(), false);
+    std::map<std::size_t, PendingSlot> pending;
+    for (std::size_t i : slots) {
+      if (!revived_[i] && !plan_.roles[i].local()) {
+        pending.emplace(i, request_start(i));
+      }
+    }
     for (bool loading : {false, true}) {
       for (std::size_t i : slots) {
         for (;;) {
           try {
             if (!started[i] && !revived_[i]) {
-              if (models_[i].client) models_[i].client->close();
-              start(i);
+              auto requested = pending.extract(i);
+              if (requested) {
+                finish_start(i, std::move(requested.mapped()));
+              } else {
+                start(i);
+              }
             }
             started[i] = true;
             if (loading) load(i);
@@ -895,15 +962,15 @@ class GraphRun {
             replace_dead(i);
           } catch (const CodeError& startup) {
             // The daemon could not start the worker (e.g. the frontend died
-            // between the re-place decision and the submit). The resource
-            // is not usable right now — place elsewhere.
+            // between the re-place decision and the submit, or the job
+            // outwaited the cluster queue). Place elsewhere.
             if (!spec_.checkpointing || plan_.roles[i].local()) throw;
             ++failures;
             started[i] = false;
             log::warn("experiment") << "re-placing '" << spec_.models[i].name
                                     << "' after startup failure: "
                                     << startup.what();
-            scheduler_.exclude_resource(plan_.roles[i].resource);
+            exclude_unstartable(plan_.roles[i].resource);
             replace_slot(i);
           }
         }
@@ -930,15 +997,38 @@ class GraphRun {
     faultpoint::reach(faultpoint::Point::recover_exclude, -1, death.host());
     if (death.cause() == WorkerDiedError::Cause::host_crash &&
         !death.host().empty()) {
-      scheduler_.exclude_host(death.host());
-      std::string owner = scheduler_.resource_of(death.host());
-      if (!owner.empty()) {
-        const gat::Resource& res = bed_.deployer().resource(owner);
-        if (res.frontend != nullptr && res.frontend->name() == death.host()) {
-          scheduler_.exclude_resource(owner);
-        }
+      exclude_crashed(death.host());
+    }
+  }
+
+  /// A crashed machine: exclude it, and its whole resource when it is the
+  /// frontend — jobs submit through it even when the compute nodes survive.
+  /// Returns false when the host was already excluded.
+  bool exclude_crashed(const std::string& host) {
+    if (!scheduler_.exclude_host(host)) return false;
+    std::string owner = scheduler_.resource_of(host);
+    if (!owner.empty()) {
+      const gat::Resource& res = bed_.deployer().resource(owner);
+      if (res.frontend != nullptr && res.frontend->name() == host) {
+        scheduler_.exclude_resource(owner);
       }
     }
+    return true;
+  }
+
+  /// A startup failure on a resource that lost machines blames the machines
+  /// that went down, as a host_crash report would: the job may only have
+  /// outwaited a queue whose nodes died. When no machine newly went down,
+  /// the resource itself is not usable right now.
+  void exclude_unstartable(const std::string& resource) {
+    const gat::Resource& res = bed_.deployer().resource(resource);
+    bool blamed = false;
+    std::vector<sim::Host*> hosts = res.nodes;
+    if (res.frontend != nullptr) hosts.push_back(res.frontend);
+    for (sim::Host* host : hosts) {
+      if (!host->is_up()) blamed = exclude_crashed(host->name()) || blamed;
+    }
+    if (!blamed) scheduler_.exclude_resource(resource);
   }
 
   /// A model needs re-placing when its client was poisoned *or* its host is
@@ -1332,6 +1422,7 @@ class GraphRun {
   /// coupling; pull the full states (velocities, internal energy) once for
   /// the diagnostics, plus each model's energies.
   void finish() {
+    result_.models.clear();  // a death mid-read re-reads every model
     std::vector<double> star_mass;
     std::vector<Vec3> star_pos;
     std::vector<double> gas_mass, gas_u;

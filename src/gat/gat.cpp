@@ -105,6 +105,7 @@ void ClusterQueue::update_gauges() const {
 }
 
 std::vector<sim::Host*> ClusterQueue::acquire(int count, bool needs_gpu) {
+  const double deadline = sim_.now() + kMaxQueueWait;
   while (true) {
     // Fail fast when the cluster can never satisfy the request — counting
     // only nodes that are still up, and re-counting after every wait (the
@@ -124,7 +125,12 @@ std::vector<sim::Host*> ClusterQueue::acquire(int count, bool needs_gpu) {
       update_gauges();
       return taken;
     }
-    node_freed_.wait();
+    double left = deadline - sim_.now();
+    if (left <= 0.0 || !node_freed_.wait_for(left)) {
+      throw GatError("no " + std::string(needs_gpu ? "GPU " : "") +
+                     "node came free within " +
+                     std::to_string(kMaxQueueWait) + " s");
+    }
   }
 }
 

@@ -90,7 +90,13 @@ class Job {
 /// and SGE behaviour closely enough for deployment experiments.
 class ClusterQueue {
  public:
-  explicit ClusterQueue(sim::Simulation& sim) : node_freed_(sim) {}
+  /// Longest a job waits in the queue for its nodes, in virtual seconds. A
+  /// node held by a job that will never end (a dead worker's still running
+  /// job, or a GPU node that is the only one left) must surface as a job
+  /// error the script can re-place, not as a start-up that never returns.
+  static constexpr double kMaxQueueWait = 60.0;
+
+  explicit ClusterQueue(sim::Simulation& sim) : sim_(sim), node_freed_(sim) {}
 
   /// Also hooks each node's crash notification: a crashed node leaves the
   /// busy set (its job died with it) and waiters re-check feasibility.
@@ -102,7 +108,8 @@ class ClusterQueue {
 
   /// Block until `count` nodes (optionally GPU nodes) are free, then take
   /// them. Throws GatError if the request can never be satisfied — nodes
-  /// that are down don't count, including ones that crash while we queue.
+  /// that are down don't count, including ones that crash while we queue —
+  /// or when no such nodes came free within kMaxQueueWait.
   std::vector<sim::Host*> acquire(int count, bool needs_gpu);
   void release(const std::vector<sim::Host*>& taken);
 
@@ -115,6 +122,7 @@ class ClusterQueue {
 
   std::vector<sim::Host*> nodes_;
   std::vector<sim::Host*> busy_;
+  sim::Simulation& sim_;
   sim::Signal node_freed_;
   std::string meter_;
 };

@@ -201,7 +201,7 @@ void Ibis::pump_events() {
   try {
     while (true) {
       auto bytes = registry_->recv();
-      if (!bytes) return;  // registry closed us out
+      if (!bytes) break;  // registry closed us out
       util::ByteReader reader(std::move(*bytes));
       auto op = static_cast<wire::Op>(reader.get<std::uint8_t>());
       switch (op) {
@@ -239,6 +239,10 @@ void Ibis::pump_events() {
     // Registry vanished; membership view freezes. Local death is handled by
     // the process being killed with the host.
   }
+  // Nothing changes the view any more: wake whoever waits for a member
+  // that can now never appear.
+  registry_lost_ = true;
+  membership_changed_.notify_all();
 }
 
 void Ibis::handle_event(const RegistryEvent& event) {
@@ -267,6 +271,9 @@ IbisIdentifier Ibis::wait_for_member(const std::string& name) {
     if (std::find(dead_members_.begin(), dead_members_.end(), name) !=
         dead_members_.end()) {
       throw CodeError("ibis instance " + name + " died before joining");
+    }
+    if (registry_lost_) {
+      throw ConnectError("registry lost before " + name + " joined");
     }
     membership_changed_.wait();
   }

@@ -157,7 +157,8 @@ class Ibis {
   }
 
   /// Block until an instance named `name` is in the membership view; returns
-  /// its identifier. Throws CodeError if it died instead.
+  /// its identifier. Throws CodeError if it died instead, and ConnectError
+  /// once the registry connection is gone (the view can no longer change).
   IbisIdentifier wait_for_member(const std::string& name);
 
   /// First-come-first-elected election (blocking round trip to the server).
@@ -203,6 +204,7 @@ class Ibis {
   sim::Signal membership_changed_;
   sim::Mailbox<IbisIdentifier> election_replies_;
   bool left_ = false;
+  bool registry_lost_ = false;  // the event pump has ended
 };
 
 /// Wire helpers shared by registry client and server.

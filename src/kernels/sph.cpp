@@ -314,12 +314,21 @@ void SphSystem::compute_density(std::size_t lo, std::size_t hi) {
   util::ThreadPool& pool = resolve_pool();
   util::PerLane<Neighbours> lists(pool);
   util::PerLane<PassCounts> counts(pool);
-  // Each particle writes only its own rho/h/entropy slots, so the pass is
-  // thread-count independent.
+  // Pressure and sound speed depend only on the particle's own entropy and
+  // density, which are final once its density solve ends: fill them here,
+  // for this slice only, so the force pass's pair loop reads them without a
+  // pow() per pair and no rank refills another's slice.
+  const double gamma = params_.gamma;
+  pressure_.resize(mass_.size());
+  csound_.resize(mass_.size());
+  // Each particle writes only its own rho/h/entropy/pressure slots, so the
+  // pass is thread-count independent.
   pool.parallel_for(lo, hi, 16,
                     [&](std::size_t a, std::size_t b, unsigned lane) {
                       for (std::size_t i = a; i < b; ++i) {
                         density_at(i, lists[lane], counts[lane]);
+                        pressure_[i] = entropy_[i] * std::pow(rho_[i], gamma);
+                        csound_[i] = std::sqrt(gamma * pressure_[i] / rho_[i]);
                       }
                     });
   counts.for_each([&](const PassCounts& c) {
@@ -375,18 +384,6 @@ void SphSystem::force_at(std::size_t i, double h_max, Neighbours& list,
 void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
   double h_max = 0.0;
   for (double h : h_) h_max = std::max(h_max, h);
-  // Hoist pressure and sound speed out of the pair loop: they depend only
-  // on per-particle entropy/density, which are fixed for the whole force
-  // pass, and the pow() per pair dominated the non-neighbour-search cost.
-  // Full-range fill — the pair rule reaches neighbours outside [lo, hi).
-  const double gamma = params_.gamma;
-  const std::size_t n = mass_.size();
-  pressure_.resize(n);
-  csound_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    pressure_[j] = entropy_[j] * std::pow(rho_[j], gamma);
-    csound_[j] = std::sqrt(gamma * pressure_[j] / rho_[j]);
-  }
   util::ThreadPool& pool = resolve_pool();
   util::PerLane<Neighbours> lists(pool);
   util::PerLane<PassCounts> counts(pool);

@@ -49,10 +49,11 @@ class SphSystem {
   // -- phase pieces, exposed for the parallel worker --
   /// Rebuild neighbor structures + gravity tree for the current positions.
   void prepare_step();
-  /// Density & smoothing length for particles [lo, hi).
+  /// Density, smoothing length, pressure and sound speed for particles
+  /// [lo, hi).
   void compute_density(std::size_t lo, std::size_t hi);
   /// Hydro + gravity accelerations and entropy rate for [lo, hi).
-  /// Requires densities for *all* particles.
+  /// Requires compute_density to have covered *all* particles.
   void compute_forces(std::size_t lo, std::size_t hi);
   /// Global timestep from the CFL criterion over [lo, hi) (min-reduce the
   /// per-rank results before integrate()).
@@ -164,8 +165,9 @@ class SphSystem {
   std::vector<double> entropy_;  // A in P = A rho^gamma
   std::vector<double> pending_u_;  // u awaiting first density (-1 = done)
   std::vector<double> h_, rho_;
-  // Per-pass caches: pressure and sound speed from the entropy formulation,
-  // computed once per compute_forces call instead of pow()-per-pair.
+  // Per-substep caches: pressure and sound speed from the entropy
+  // formulation, filled per particle by the density pass instead of
+  // pow()-per-pair in the force pass.
   std::vector<double> pressure_, csound_;
   BarnesHutTree tree_;
   bool simd_ = true;

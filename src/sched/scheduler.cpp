@@ -46,8 +46,8 @@ Scheduler::Scheduler(const sim::Network& net, const sim::Host& client,
                      const std::vector<gat::Resource>& resources)
     : net_(net), client_(client), resources_(resources) {}
 
-void Scheduler::exclude_host(const std::string& host_name) {
-  dead_hosts_.insert(host_name);
+bool Scheduler::exclude_host(const std::string& host_name) {
+  return dead_hosts_.insert(host_name).second;
 }
 
 void Scheduler::exclude_resource(const std::string& resource_name) {
@@ -225,7 +225,10 @@ bool Scheduler::fits(const Placement& placement) const {
   std::map<std::string, int> nodes_used;
   std::map<std::string, int> gpus_used;
   for (const Assignment& a : placement.roles) {
-    if (a.local()) continue;
+    // A slot still pinned to an excluded resource is waiting for its own
+    // re-place (candidates never offer one): it holds nothing another slot
+    // could use, and must not make every other re-place infeasible.
+    if (a.local() || dead_resources_.count(a.resource)) continue;
     nodes_used[a.resource] += a.nodes;
     if (a.spec.needs_gpu()) ++gpus_used[a.resource];
   }
@@ -234,7 +237,7 @@ bool Scheduler::fits(const Placement& placement) const {
     for (const gat::Resource& r : resources_) {
       if (r.name == name) resource = &r;
     }
-    if (resource == nullptr || dead_resources_.count(name)) return false;
+    if (resource == nullptr) return false;
     std::vector<const sim::Host*> live = live_nodes(*resource);
     if (used > static_cast<int>(live.size())) return false;
     int gpus = 0;

@@ -79,8 +79,9 @@ class Scheduler {
   Scheduler(const sim::Network& net, const sim::Host& client,
             const std::vector<gat::Resource>& resources);
 
-  /// A machine died: its resource keeps its surviving nodes.
-  void exclude_host(const std::string& host_name);
+  /// A machine died: its resource keeps its surviving nodes. Returns false
+  /// when the host was already excluded.
+  bool exclude_host(const std::string& host_name);
   /// A resource became unreachable (link fault): drop it wholesale.
   void exclude_resource(const std::string& resource_name);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 
 #include "amuse/experiment.hpp"
@@ -567,6 +568,55 @@ TEST(Experiment, GravityOnlySingleModelRuns) {
   EXPECT_DOUBLE_EQ(result.bound_gas_fraction, 1.0);  // no gas anywhere
   double virial = -2.0 * result.models[0].kinetic / result.models[0].potential;
   EXPECT_NEAR(virial, 1.0, 0.2);
+}
+
+TEST(Experiment, DeploymentStartsWorkersConcurrently) {
+  // The paper's jungle run puts four workers on four sites. Bring-up sends
+  // every START before it waits on any READY, so the four jobs stage in,
+  // queue and boot side by side: deployment costs the slowest site's start,
+  // not the sum of all four (5.41 virtual s when they ran one by one).
+  scenario::Options options;
+  options.n_stars = 64;
+  options.n_gas = 256;
+  options.iterations = 1;
+  ExperimentSpec spec = scenario::classic_spec(scenario::Kind::jungle, options);
+  JungleTestbed bed;
+
+  std::vector<double> spawns;
+  double top_kick = -1.0;
+  obs::trace::reset();
+  obs::trace::set_enabled(true);
+  {
+    faultpoint::ScopedHook hook([&](const faultpoint::Context& at) {
+      if (at.point == faultpoint::Point::spawn_worker) {
+        spawns.push_back(bed.simulation().now());
+      } else if (at.point == faultpoint::Point::step_top_kick &&
+                 at.iteration == 0 && top_kick < 0.0) {
+        top_kick = bed.simulation().now();
+      }
+    });
+    run_experiment(bed, spec);
+  }
+  obs::trace::set_enabled(false);
+  std::vector<obs::trace::SpanRecord> spans = obs::trace::snapshot();
+  obs::trace::reset();
+
+  // Every spawn span runs from its START to its READY.
+  double first_ready = std::numeric_limits<double>::infinity();
+  double last_start = 0.0;
+  int deployed = 0;
+  for (const obs::trace::SpanRecord& span : spans) {
+    if (span.category != "deploy") continue;
+    ++deployed;
+    first_ready = std::min(first_ready, span.sim_end);
+    last_start = std::max(last_start, span.sim_begin);
+  }
+  ASSERT_EQ(spawns.size(), 4u);
+  EXPECT_EQ(deployed, 4);
+  for (double at : spawns) EXPECT_LT(at, first_ready);
+  EXPECT_LT(last_start, first_ready) << "the spawn spans do not overlap";
+  ASSERT_GE(top_kick, 0.0);
+  EXPECT_LT(top_kick, 2.0);
 }
 
 TEST(Experiment, CheckpointCaptureHasAllReadsInFlightAtOnce) {

@@ -255,11 +255,12 @@ TEST(Faults, CrashDuringReplaceSpawnRetries) {
 
 TEST(Faults, CrashAfterFirstSpawnRetriesTheInitialLoad) {
   // Explorer schedule "spawn.worker@-1#1=crash:core-gpu0" on the deep-WAN
-  // ring with 256 bodies per cluster: the first model's host dies while the
-  // second one is being spawned, after the first started and before it got
-  // its initial conditions. Loading them is part of bringing the model up,
-  // so it is re-placed and loaded again instead of the run ending on an
-  // unretried first call.
+  // ring with 256 bodies per cluster: the first model's planned host dies
+  // as the second START goes out. Starting and loading are both part of
+  // bringing a model up, so the model is re-placed, started and loaded
+  // again instead of the run ending on an unretried first call. All STARTs
+  // go out before any job holds a node, so this takes the path of the
+  // test below.
   auto enlarge = [](ExperimentSpec& spec) {
     for (ModelSpec& model : spec.models) {
       if (model.role == sched::Role::gravity) model.n = 256;
@@ -271,6 +272,74 @@ TEST(Faults, CrashAfterFirstSpawnRetriesTheInitialLoad) {
       "deep-wan-ring.ini",
       {Shot{faultpoint::Point::spawn_worker, -1, 1, false, "core-gpu0"}},
       enlarge);
+  EXPECT_EQ(out.fired, 1);
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_GE(out.restarts, 1);
+  EXPECT_EQ(out.digest, gold.digest);
+  EXPECT_LE(out.live, gold.live);
+}
+
+TEST(Faults, CrashAtFirstSpawnReplacesInsteadOfHanging) {
+  // Explorer schedule "spawn.worker@-1#0=crash:core-gpu0" on the same ring:
+  // the GPU host dies as the first START goes out, before any job holds a
+  // node. One gravity job takes the surviving GPU node and the next one
+  // queues for it behind a job that never ends. The bounded queue wait
+  // turns that into a startup failure, which blames the host that went
+  // down rather than the whole cluster, so the model is re-placed onto a
+  // CPU node of the same cluster instead of waiting forever.
+  auto enlarge = [](ExperimentSpec& spec) {
+    for (ModelSpec& model : spec.models) {
+      if (model.role == sched::Role::gravity) model.n = 256;
+    }
+  };
+  Outcome gold = run_example("deep-wan-ring.ini", {}, enlarge);
+  ASSERT_TRUE(gold.completed) << gold.error;
+  Outcome out = run_example(
+      "deep-wan-ring.ini",
+      {Shot{faultpoint::Point::spawn_worker, -1, 0, false, "core-gpu0"}},
+      enlarge);
+  EXPECT_EQ(out.fired, 1);
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_GE(out.restarts, 1);
+  EXPECT_EQ(out.digest, gold.digest);
+  EXPECT_LE(out.live, gold.live);
+  // Only the dead node was blamed: the queued model moves to a CPU node of
+  // the same cluster.
+  EXPECT_NE(out.placement.find("beta=phigrape@core-cluster/core0"),
+            std::string::npos)
+      << out.placement;
+}
+
+TEST(Faults, WanCutDuringConcurrentStartsMovesEveryStrandedModel) {
+  // The client's only WAN link goes down as the last START goes out, while
+  // the first gravity jobs are already booting on the far side. Their
+  // proxies lose the registry before the daemon's pool view reaches them:
+  // waiting for a member that can never appear fails the job instead of
+  // leaving the daemon polling for it forever. Every stage-in behind the
+  // cut fails too, both resources are excluded, and each stranded model
+  // must still find a place (the client) although the others are pinned
+  // to the excluded resources until their own turn.
+  Outcome gold = run_example("deep-wan-ring.ini", {});
+  ASSERT_TRUE(gold.completed) << gold.error;
+  Outcome out = run_example(
+      "deep-wan-ring.ini",
+      {Shot{faultpoint::Point::spawn_worker, -1, 3, true, "edge-haul"}});
+  EXPECT_EQ(out.fired, 1);
+  ASSERT_TRUE(out.completed) << out.error;
+  EXPECT_GE(out.restarts, 4);
+  EXPECT_EQ(out.digest, gold.digest);
+  EXPECT_LE(out.live, gold.live);
+}
+
+TEST(Faults, CrashAfterLastCommitRecoversTheFinalRead) {
+  // A gravity host dies while the last step's checkpoint commits. The run
+  // has no step left to fail in: the loss surfaces when the final state is
+  // read, which recovers like any step, onto the checkpoint just committed.
+  Outcome gold = run_example("deep-wan-ring.ini", {});
+  ASSERT_TRUE(gold.completed) << gold.error;
+  Outcome out = run_example(
+      "deep-wan-ring.ini",
+      {Shot{faultpoint::Point::ckpt_commit, 1, 0, false, "core-gpu0"}});
   EXPECT_EQ(out.fired, 1);
   ASSERT_TRUE(out.completed) << out.error;
   EXPECT_GE(out.restarts, 1);
