@@ -122,10 +122,16 @@ std::vector<Future> Bridge::cross_kick(StateFetches fetched) {
   }
 
   // Phase 2 — every cross-gravity query in flight together, ordered by
-  // target system. Sources and evaluation points ride along only when
-  // their content id changed; an unchanged pair is answered from the
-  // field client's cached accel, with no RPC at all.
+  // target system. The coupler holds one copy of each system's masses and
+  // positions for all the queries that name it, so an array rides along
+  // only the first time its content id changes; an unchanged query is
+  // answered from the field client's cached accel, with no RPC at all.
   obs::trace::Span queries_phase = obs::trace::span("field_queries", "bridge");
+  auto named = [&](int system) {
+    const DynamicsClient& d = *systems_[system].dynamics;
+    return FieldClient::System{system, d.mass_id(), d.mass(), d.position_id(),
+                               d.position()};
+  };
   std::vector<PendingQuery> queries;
   for (int target = 0; target < static_cast<int>(systems_.size()); ++target) {
     for (int c = 0; c < static_cast<int>(couplings_.size()); ++c) {
@@ -133,13 +139,10 @@ std::vector<Future> Bridge::cross_kick(StateFetches fetched) {
       if (coupling.a != target && coupling.b != target) continue;
       int dir = coupling.a == target ? 0 : 1;
       int source = coupling.a == target ? coupling.b : coupling.a;
-      DynamicsClient& src = *systems_[source].dynamics;
-      DynamicsClient& tgt = *systems_[target].dynamics;
-      PendingQuery query{
-          c, dir, target, source,
-          coupling.field->accel_for_async(
-              pair_field_tag(c, dir), src.coupling_sources_id(), src.mass(),
-              src.position(), tgt.position_id(), tgt.position())};
+      PendingQuery query{c, dir, target, source,
+                         coupling.field->accel_for_async(
+                             pair_field_tag(c, dir), named(source),
+                             named(target))};
       queries.push_back(std::move(query));
     }
   }

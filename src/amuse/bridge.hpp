@@ -34,7 +34,11 @@ namespace jungle::amuse {
 ///    by settle(), which a caller runs before it commits a checkpoint.
 /// A steady step therefore waits on one round trip for the evolve (with the
 /// fetch behind it) and one for the bottom kick's field queries; the
-/// stellar update adds none on a remote model.
+/// stellar update adds none on a remote model. A field worker holds one
+/// copy of each coupled system's masses and positions, named by the
+/// system's index in `systems` and its content ids, for every coupling and
+/// direction that names the system: a step ships each system's fresh
+/// positions to it once, and masses only after a mass update.
 class Bridge {
  public:
   /// One evolving model in the graph. The name feeds the call trace

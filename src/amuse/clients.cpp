@@ -212,36 +212,41 @@ Future GravityClient::ghost_update_async(std::size_t base,
   return rpc_->call(Fn::grav_ghost_update, std::move(args));
 }
 
-std::optional<Future> FieldClient::accel_for_async(
-    FieldTag tag, StateId sources_id, std::span<const double> source_mass,
-    std::span<const Vec3> source_position, StateId points_id,
-    std::span<const Vec3> points) {
+std::optional<Future> FieldClient::accel_for_async(FieldTag tag,
+                                                   const System& source,
+                                                   const System& target) {
   TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
-  // The worker would find the same nonzero ids its cached accel was
-  // computed for and reply "unchanged": answer that here, without the RPC.
-  if (sources_id != 0 && points_id != 0 &&
-      record.accel_sources_id == sources_id &&
-      record.accel_points_id == points_id) {
+  record.asked = {source.mass_id, source.position_id, target.position_id};
+  // The worker would compute the accel of these same nonzero ids again:
+  // answer here, without the RPC.
+  if (source.mass_id != 0 && source.position_id != 0 &&
+      target.position_id != 0 && record.answered == record.asked) {
     return std::nullopt;
   }
-  bool send_sources = sources_id == 0 || record.sources_id != sources_id;
-  bool send_points = points_id == 0 || record.points_id != points_id;
+  // An array ships when the worker does not hold it under `id`; shipping
+  // it replaces what the worker holds (a zero id is held as unknown).
+  auto ships = [](StateId id, StateId& held) {
+    bool ship = id == 0 || held != id;
+    if (ship) held = id;
+    return ship;
+  };
+  Held& src = held_[source.index];
+  Held& tgt = held_[target.index];
+  bool ship_mass = ships(source.mass_id, src.mass_id);
+  bool ship_position = ships(source.position_id, src.position_id);
+  bool ship_points = ships(target.position_id, tgt.position_id);
   util::ByteWriter args = RpcClient::request();
-  args.put<std::uint64_t>(static_cast<std::uint64_t>(tag));
-  args.put<StateId>(sources_id);
-  args.put<StateId>(points_id);
-  std::uint64_t flags = (send_sources ? accel_flags::has_sources : 0) |
-                        (send_points ? accel_flags::has_points : 0);
-  args.put<std::uint64_t>(flags);
-  if (send_sources) {
-    put_span_of(args, source_mass);
-    put_span_of(args, source_position);
-    record.sources_id = sources_id;
-  }
-  if (send_points) {
-    put_span_of(args, points);
-    record.points_id = points_id;
-  }
+  args.put<std::uint64_t>(static_cast<std::uint64_t>(source.index));
+  args.put<StateId>(source.mass_id);
+  args.put<StateId>(source.position_id);
+  args.put<std::uint64_t>(static_cast<std::uint64_t>(target.index));
+  args.put<StateId>(target.position_id);
+  args.put<std::uint64_t>((ship_mass ? accel_flags::source_mass : 0) |
+                          (ship_position ? accel_flags::source_position : 0) |
+                          (ship_points ? accel_flags::target_position : 0));
+  if (ship_mass) put_span_of(args, source.mass);
+  if (ship_position) put_span_of(args, source.position);
+  if (ship_points) put_span_of(args, target.position);
   return rpc_->call(Fn::field_accel_for, std::move(args));
 }
 
@@ -251,9 +256,7 @@ const std::vector<Vec3>& FieldClient::finish_accel(
   if (!reply) return record.accel;  // known "unchanged", answered locally
   util::ByteReader reader = reply->get();
   record.accel = reader.get_vector<Vec3>();
-  // accel_for_async left the query's ids in sources_id/points_id.
-  record.accel_sources_id = record.sources_id;
-  record.accel_points_id = record.points_id;
+  record.answered = record.asked;
   return record.accel;
 }
 

@@ -23,9 +23,10 @@ using kernels::Vec3;
 /// fields that changed since travel back (delta exchange). They also know
 /// when that cache's coupling fields provably equal the worker's, so the
 /// bridge can skip a fetch whose reply would carry nothing. The field proxy
-/// keeps per-direction source/point/accel caches and answers a query whose
-/// inputs the cached accel was computed from itself; the coupler worker
-/// computes every query that reaches it.
+/// records which of each coupled system's masses and positions its worker
+/// holds, so every array crosses the wire once per change, and answers a
+/// query whose inputs its cached accel was computed from itself; the
+/// coupler worker computes every query that reaches it.
 /// The delta exchange is always on; a client with empty caches simply asks
 /// for, and receives, everything.
 
@@ -45,7 +46,7 @@ struct HydroState {
 
 /// Client half of the delta state exchange, shared by the gravity and hydro
 /// proxies: what we hold, at which content id, and the per-field change ids
-/// the last reply reported (these feed the coupler's source/point tags).
+/// the last reply reported (these name what the coupler holds).
 /// Cache invalidation is by construction, not by reset: the fault path
 /// builds fresh clients (empty caches) and restarted workers mint fresh
 /// state-id instances, so stale entries can never match.
@@ -119,10 +120,9 @@ class DynamicsClient : public ModelClient {
   virtual std::span<const double> mass() const = 0;
   virtual std::span<const Vec3> position() const = 0;
 
-  /// Content ids for the coupler's caches (0 until the field was fetched).
-  virtual StateId coupling_sources_id() const {
-    return combine_state_ids(info_.field_ids[0], info_.field_ids[1]);
-  }
+  /// Content ids of the cached coupling fields, under which the coupler
+  /// holds them (0 until the field was fetched).
+  virtual StateId mass_id() const { return info_.field_ids[0]; }
   virtual StateId position_id() const { return info_.field_ids[1]; }
 
   /// Apply Δv_i = accel_i * dt, multiplied on the worker. An unchanged
@@ -263,32 +263,59 @@ class FieldClient : public ModelClient {
   explicit FieldClient(std::unique_ptr<RpcClient> rpc)
       : ModelClient(std::move(rpc)) {}
 
+  /// A coupled system as a query names it: its bridge system index and its
+  /// coupling fields under their content ids (0: unknown, always shipped).
+  /// A query reads a target's positions only.
+  struct System {
+    int index = 0;
+    StateId mass_id = 0;
+    std::span<const double> mass;
+    StateId position_id = 0;
+    std::span<const Vec3> position;
+  };
+
   /// One-shot epoch-tagged cross-gravity query (the pipelined data path):
-  /// sources and points are only uploaded when their content id differs
-  /// from what the worker already caches under `tag`. When the last accel
-  /// under `tag` was computed for exactly these (nonzero) ids, the answer
-  /// is known to be unchanged: no RPC is issued and nullopt comes back for
-  /// finish_accel to resolve from the locally cached accel.
-  std::optional<Future> accel_for_async(FieldTag tag, StateId sources_id,
-                                        std::span<const double> source_mass,
-                                        std::span<const Vec3> source_position,
-                                        StateId points_id,
-                                        std::span<const Vec3> points);
+  /// the accel of `source`'s gravity at `target`'s positions. The worker
+  /// holds one copy of each system's masses and positions, shared by every
+  /// query that names the system; an array is only uploaded when the worker
+  /// does not hold it under its current id. When the last accel under `tag`
+  /// was computed for exactly these (nonzero) ids, the answer is known to
+  /// be unchanged: no RPC is issued and nullopt comes back for finish_accel
+  /// to resolve from the locally cached accel.
+  std::optional<Future> accel_for_async(FieldTag tag, const System& source,
+                                        const System& target);
   const std::vector<Vec3>& finish_accel(FieldTag tag,
                                         std::optional<Future>& reply);
 
-  void reset_delta_caches() override { tags_.clear(); }
+  void reset_delta_caches() override {
+    held_.clear();
+    tags_.clear();
+  }
 
  private:
+  /// The ids under which the worker holds one system's arrays, as of the
+  /// last frame sent (0: nothing usable). Updated only when a frame ships
+  /// the array; the pipe's FIFO order keeps it in step with the worker.
+  struct Held {
+    StateId mass_id = 0;
+    StateId position_id = 0;
+  };
+  /// The ids an accel is computed from.
+  struct Inputs {
+    StateId source_mass = 0;
+    StateId source_position = 0;
+    StateId target_position = 0;
+    bool operator==(const Inputs&) const = default;
+  };
   struct TagRecord {
-    StateId sources_id = 0;
-    StateId points_id = 0;
     std::vector<Vec3> accel;
-    /// The ids `accel` was computed for; 0 until a reply landed.
-    StateId accel_sources_id = 0;
-    StateId accel_points_id = 0;
+    /// The query in flight, and the one `accel` answers (zero ids until a
+    /// reply landed).
+    Inputs asked;
+    Inputs answered;
   };
 
+  std::map<int, Held> held_;
   std::map<std::uint64_t, TagRecord> tags_;
 };
 

@@ -91,7 +91,7 @@ inline void get_positions_f32(util::ByteReader& in,
 /// "unknown" and never matches. A restarted worker mints a fresh instance,
 /// so ids from before a fault-path rollback can never be mistaken for
 /// current content — that is what invalidates every downstream cache
-/// (client state caches, the coupler's source/point/accel caches) on
+/// (client state caches, the coupler's held systems and accel shortcuts) on
 /// rollback/replay.
 using StateId = std::uint64_t;
 
@@ -145,11 +145,11 @@ struct StateEpochs {
   }
 };
 
-/// Tags of the coupler's cross-gravity directions: which cached source/point
-/// set an accel query refers to. The two classic Fig-7 directions keep their
-/// historic values; an experiment graph derives one tag per coupling
-/// direction with pair_field_tag (coupling 0's two directions are exactly
-/// gas_on_stars / stars_on_gas).
+/// Tags of the coupler's cross-gravity directions: which of the field
+/// client's cached accels a query refers to. The two classic Fig-7
+/// directions keep their historic values; an experiment graph derives one
+/// tag per coupling direction with pair_field_tag (coupling 0's two
+/// directions are exactly gas_on_stars / stars_on_gas).
 enum class FieldTag : std::uint64_t { gas_on_stars = 0, stars_on_gas = 1 };
 
 /// Tag of direction `dir` (0 = accel on system a, 1 = accel on system b) of
@@ -177,10 +177,18 @@ namespace se_mass_flags {
 inline constexpr std::uint64_t full = 1;
 }
 
-/// Flag bits of the field_accel_for exchange.
+/// Flag bits of the field_accel_for exchange: one per array the frame
+/// carries. The coupler holds one copy of each coupled system's masses and
+/// positions; a frame ships an array only when the coupler does not hold it
+/// under the id the frame names. The frame is
+///   [u64 source system][StateId source mass id][StateId source position id]
+///   [u64 target system][StateId target position id][u64 flags]
+/// then [source masses] [source positions] [target positions], each present
+/// only when its flag is set.
 namespace accel_flags {
-inline constexpr std::uint64_t has_sources = 1;
-inline constexpr std::uint64_t has_points = 2;
+inline constexpr std::uint64_t source_mass = 1;
+inline constexpr std::uint64_t source_position = 2;
+inline constexpr std::uint64_t target_position = 4;
 }
 
 }  // namespace jungle::amuse

@@ -904,7 +904,7 @@ class GraphRun {
         }
         break;
       case Role::coupler:
-        break;  // a fresh client ships sources and points on its first query
+        break;  // a fresh client ships every array its first query names
       case Role::stellar:
         model.stellar().add_stars(model.zams);
         if (committed_.time > 0.0) {

@@ -14,9 +14,10 @@ namespace jungle::amuse {
 /// dies (WorkerDiedError from the RPC layer), it starts a replacement on
 /// another resource and reloads the checkpoint. Both evolving model kinds
 /// are covered — gravity (phiGRAPE) and hydro (Gadget). The coupling field
-/// kernel (Octgrav/Fi) needs no checkpoint: it evaluates only the sources
-/// and points each query ships, and a replaced or revived coupler's client
-/// starts with empty caches, so its first query ships both. Together this
+/// kernel (Octgrav/Fi) needs no checkpoint: it holds only copies of the
+/// coupled systems' masses and positions, and a replaced or revived
+/// coupler's client starts with empty records, so its first query ships
+/// every array it names. Together this
 /// lets the placement scheduler re-place any kernel mid-run, not just the
 /// star cluster.
 ///

@@ -145,11 +145,9 @@ const GravityState& ShardedGravityClient::finish_state(
   return cache_;
 }
 
-StateId ShardedGravityClient::coupling_sources_id() const {
+StateId ShardedGravityClient::mass_id() const {
   StateId id = 0;
-  for (const auto& sub : subs_) {
-    id = combine_state_ids(id, sub->coupling_sources_id());
-  }
+  for (const auto& sub : subs_) id = combine_state_ids(id, sub->mass_id());
   return id;
 }
 

@@ -46,7 +46,7 @@ class ShardedGravityClient : public GravityClient {
   const GravityState& finish_state(Future& reply,
                                    std::uint64_t want_mask) override;
 
-  StateId coupling_sources_id() const override;
+  StateId mass_id() const override;
   StateId position_id() const override;
   /// Current only when every shard's owned slice is.
   bool coupling_current() const noexcept override;

@@ -132,7 +132,8 @@ void check_columns(const char* what, std::initializer_list<std::size_t> sizes) {
     if (size != *sizes.begin()) {
       std::string lengths;
       for (std::size_t each : sizes) {
-        lengths += (lengths.empty() ? "" : "/") + std::to_string(each);
+        if (!lengths.empty()) lengths += '/';
+        lengths += std::to_string(each);
       }
       throw CodeError(std::string(what) + ": column lengths " + lengths +
                       " differ");
@@ -383,62 +384,103 @@ Dispatcher make_gravity_dispatcher(
   };
 }
 
-/// Per-direction cache of the coupler worker: the last sources and points a
-/// client shipped under a tag (with their content ids), so a query re-ships
-/// only what changed. `accel` holds the last reply's payload, which the
-/// reply frame points at. Whether a query's answer is already known is the
-/// client's decision alone: every query that arrives is computed.
-struct FieldTagCache {
-  std::vector<double> source_mass;
-  std::vector<Vec3> source_position;
-  StateId sources_id = 0;
-  std::vector<Vec3> points;
-  StateId points_id = 0;
+/// The coupler worker's copy of one coupled system's masses and positions,
+/// each under the content id it arrived with (0: unknown, never matches).
+/// Every query that names the system, as sources or as points, reads this
+/// one copy, so a client ships each array once per change. Whether a
+/// query's answer is already known is the client's decision alone: every
+/// query that arrives is computed.
+struct HeldSystem {
+  std::vector<double> mass;
+  StateId mass_id = 0;
+  std::vector<Vec3> position;
+  StateId position_id = 0;
+};
+
+/// One array of a field_accel_for frame: the frame's own copy when it
+/// shipped one, else the held copy, which must be held under `id`.
+template <typename T>
+std::span<const T> frame_or_held(util::ByteReader& args, bool shipped,
+                                 const std::vector<T>& held, StateId held_id,
+                                 StateId id, std::uint64_t system,
+                                 const char* what) {
+  if (shipped) return args.get_span<T>();
+  if (held_id == 0 || held_id != id) {
+    throw CodeError("field: system " + std::to_string(system) + "'s " + what +
+                    " under id " + std::to_string(id) + " are not held");
+  }
+  return held;
+}
+
+/// What the coupler holds: one entry per coupled system, by bridge system
+/// index, and the last reply's payload, which the reply frame points at.
+struct FieldHolding {
+  std::map<std::uint64_t, HeldSystem> systems;
   std::vector<Vec3> accel;
 };
 
 /// Octgrav/Fi worker: tree gravity field evaluations.
 Dispatcher make_field_dispatcher(
     std::shared_ptr<kernels::BarnesHutTree> field, WorkerCost cost) {
-  auto tags = std::make_shared<std::map<std::uint64_t, FieldTagCache>>();
-  return [field, cost, tags](Fn fn,
-                             util::ByteReader& args) -> util::ByteWriter {
+  auto holding = std::make_shared<FieldHolding>();
+  return [field, cost, holding](Fn fn,
+                                util::ByteReader& args) -> util::ByteWriter {
     util::ByteWriter result = reply_writer();
     switch (fn) {
       case Fn::field_accel_for: {
-        auto tag = args.get<std::uint64_t>();
-        auto sources_id = args.get<StateId>();
+        auto source = args.get<std::uint64_t>();
+        auto mass_id = args.get<StateId>();
+        auto position_id = args.get<StateId>();
+        auto target = args.get<std::uint64_t>();
         auto points_id = args.get<StateId>();
         auto flags = args.get<std::uint64_t>();
-        FieldTagCache& cache = (*tags)[tag];
-        if (flags & accel_flags::has_sources) {
-          auto mass = args.get_span<double>();
-          auto position = args.get_span<Vec3>();
-          check_columns("field_accel_for", {mass.size(), position.size()});
-          cache.source_mass.assign(mass.begin(), mass.end());
-          cache.source_position.assign(position.begin(), position.end());
-          cache.sources_id = sources_id;
-        } else if (cache.sources_id == 0 || cache.sources_id != sources_id) {
-          throw CodeError("field: no cached sources for tag " +
-                          std::to_string(tag));
+        if (source == target) {
+          throw CodeError("field: system " + std::to_string(source) +
+                          " is both the source and the target");
         }
-        if (flags & accel_flags::has_points) {
-          auto points = args.get_span<Vec3>();
-          cache.points.assign(points.begin(), points.end());
-          cache.points_id = points_id;
-        } else if (cache.points_id == 0 || cache.points_id != points_id) {
-          throw CodeError("field: no cached points for tag " +
-                          std::to_string(tag));
+        // Resolve every array before changing any held one: a frame that
+        // names an id the coupler does not hold changes nothing.
+        static const HeldSystem kNone;
+        auto held = [&](std::uint64_t system) -> const HeldSystem& {
+          auto found = holding->systems.find(system);
+          return found == holding->systems.end() ? kNone : found->second;
+        };
+        const HeldSystem& src = held(source);
+        const HeldSystem& tgt = held(target);
+        auto mass = frame_or_held<double>(
+            args, flags & accel_flags::source_mass, src.mass, src.mass_id,
+            mass_id, source, "masses");
+        auto position = frame_or_held<Vec3>(
+            args, flags & accel_flags::source_position, src.position,
+            src.position_id, position_id, source, "positions");
+        auto points = frame_or_held<Vec3>(
+            args, flags & accel_flags::target_position, tgt.position,
+            tgt.position_id, points_id, target, "positions");
+        check_columns("field_accel_for", {mass.size(), position.size()});
+        // Hold what the frame shipped (views into the receive buffer).
+        HeldSystem& sources = holding->systems[source];
+        HeldSystem& targets = holding->systems[target];
+        if (flags & accel_flags::source_mass) {
+          sources.mass.assign(mass.begin(), mass.end());
+          sources.mass_id = mass_id;
         }
-        field->build(cache.source_position, cache.source_mass);
-        charge(cost, static_cast<double>(cache.source_position.size()) *
+        if (flags & accel_flags::source_position) {
+          sources.position.assign(position.begin(), position.end());
+          sources.position_id = position_id;
+        }
+        if (flags & accel_flags::target_position) {
+          targets.position.assign(points.begin(), points.end());
+          targets.position_id = points_id;
+        }
+        field->build(sources.position, sources.mass);
+        charge(cost, static_cast<double>(sources.position.size()) *
                          kernels::BarnesHutTree::kBuildFlopsPerParticle);
         auto before = field->interactions();
-        cache.accel.resize(cache.points.size());
-        field->accel_at(cache.points, cache.accel);
+        holding->accel.resize(targets.position.size());
+        field->accel_at(targets.position, holding->accel);
         charge(cost, static_cast<double>(field->interactions() - before) *
                          kernels::BarnesHutTree::kFlopsPerInteraction);
-        result.put_span_view(std::span<const Vec3>(cache.accel));
+        result.put_span_view(std::span<const Vec3>(holding->accel));
         return result;
       }
       default:

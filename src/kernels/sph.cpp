@@ -35,6 +35,7 @@ int SphSystem::add_particle(double mass, Vec3 position, Vec3 velocity,
   entropy_.push_back(internal_energy * (params_.gamma - 1.0));
   pending_u_.push_back(internal_energy);
   h_.push_back(0.1);
+  h_max_current_ = false;
   rho_.push_back(1.0);
   return static_cast<int>(mass_.size()) - 1;
 }
@@ -311,6 +312,7 @@ void SphSystem::density_at(std::size_t i, Neighbours& list,
 }
 
 void SphSystem::compute_density(std::size_t lo, std::size_t hi) {
+  h_max_current_ = false;  // this pass moves smoothing lengths
   util::ThreadPool& pool = resolve_pool();
   util::PerLane<Neighbours> lists(pool);
   util::PerLane<PassCounts> counts(pool);
@@ -382,8 +384,13 @@ void SphSystem::force_at(std::size_t i, double h_max, Neighbours& list,
 }
 
 void SphSystem::compute_forces(std::size_t lo, std::size_t hi) {
-  double h_max = 0.0;
-  for (double h : h_) h_max = std::max(h_max, h);
+  // Every slice's force pass after one density pass shares one h_max.
+  if (!h_max_current_) {
+    h_max_ = 0.0;
+    for (double h : h_) h_max_ = std::max(h_max_, h);
+    h_max_current_ = true;
+  }
+  const double h_max = h_max_;
   util::ThreadPool& pool = resolve_pool();
   util::PerLane<Neighbours> lists(pool);
   util::PerLane<PassCounts> counts(pool);

@@ -165,6 +165,11 @@ class SphSystem {
   std::vector<double> entropy_;  // A in P = A rho^gamma
   std::vector<double> pending_u_;  // u awaiting first density (-1 = done)
   std::vector<double> h_, rho_;
+  /// The largest smoothing length, computed by the first force pass after
+  /// a density pass and shared by every slice's force pass (a rank-parallel
+  /// model runs one per rank) until the next density pass.
+  double h_max_ = 0.0;
+  bool h_max_current_ = false;
   // Per-substep caches: pressure and sound speed from the entropy
   // formulation, filled per particle by the density pass instead of
   // pow()-per-pair in the force pass.

@@ -68,13 +68,13 @@ double ghost_push_bytes(std::size_t n, int workers, bool fp_truncate) {
          2.0 * static_cast<double>(k) * kCallOverheadBytes;
 }
 
-double coupling_upload_bytes(std::size_t n_a, std::size_t n_b) {
-  // The post-evolve coupler queries upload both directions' fresh inputs:
-  // b's sources (mass+pos) + a's points, a's sources + b's points.
-  double a = static_cast<double>(n_a);
-  double b = static_cast<double>(n_b);
-  return 2.0 * kCallOverheadBytes + (b * 32.0 + a * 24.0) +
-         (a * 32.0 + b * 24.0);
+double coupling_upload_bytes(std::size_t held_particles, int queries) {
+  // The coupler holds one copy of each coupled system's masses and
+  // positions for every query that names it: after an evolve each system's
+  // fresh positions cross its wire once, as sources or as points, and the
+  // unchanged masses stay put.
+  return static_cast<double>(queries) * kCallOverheadBytes +
+         static_cast<double>(held_particles) * 24.0;
 }
 
 double coupling_reply_bytes(std::size_t n_a, std::size_t n_b) {

@@ -116,9 +116,9 @@ LinkCost link_between(const sim::Network& net, const sim::Host& client,
 // The communication term prices what the overhauled path actually ships
 // (measured against scenario runs: see DESIGN.md "Wide-area data path"),
 // not the naive full-state volumes. One bridge step runs two cross-kicks:
-// the post-evolve one moves changed positions, fresh coupler sources/points
-// and fresh accel+dt kicks; the post-kick one is all cache hits —
-// header-only RPCs and 16-byte kick repeats.
+// the post-evolve one moves changed positions, each coupled system's fresh
+// positions to its coupler once and fresh accel+dt kicks; the post-kick one
+// is all cache hits — header-only RPCs and 16-byte kick repeats.
 
 /// Fixed per-RPC overhead: frame header (16 bytes each direction, with the
 /// trace span id) + connection framing + the delta bookkeeping fields
@@ -132,7 +132,10 @@ inline constexpr double kKickHeaderBytes = 16.0;
 /// Changed positions after an evolve: 24 B/particle, or 12 B/particle when
 /// the path opted into f32 truncation.
 double state_fetch_bytes(std::size_t n, bool fp_truncate);
-double coupling_upload_bytes(std::size_t n_a, std::size_t n_b);
+/// One field worker's post-evolve queries: `queries` calls that together
+/// upload the fresh positions of the coupled systems it holds,
+/// `held_particles` in total, each system once.
+double coupling_upload_bytes(std::size_t held_particles, int queries);
 double coupling_reply_bytes(std::size_t n_a, std::size_t n_b);
 double kick_bytes(std::size_t n);                           // accel + dt
 

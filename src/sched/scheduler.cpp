@@ -374,22 +374,32 @@ double Scheduler::score_graph(const Workload& load,
     for (int f = 0; f < slots; ++f) {
       if (models[static_cast<std::size_t>(f)].role != Role::coupler) continue;
       const LinkCost& link = wire[static_cast<std::size_t>(f)];
-      double fresh_bytes = 0.0, idle_calls = 0.0, compute = 0.0;
-      bool used = false;
+      // The worker holds each coupled system once, whatever number of its
+      // couplings name it, so each system's positions cross its wire once.
+      std::vector<bool> held(static_cast<std::size_t>(slots), false);
+      double reply_bytes = 0.0, compute = 0.0;
+      int queries = 0;
       for (const CouplingLoad& c : load.couplings) {
         if (c.field != f) continue;
-        used = true;
+        held[static_cast<std::size_t>(c.a)] = true;
+        held[static_cast<std::size_t>(c.b)] = true;
         std::size_t n_a = models[static_cast<std::size_t>(c.a)].n;
         std::size_t n_b = models[static_cast<std::size_t>(c.b)].n;
-        fresh_bytes +=
-            coupling_upload_bytes(n_a, n_b) + coupling_reply_bytes(n_a, n_b);
-        idle_calls += 2.0;
+        reply_bytes += coupling_reply_bytes(n_a, n_b);
+        queries += 2;
         compute += coupler_compute_seconds(n_a, n_b, rate(f));
       }
-      if (!used) continue;
+      if (queries == 0) continue;
+      std::size_t held_particles = 0;
+      for (int i = 0; i < slots; ++i) {
+        if (held[static_cast<std::size_t>(i)]) {
+          held_particles += models[static_cast<std::size_t>(i)].n;
+        }
+      }
       compute *= calibration_.scale_for(models[static_cast<std::size_t>(f)].name);
-      double fresh = link.call_seconds(fresh_bytes);
-      double idle = link.call_seconds(idle_calls * kCallOverheadBytes);
+      double fresh = link.call_seconds(
+          coupling_upload_bytes(held_particles, queries) + reply_bytes);
+      double idle = link.call_seconds(queries * kCallOverheadBytes);
       field_fresh = std::max(field_fresh, fresh);
       field_idle = std::max(field_idle, idle);
       field_compute = std::max(field_compute, compute);

@@ -30,9 +30,8 @@ class ByteWriter {
 
   /// Reserve `prefix` zeroed bytes at the very start of the buffer. They are
   /// part of size() and take(); fill them with patch().
-  explicit ByteWriter(std::size_t prefix) : prefix_(prefix) {
-    tail_.resize(prefix, 0);
-  }
+  explicit ByteWriter(std::size_t prefix)
+      : tail_(prefix, 0), prefix_(prefix) {}
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>

@@ -11,6 +11,7 @@
 #include "amuse/rpc.hpp"
 #include "amuse/units.hpp"
 #include "amuse/workers.hpp"
+#include "obs/metrics.hpp"
 
 using namespace jungle;
 using namespace jungle::amuse;
@@ -186,8 +187,9 @@ TEST(AmuseLocal, FieldWorkerComputesCrossGravity) {
     std::vector<double> masses{1.0};
     std::vector<Vec3> sources{{0, 0, 0}};
     std::vector<Vec3> points{{2, 0, 0}};
-    auto reply = field.accel_for_async(FieldTag::gas_on_stars, 0, masses,
-                                       sources, 0, points);
+    auto reply = field.accel_for_async(FieldTag::gas_on_stars,
+                                       {0, 0, masses, 0, sources},
+                                       {1, 0, {}, 0, points});
     const auto& accel = field.finish_accel(FieldTag::gas_on_stars, reply);
     ASSERT_EQ(accel.size(), 1u);
     // Point mass: |a| = 1/4 at r=2 (small softening).
@@ -198,33 +200,144 @@ TEST(AmuseLocal, FieldWorkerComputesCrossGravity) {
 
 TEST(AmuseLocal, FieldQueryFromAResetClientIsRecomputed) {
   // A revived coupler's client forgets what it shipped; the worker keeps
-  // its tag cache. The same query, asked again with the same nonzero ids,
+  // what it holds. The same query, asked again with the same nonzero ids,
   // must come back computed, not as a reply the client can no longer
-  // resolve.
+  // resolve, and it re-ships every array. A source worker that restarts
+  // mints fresh ids for the same content: the next query re-ships that
+  // system's arrays, and only those.
   LocalWorld w;
   w.run([&] {
-    WorkerSpec spec;
-    spec.code = "fi";
-    FieldClient field(start_local_worker(w.sockets, w.net, *w.desktop,
-                                         *w.desktop, spec,
-                                         ChannelKind::socket));
-    std::vector<double> masses{1.0, 0.5};
-    std::vector<Vec3> sources{{0, 0, 0}, {0, 1, 0}};
-    std::vector<Vec3> points{{2, 0, 0}, {0, 0, 3}};
-    const auto tag = FieldTag::stars_on_gas;
-    auto query = [&] {
-      auto reply = field.accel_for_async(tag, make_state_id(4, 1), masses,
-                                         sources, make_state_id(5, 1), points);
-      EXPECT_TRUE(reply.has_value());
-      return field.finish_accel(tag, reply);
+    auto local = [&](WorkerSpec spec) {
+      return start_local_worker(w.sockets, w.net, *w.desktop, *w.desktop,
+                                spec, ChannelKind::socket);
     };
-    std::vector<Vec3> first = query();
+    FieldClient field(local({.code = "fi"}));
+    field.rpc().set_meter("reset-probe");
+    obs::metrics::Counter& sent =
+        obs::metrics::counter("rpc.reset-probe.bytes_out");
+    util::Rng rng(12);
+    auto model = ic::plummer_sphere(8, rng);
+    std::vector<Vec3> points{{2, 0, 0}, {0, 0, 3}};
+    const FieldClient::System target{1, 0, {}, make_state_id(5, 1), points};
+    const auto tag = FieldTag::stars_on_gas;
+    // The accel and the request bytes of one query that must reach the
+    // worker.
+    auto query = [&](const FieldClient::System& source) {
+      double before = sent.value();
+      auto reply = field.accel_for_async(tag, source, target);
+      EXPECT_TRUE(reply.has_value());
+      std::vector<Vec3> accel = field.finish_accel(tag, reply);
+      return std::pair{accel, sent.value() - before};
+    };
+    auto same = [](const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+    };
+    constexpr double kQuery = kRequestHeaderBytes + 6 * sizeof(std::uint64_t);
+    const double masses = 8.0 + 8.0 * static_cast<double>(model.mass.size());
+    const double positions =
+        8.0 + 24.0 * static_cast<double>(model.position.size());
+
+    auto loaded = [&] {
+      auto client = std::make_unique<GravityClient>(
+          local({.code = "phigrape", .ncores = 1}));
+      client->add_particles(model.mass, model.position, model.velocity);
+      client->get_state();
+      return client;
+    };
+    auto named = [](const GravityClient& stars) {
+      return FieldClient::System{0, stars.mass_id(), stars.mass(),
+                                 stars.position_id(), stars.position()};
+    };
+    auto stars = loaded();
+    auto [first, first_bytes] = query(named(*stars));
+    EXPECT_EQ(first_bytes,
+              kQuery + masses + positions + (8.0 + 24.0 * points.size()));
+
     field.reset_delta_caches();
-    std::vector<Vec3> again = query();
-    ASSERT_EQ(again.size(), first.size());
-    EXPECT_EQ(std::memcmp(again.data(), first.data(),
-                          first.size() * sizeof(Vec3)),
-              0);
+    auto [again, again_bytes] = query(named(*stars));
+    EXPECT_TRUE(same(again, first));
+    EXPECT_EQ(again_bytes, first_bytes);
+
+    // The restarted source worker serves the very same particles.
+    stars->close();
+    stars = loaded();
+    auto [restarted, restarted_bytes] = query(named(*stars));
+    EXPECT_TRUE(same(restarted, first));
+    EXPECT_EQ(restarted_bytes, kQuery + masses + positions);
+    stars->close();
+    field.close();
+  });
+}
+
+TEST(AmuseLocal, CouplingStepShipsEachSystemsArraysOnce) {
+  // The coupler holds one copy of each coupled system's masses and
+  // positions, whichever direction names it: a coupling step's two queries
+  // ship each system's positions once, and its masses only when its mass
+  // id moved.
+  LocalWorld w;
+  w.run([&] {
+    auto local = [&](WorkerSpec spec) {
+      return start_local_worker(w.sockets, w.net, *w.desktop, *w.desktop,
+                                spec, ChannelKind::socket);
+    };
+    GravityClient stars(local({.code = "phigrape", .ncores = 1}));
+    HydroClient gas(local({.code = "gadget"}));
+    FieldClient field(local({.code = "fi"}));
+    field.rpc().set_meter("coupling-step-probe");
+    obs::metrics::Counter& sent =
+        obs::metrics::counter("rpc.coupling-step-probe.bytes_out");
+    util::Rng rng(8);
+    auto model = ic::plummer_sphere(16, rng);
+    auto cloud = ic::gas_sphere(32, rng, 2.0, 1.5);
+    stars.add_particles(model.mass, model.position, model.velocity);
+    gas.add_gas(cloud.mass, cloud.position, cloud.velocity,
+                cloud.internal_energy);
+
+    auto named = [](int index, const DynamicsClient& system) {
+      return FieldClient::System{index, system.mass_id(), system.mass(),
+                                 system.position_id(), system.position()};
+    };
+    // One coupling phase: fetch both systems' coupling fields, then both
+    // queries in flight together; returns the request bytes they sent.
+    auto step = [&] {
+      for (DynamicsClient* system : {static_cast<DynamicsClient*>(&stars),
+                                     static_cast<DynamicsClient*>(&gas)}) {
+        Future reply = system->request_state(state_field::coupling);
+        system->merge_state(reply, state_field::coupling);
+      }
+      double before = sent.value();
+      auto on_stars = field.accel_for_async(FieldTag::gas_on_stars,
+                                            named(1, gas), named(0, stars));
+      auto on_gas = field.accel_for_async(FieldTag::stars_on_gas,
+                                          named(0, stars), named(1, gas));
+      EXPECT_EQ(field.finish_accel(FieldTag::gas_on_stars, on_stars).size(),
+                model.mass.size());
+      EXPECT_EQ(field.finish_accel(FieldTag::stars_on_gas, on_gas).size(),
+                cloud.mass.size());
+      return sent.value() - before;
+    };
+    constexpr double kQuery = kRequestHeaderBytes + 6 * sizeof(std::uint64_t);
+    auto array = [](std::size_t n, std::size_t width) {
+      return 8.0 + static_cast<double>(n * width);
+    };
+    const std::size_t n_stars = model.mass.size();
+    const std::size_t n_gas = cloud.mass.size();
+
+    // First step: every array, once.
+    EXPECT_EQ(step(), 2 * kQuery + array(n_gas, 8) + array(n_gas, 24) +
+                          array(n_stars, 24) + array(n_stars, 8));
+    // After an evolve: each system's fresh positions once, no masses.
+    stars.evolve(1.0 / 64.0);
+    gas.evolve(1.0 / 64.0);
+    EXPECT_EQ(step(), 2 * kQuery + array(n_gas, 24) + array(n_stars, 24));
+    // A mass update alone: the accel on the stars is known unchanged, and
+    // the query that reads the stars' masses carries only them.
+    stars.set_masses_sparse(std::vector<std::int32_t>{0},
+                            std::vector<double>{0.5 * model.mass[0]});
+    EXPECT_EQ(step(), kQuery + array(n_stars, 8));
+    stars.close();
+    gas.close();
     field.close();
   });
 }
@@ -358,9 +471,11 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
   // an index past the particles, fewer values than indices, more kick rows
   // than particles, parallel arrays of different lengths, dynamics shorter
   // than the model, ghost blocks past the last row or short of velocities,
-  // a shard range upside down or past the last row. Each is rejected whole
-  // with a CodeError reply, nothing of it is applied, and every worker
-  // keeps serving.
+  // a shard range upside down or past the last row, coupler queries that
+  // name arrays the coupler does not hold or a system's field on itself.
+  // Each is rejected whole with a CodeError reply, nothing of it is
+  // applied (the coupler keeps what it held), and every worker keeps
+  // serving.
   LocalWorld w;
   w.run([&] {
     auto local = [&](WorkerSpec spec) {
@@ -377,13 +492,14 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     auto cloud = ic::gas_sphere(8, rng, 2.0, 1.5);
     gas.add_gas(cloud.mass, cloud.position, cloud.velocity,
                 cloud.internal_energy);
-    // The coupler's tag cache: the cloud's sources stay cached under a
-    // nonzero id, so a probe ships only its points (zero id: recomputed).
+    // What the coupler holds: the cloud (system 1) under nonzero ids, so
+    // a probe ships only its points (system 0, zero id: recomputed).
     const auto probe_tag = static_cast<FieldTag>(9);
-    const StateId probe_sources = make_state_id(3, 1);
+    const StateId probe_id = make_state_id(3, 1);
     auto probe_field = [&] {
-      auto reply = field.accel_for_async(probe_tag, probe_sources, cloud.mass,
-                                         cloud.position, 0, model.position);
+      auto reply = field.accel_for_async(
+          probe_tag, {1, probe_id, cloud.mass, probe_id, cloud.position},
+          {0, 0, {}, 0, model.position});
       return field.finish_accel(probe_tag, reply);
     };
 
@@ -455,18 +571,28 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
       args.put<std::uint64_t>(hi);
       return args;
     };
-    auto accel_for = [&](std::size_t masses, std::size_t positions) {
+    // A query with the cloud (system 1) as sources and system 0 as points:
+    // the arrays in `flags` travel with the frame at the given row counts,
+    // the rest must be held under the named ids.
+    auto accel_for = [&](std::uint64_t source, StateId mass_id,
+                         StateId position_id, std::uint64_t flags,
+                         std::size_t masses, std::size_t positions) {
       util::ByteWriter args = RpcClient::request();
-      args.put<std::uint64_t>(static_cast<std::uint64_t>(probe_tag));
-      args.put<StateId>(make_state_id(1, 1));
-      args.put<StateId>(make_state_id(2, 1));
-      args.put<std::uint64_t>(accel_flags::has_sources |
-                              accel_flags::has_points);
-      args.put_vector(doubles(masses));
-      args.put_vector(vec3s(positions));
+      args.put<std::uint64_t>(source);
+      args.put<StateId>(mass_id);
+      args.put<StateId>(position_id);
+      args.put<std::uint64_t>(0);  // target system
+      args.put<StateId>(0);
+      args.put<std::uint64_t>(flags | accel_flags::target_position);
+      if (flags & accel_flags::source_mass) args.put_vector(doubles(masses));
+      if (flags & accel_flags::source_position) {
+        args.put_vector(vec3s(positions));
+      }
       args.put_vector(vec3s(2));
       return args;
     };
+    constexpr std::uint64_t kBothSourceArrays =
+        accel_flags::source_mass | accel_flags::source_position;
     struct Frame {
       std::string name;
       RpcClient& rpc;
@@ -518,7 +644,25 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     frames.push_back({"shard rows [0, 5) of 4", stars.rpc(),
                       Fn::grav_set_shard, shard(0, 5)});
     frames.push_back({"accel_for: 1 source mass, 3 positions", field.rpc(),
-                      Fn::field_accel_for, accel_for(1, 3)});
+                      Fn::field_accel_for,
+                      accel_for(1, probe_id, probe_id, kBothSourceArrays, 1,
+                                3)});
+    // Fresh positions under a new id beside masses under an id the
+    // coupler does not hold: the positions must not replace the held ones.
+    frames.push_back({"accel_for: masses under an id not held", field.rpc(),
+                      Fn::field_accel_for,
+                      accel_for(1, make_state_id(3, 9), make_state_id(3, 5),
+                                accel_flags::source_position, 0, 8)});
+    frames.push_back({"accel_for: positions under an id not held",
+                      field.rpc(), Fn::field_accel_for,
+                      accel_for(1, probe_id, make_state_id(3, 9), 0, 0, 0)});
+    frames.push_back({"accel_for: a system never shipped", field.rpc(),
+                      Fn::field_accel_for,
+                      accel_for(4, make_state_id(4, 1), make_state_id(4, 1),
+                                0, 0, 0)});
+    frames.push_back({"accel_for: system 0 on itself", field.rpc(),
+                      Fn::field_accel_for,
+                      accel_for(0, 0, 0, kBothSourceArrays, 2, 2)});
     for (Frame& frame : frames) {
       EXPECT_THROW(frame.rpc.call_sync(frame.fn, std::move(frame.args)),
                    CodeError)
@@ -552,8 +696,9 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     EXPECT_EQ(stars.model_time(), 2.0 / 64.0);
     gas.evolve(1.0 / 64.0);
     EXPECT_EQ(gas.get_state().mass.size(), 8u);
-    auto reply = field.accel_for_async(FieldTag::gas_on_stars, 0, model.mass,
-                                       model.position, 0, cloud.position);
+    auto reply = field.accel_for_async(FieldTag::gas_on_stars,
+                                       {0, 0, model.mass, 0, model.position},
+                                       {1, 0, {}, 0, cloud.position});
     EXPECT_EQ(field.finish_accel(FieldTag::gas_on_stars, reply).size(), 8u);
     stars.close();
     gas.close();

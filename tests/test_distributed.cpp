@@ -653,12 +653,12 @@ TEST(Distributed, DeltaExchangeTracksChangesAndKickRepeats) {
     auto model = ic::plummer_sphere(32, rng);
     gravity.add_particles(model.mass, model.position, model.velocity);
     GravityState before = gravity.get_state();
-    auto id_before = gravity.coupling_sources_id();
+    auto id_before = gravity.position_id();
     gravity.evolve(0.125);
     GravityState after = gravity.get_state();
     // Positions moved and the delta cache tracked them.
     EXPECT_NE(before.position[0].x, after.position[0].x);
-    EXPECT_NE(gravity.coupling_sources_id(), id_before);
+    EXPECT_NE(gravity.position_id(), id_before);
     EXPECT_EQ(after.mass, before.mass);  // masses unchanged, still correct
 
     // An identical kick sent twice: the second rides the repeat path and
@@ -684,13 +684,13 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
     util::Rng rng(3);
     auto model = ic::plummer_sphere(2000, rng);
     std::vector<Vec3> points{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}};
-    auto sources_id = make_state_id(7, 1);
-    auto points_id = make_state_id(8, 1);
+    FieldClient::System sources{0, make_state_id(7, 1), model.mass,
+                                make_state_id(7, 1), model.position};
+    FieldClient::System targets{1, 0, {}, make_state_id(8, 1), points};
 
     double t0 = lab.sim.now();
-    std::optional<Future> first = field.accel_for_async(
-        FieldTag::gas_on_stars, sources_id, model.mass, model.position,
-        points_id, points);
+    std::optional<Future> first =
+        field.accel_for_async(FieldTag::gas_on_stars, sources, targets);
     std::vector<Vec3> accel_first =
         field.finish_accel(FieldTag::gas_on_stars, first);
     double first_cost = lab.sim.now() - t0;
@@ -699,9 +699,8 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
     // cached accelerations come back bit-identical. The client holds the
     // accel of these very ids, so no RPC is issued at all.
     double t1 = lab.sim.now();
-    std::optional<Future> second = field.accel_for_async(
-        FieldTag::gas_on_stars, sources_id, model.mass, model.position,
-        points_id, points);
+    std::optional<Future> second =
+        field.accel_for_async(FieldTag::gas_on_stars, sources, targets);
     const std::vector<Vec3>& accel_second =
         field.finish_accel(FieldTag::gas_on_stars, second);
     double second_cost = lab.sim.now() - t1;
@@ -712,12 +711,13 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
     EXPECT_LT(second_cost, 0.5 * first_cost);
     EXPECT_FALSE(second.has_value());
 
-    // Changed sources (new id): recompute with the fresh upload.
+    // Changed masses (new id): recompute with the fresh upload.
     std::vector<double> doubled = model.mass;
     for (double& m : doubled) m *= 2.0;
-    std::optional<Future> third = field.accel_for_async(
-        FieldTag::gas_on_stars, make_state_id(7, 2), doubled, model.position,
-        points_id, points);
+    sources.mass_id = make_state_id(7, 2);
+    sources.mass = doubled;
+    std::optional<Future> third =
+        field.accel_for_async(FieldTag::gas_on_stars, sources, targets);
     const std::vector<Vec3>& accel_third =
         field.finish_accel(FieldTag::gas_on_stars, third);
     EXPECT_NEAR(accel_third[0].x, 2.0 * accel_first[0].x,
@@ -730,7 +730,7 @@ TEST(Distributed, RestartedWorkerMintsFreshStateIds) {
   // The rollback/replay invalidation story: content ids carry a worker
   // instance nonce, so a replacement worker serving the very same particle
   // data can never alias the dead worker's entries in downstream caches
-  // (the coupler's source/point/accel tags).
+  // (the coupler's held systems and the field client's accel shortcuts).
   Lab lab;
   lab.run([&] {
     WorkerSpec spec{.code = "phigrape", .ncores = 2};
@@ -746,7 +746,8 @@ TEST(Distributed, RestartedWorkerMintsFreshStateIds) {
                                             ChannelKind::mpi));
     second.add_particles(model.mass, model.position, model.velocity);
     second.get_state();
-    EXPECT_NE(first.coupling_sources_id(), second.coupling_sources_id());
+    EXPECT_NE(first.mass_id(), second.mass_id());
+    EXPECT_NE(first.position_id(), second.position_id());
     first.close();
     second.close();
   });

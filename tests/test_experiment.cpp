@@ -282,12 +282,14 @@ struct OldBridgeReference {
     const GravityState& s = stars.cached_state();
     const HydroState& g = gas.cached_state();
 
+    FieldClient::System star_system{0, stars.mass_id(), s.mass,
+                                    stars.position_id(), s.position};
+    FieldClient::System gas_system{1, gas.mass_id(), g.mass,
+                                   gas.position_id(), g.position};
     std::optional<Future> on_stars = coupler.accel_for_async(
-        FieldTag::gas_on_stars, gas.coupling_sources_id(), g.mass,
-        g.position, stars.position_id(), s.position);
+        FieldTag::gas_on_stars, gas_system, star_system);
     std::optional<Future> on_gas = coupler.accel_for_async(
-        FieldTag::stars_on_gas, stars.coupling_sources_id(), s.mass,
-        s.position, gas.position_id(), g.position);
+        FieldTag::stars_on_gas, star_system, gas_system);
 
     const std::vector<kernels::Vec3>& accel_on_stars =
         coupler.finish_accel(FieldTag::gas_on_stars, on_stars);

@@ -292,10 +292,11 @@ TEST(Sched, CommTermMatchesMeasuredSteadyStateWanBytes) {
       (long_run.wan_ipl_bytes - short_run.wan_ipl_bytes) / 2.0;
 
   // Only the coupler is remote in the remote_gpu configuration: one fresh
-  // exchange + one all-cache-hit exchange per step, priced with the
-  // helpers the scorer's coupling term calls.
+  // exchange (two queries over the two held systems) + one all-cache-hit
+  // exchange per step, priced with the helpers the scorer's coupling term
+  // calls.
   double modeled_per_step =
-      coupling_upload_bytes(options.n_stars, options.n_gas) +
+      coupling_upload_bytes(options.n_stars + options.n_gas, 2) +
       coupling_reply_bytes(options.n_stars, options.n_gas) +
       2.0 * kCallOverheadBytes;
   EXPECT_GT(measured_per_step, 0.75 * modeled_per_step);
