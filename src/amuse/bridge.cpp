@@ -14,27 +14,27 @@ namespace jungle::amuse {
 
 namespace {
 
-/// A cross-gravity query in flight: which coupling direction it answers and
-/// which system the resulting acceleration kicks.
+/// A cross-gravity query in flight: one run of consecutive couplings of a
+/// target that share a field worker, asked as a single query.
 struct PendingQuery {
-  int coupling;
-  int dir;      // 0 = accel on a (sources b), 1 = accel on b (sources a)
-  int target;   // system index the accel applies to
-  int source;   // system index whose particles are the sources
-  std::optional<Future> reply;  // nullopt: the field client knows the answer
+  FieldClient* field;
+  int target;                // system index the summed accel applies to
+  std::vector<int> sources;  // system indices, in coupling order
+  FieldClient::Pending answer;
 };
 
-/// Accumulates one target system's per-coupling accelerations into a
-/// single kick frame. The common single-direction case ships the coupler's
-/// accel span as-is; multiple directions ship their sum. The worker
-/// multiplies by the kick's dt.
+/// Folds one target system's per-run accelerations into a single kick
+/// frame. The common single-run case ships the field client's accel span
+/// as-is; several runs (a target coupled through more than one field
+/// worker) ship their sum, added in coupling order. The worker multiplies
+/// by the kick's dt.
 class KickSum {
  public:
   void add(std::span<const Vec3> accel, const std::string& target) {
-    if (directions_ == 0) {
+    if (runs_ == 0) {
       single_ = accel;
     } else {
-      if (directions_ == 1) sum_.assign(single_.begin(), single_.end());
+      if (runs_ == 1) sum_.assign(single_.begin(), single_.end());
       if (sum_.size() != accel.size()) {
         throw CodeError("bridge: coupled accel sizes differ for system '" +
                         target + "'");
@@ -43,18 +43,18 @@ class KickSum {
         sum_[i] = sum_[i] + accel[i];
       }
     }
-    ++directions_;
+    ++runs_;
   }
 
-  bool empty() const { return directions_ == 0; }
+  bool empty() const { return runs_ == 0; }
   std::span<const Vec3> accel() const {
-    return directions_ == 1 ? single_ : std::span<const Vec3>(sum_);
+    return runs_ == 1 ? single_ : std::span<const Vec3>(sum_);
   }
 
  private:
   std::span<const Vec3> single_;
   std::vector<Vec3> sum_;
-  int directions_ = 0;
+  int runs_ = 0;
 };
 
 }  // namespace
@@ -122,10 +122,12 @@ std::vector<Future> Bridge::cross_kick(StateFetches fetched) {
   }
 
   // Phase 2 — every cross-gravity query in flight together, ordered by
-  // target system. The coupler holds one copy of each system's masses and
-  // positions for all the queries that name it, so an array rides along
-  // only the first time its content id changes; an unchanged query is
-  // answered from the field client's cached accel, with no RPC at all.
+  // target system: one query per run of a target's consecutive couplings
+  // that share a field worker, which sums the run's sources on the worker.
+  // The coupler holds one copy of each system's masses and positions for
+  // all the queries that name it, so an array rides along only the first
+  // time its content id changes; an unchanged query is answered from the
+  // field client's cached accel, with no RPC at all.
   obs::trace::Span queries_phase = obs::trace::span("field_queries", "bridge");
   auto named = [&](int system) {
     const DynamicsClient& d = *systems_[system].dynamics;
@@ -134,34 +136,39 @@ std::vector<Future> Bridge::cross_kick(StateFetches fetched) {
   };
   std::vector<PendingQuery> queries;
   for (int target = 0; target < static_cast<int>(systems_.size()); ++target) {
-    for (int c = 0; c < static_cast<int>(couplings_.size()); ++c) {
-      const Coupling& coupling = couplings_[c];
+    FieldClient* run = nullptr;
+    for (const Coupling& coupling : couplings_) {
       if (coupling.a != target && coupling.b != target) continue;
-      int dir = coupling.a == target ? 0 : 1;
-      int source = coupling.a == target ? coupling.b : coupling.a;
-      PendingQuery query{c, dir, target, source,
-                         coupling.field->accel_for_async(
-                             pair_field_tag(c, dir), named(source),
-                             named(target))};
-      queries.push_back(std::move(query));
+      if (coupling.field != run) {
+        run = coupling.field;
+        queries.push_back({run, target, {}, {}});
+      }
+      queries.back().sources.push_back(coupling.a == target ? coupling.b
+                                                            : coupling.a);
     }
+  }
+  for (PendingQuery& query : queries) {
+    std::vector<FieldClient::System> sources;
+    for (int source : query.sources) sources.push_back(named(source));
+    query.answer = query.field->accel_for_async(named(query.target), sources);
   }
 
   // Collect each target's accelerations (finish in issue order), then
   // phase 3 — all kicks sent as accel + dt frames (an unchanged
   // acceleration travels as a 16-byte repeat). The caller waits for them.
+  // Two runs of a target on one field worker always have a run on another
+  // worker between them, so KickSum has copied the earlier one's accel
+  // before the later finish can overwrite the record they may share.
   std::vector<Future> kicks_done;
-  std::vector<KickSum> kicks(systems_.size());
   for (int target = 0; target < static_cast<int>(systems_.size()); ++target) {
-    KickSum& kick = kicks[static_cast<std::size_t>(target)];
+    KickSum kick;
     for (PendingQuery& query : queries) {
       if (query.target != target) continue;
-      const Coupling& coupling = couplings_[query.coupling];
-      const std::vector<Vec3>& accel = coupling.field->finish_accel(
-          pair_field_tag(query.coupling, query.dir), query.reply);
-      kick.add(accel, systems_[target].name);
-      trace_.push_back("kick:" + systems_[query.source].name + "->" +
-                       systems_[target].name);
+      kick.add(query.field->finish_accel(query.answer), systems_[target].name);
+      for (int source : query.sources) {
+        trace_.push_back("kick:" + systems_[source].name + "->" +
+                         systems_[target].name);
+      }
     }
     if (kick.empty()) continue;
     kicks_done.push_back(

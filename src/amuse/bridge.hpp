@@ -38,7 +38,10 @@ namespace jungle::amuse {
 /// copy of each coupled system's masses and positions, named by the
 /// system's index in `systems` and its content ids, for every coupling and
 /// direction that names the system: a step ships each system's fresh
-/// positions to it once, and masses only after a mass update.
+/// positions to it once, and masses only after a mass update. Each kicked
+/// system costs one field query per step and phase, whatever number of
+/// couplings kick it: the worker sums the accels of all its sources on that
+/// worker, in coupling order.
 class Bridge {
  public:
   /// One evolving model in the graph. The name feeds the call trace

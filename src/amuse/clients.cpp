@@ -1,5 +1,6 @@
 #include "amuse/clients.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace jungle::amuse {
@@ -212,16 +213,23 @@ Future GravityClient::ghost_update_async(std::size_t base,
   return rpc_->call(Fn::grav_ghost_update, std::move(args));
 }
 
-std::optional<Future> FieldClient::accel_for_async(FieldTag tag,
-                                                   const System& source,
-                                                   const System& target) {
-  TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
-  record.asked = {source.mass_id, source.position_id, target.position_id};
+FieldClient::Pending FieldClient::accel_for_async(
+    const System& target, const std::vector<System>& sources) {
+  std::vector<int> key{target.index};
+  std::vector<StateId> ids{target.position_id};
+  for (const System& source : sources) {
+    key.push_back(source.index);
+    ids.push_back(source.mass_id);
+    ids.push_back(source.position_id);
+  }
+  Pending query;
+  query.record = &records_[key];
+  query.record->asked = ids;
   // The worker would compute the accel of these same nonzero ids again:
   // answer here, without the RPC.
-  if (source.mass_id != 0 && source.position_id != 0 &&
-      target.position_id != 0 && record.answered == record.asked) {
-    return std::nullopt;
+  if (std::find(ids.begin(), ids.end(), StateId{0}) == ids.end() &&
+      query.record->answered == ids) {
+    return query;
   }
   // An array ships when the worker does not hold it under `id`; shipping
   // it replaces what the worker holds (a zero id is held as unknown).
@@ -230,31 +238,43 @@ std::optional<Future> FieldClient::accel_for_async(FieldTag tag,
     if (ship) held = id;
     return ship;
   };
-  Held& src = held_[source.index];
-  Held& tgt = held_[target.index];
-  bool ship_mass = ships(source.mass_id, src.mass_id);
-  bool ship_position = ships(source.position_id, src.position_id);
-  bool ship_points = ships(target.position_id, tgt.position_id);
+  bool ship_points = ships(target.position_id, held_[target.index].position_id);
+  std::vector<std::uint64_t> flags;
+  for (const System& source : sources) {
+    Held& held = held_[source.index];
+    flags.push_back(
+        (ships(source.mass_id, held.mass_id) ? accel_flags::source_mass : 0) |
+        (ships(source.position_id, held.position_id)
+             ? accel_flags::source_position
+             : 0));
+  }
   util::ByteWriter args = RpcClient::request();
-  args.put<std::uint64_t>(static_cast<std::uint64_t>(source.index));
-  args.put<StateId>(source.mass_id);
-  args.put<StateId>(source.position_id);
   args.put<std::uint64_t>(static_cast<std::uint64_t>(target.index));
   args.put<StateId>(target.position_id);
-  args.put<std::uint64_t>((ship_mass ? accel_flags::source_mass : 0) |
-                          (ship_position ? accel_flags::source_position : 0) |
+  args.put<std::uint64_t>(sources.size() << accel_flags::kShift |
                           (ship_points ? accel_flags::target_position : 0));
-  if (ship_mass) put_span_of(args, source.mass);
-  if (ship_position) put_span_of(args, source.position);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    args.put<std::uint64_t>(static_cast<std::uint64_t>(sources[s].index)
+                                << accel_flags::kShift |
+                            flags[s]);
+    args.put<StateId>(sources[s].mass_id);
+    args.put<StateId>(sources[s].position_id);
+  }
   if (ship_points) put_span_of(args, target.position);
-  return rpc_->call(Fn::field_accel_for, std::move(args));
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    if (flags[s] & accel_flags::source_mass) put_span_of(args, sources[s].mass);
+    if (flags[s] & accel_flags::source_position) {
+      put_span_of(args, sources[s].position);
+    }
+  }
+  query.reply = rpc_->call(Fn::field_accel_for, std::move(args));
+  return query;
 }
 
-const std::vector<Vec3>& FieldClient::finish_accel(
-    FieldTag tag, std::optional<Future>& reply) {
-  TagRecord& record = tags_[static_cast<std::uint64_t>(tag)];
-  if (!reply) return record.accel;  // known "unchanged", answered locally
-  util::ByteReader reader = reply->get();
+const std::vector<Vec3>& FieldClient::finish_accel(Pending& query) {
+  Record& record = *query.record;
+  if (!query.reply) return record.accel;  // known "unchanged", answered locally
+  util::ByteReader reader = query.reply->get();
   record.accel = reader.get_vector<Vec3>();
   record.answered = record.asked;
   return record.accel;

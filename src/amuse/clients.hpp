@@ -259,6 +259,10 @@ class GravityClient : public DynamicsClient {
 
 /// GravityField interface (Octgrav / Fi worker) — the coupling kernel.
 class FieldClient : public ModelClient {
+  /// Per query (target, then sources): the last accel and the ids of the
+  /// query in flight and of the one `accel` answers.
+  struct Record;
+
  public:
   explicit FieldClient(std::unique_ptr<RpcClient> rpc)
       : ModelClient(std::move(rpc)) {}
@@ -274,22 +278,34 @@ class FieldClient : public ModelClient {
     std::span<const Vec3> position;
   };
 
+  /// A query's answer in flight. `reply` is nullopt when the client knows
+  /// the answer (no RPC was sent); finish_accel resolves either kind.
+  class Pending {
+   public:
+    std::optional<Future> reply;
+
+   private:
+    friend class FieldClient;
+    Record* record = nullptr;
+  };
+
   /// One-shot epoch-tagged cross-gravity query (the pipelined data path):
-  /// the accel of `source`'s gravity at `target`'s positions. The worker
+  /// the summed accel of `sources`' gravity at `target`'s positions, added
+  /// in the order given (a source named twice counts twice). The worker
   /// holds one copy of each system's masses and positions, shared by every
   /// query that names the system; an array is only uploaded when the worker
-  /// does not hold it under its current id. When the last accel under `tag`
-  /// was computed for exactly these (nonzero) ids, the answer is known to
-  /// be unchanged: no RPC is issued and nullopt comes back for finish_accel
-  /// to resolve from the locally cached accel.
-  std::optional<Future> accel_for_async(FieldTag tag, const System& source,
-                                        const System& target);
-  const std::vector<Vec3>& finish_accel(FieldTag tag,
-                                        std::optional<Future>& reply);
+  /// does not hold it under its current id. When the last accel of the
+  /// same target and sources was computed for exactly these (nonzero) ids,
+  /// the answer is known to be unchanged and no RPC is issued.
+  Pending accel_for_async(const System& target,
+                          const std::vector<System>& sources);
+  /// The answer to `query`: valid until the next finish_accel of a query
+  /// with the same target and sources.
+  const std::vector<Vec3>& finish_accel(Pending& query);
 
   void reset_delta_caches() override {
     held_.clear();
-    tags_.clear();
+    records_.clear();
   }
 
  private:
@@ -300,23 +316,16 @@ class FieldClient : public ModelClient {
     StateId mass_id = 0;
     StateId position_id = 0;
   };
-  /// The ids an accel is computed from.
-  struct Inputs {
-    StateId source_mass = 0;
-    StateId source_position = 0;
-    StateId target_position = 0;
-    bool operator==(const Inputs&) const = default;
-  };
-  struct TagRecord {
+
+  struct Record {
     std::vector<Vec3> accel;
-    /// The query in flight, and the one `accel` answers (zero ids until a
-    /// reply landed).
-    Inputs asked;
-    Inputs answered;
+    /// Target position id, then each source's mass and position ids.
+    std::vector<StateId> asked;
+    std::vector<StateId> answered;  // empty until a reply landed
   };
 
+  std::map<std::vector<int>, Record> records_;
   std::map<int, Held> held_;
-  std::map<std::uint64_t, TagRecord> tags_;
 };
 
 /// Hydrodynamics interface (Gadget worker).

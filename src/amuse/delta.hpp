@@ -145,21 +145,6 @@ struct StateEpochs {
   }
 };
 
-/// Tags of the coupler's cross-gravity directions: which of the field
-/// client's cached accels a query refers to. The two classic Fig-7
-/// directions keep their historic values; an experiment graph derives one
-/// tag per coupling direction with pair_field_tag (coupling 0's two
-/// directions are exactly gas_on_stars / stars_on_gas).
-enum class FieldTag : std::uint64_t { gas_on_stars = 0, stars_on_gas = 1 };
-
-/// Tag of direction `dir` (0 = accel on system a, 1 = accel on system b) of
-/// coupling number `coupling` — unique per (coupling, direction) even when
-/// several couplings share one field worker.
-inline FieldTag pair_field_tag(int coupling, int dir) noexcept {
-  return static_cast<FieldTag>(static_cast<std::uint64_t>(coupling) * 2 +
-                               static_cast<std::uint64_t>(dir));
-}
-
 /// Flag bits of the kick exchange. Kicks travel as *accel + dt* and the
 /// worker multiplies (Δv_i = a_i * dt): the frame is
 ///   [u64 flags][f64 dt] (+ [accel span] unless `repeat`).
@@ -178,17 +163,27 @@ inline constexpr std::uint64_t full = 1;
 }
 
 /// Flag bits of the field_accel_for exchange: one per array the frame
-/// carries. The coupler holds one copy of each coupled system's masses and
-/// positions; a frame ships an array only when the coupler does not hold it
-/// under the id the frame names. The frame is
-///   [u64 source system][StateId source mass id][StateId source position id]
-///   [u64 target system][StateId target position id][u64 flags]
-/// then [source masses] [source positions] [target positions], each present
-/// only when its flag is set.
+/// carries. A frame asks for the summed accel of one kicked system (the
+/// target) in the field of its sources, in coupling order. The coupler
+/// holds one copy of each coupled system's masses and positions; a frame
+/// ships an array only when the coupler does not hold it under the id the
+/// frame names. The frame is
+///   [u64 target system][StateId target position id]
+///   [u64 source count << kShift | target flags]
+/// then, per source in coupling order,
+///   [u64 source system << kShift | source flags]
+///   [StateId source mass id][StateId source position id]
+/// then [target positions] and, per source in the same order, [source
+/// masses] [source positions], each present only when its flag is set. A
+/// one-source frame is six words. A source named twice is summed twice; its
+/// second mention may read an array the first one shipped.
 namespace accel_flags {
 inline constexpr std::uint64_t source_mass = 1;
 inline constexpr std::uint64_t source_position = 2;
 inline constexpr std::uint64_t target_position = 4;
+/// The flag bits sit below this shift; a count or system index above it.
+inline constexpr int kShift = 8;
+inline constexpr std::uint64_t kMask = (std::uint64_t{1} << kShift) - 1;
 }
 
 }  // namespace jungle::amuse

@@ -397,26 +397,43 @@ struct HeldSystem {
   StateId position_id = 0;
 };
 
-/// One array of a field_accel_for frame: the frame's own copy when it
-/// shipped one, else the held copy, which must be held under `id`.
-template <typename T>
-std::span<const T> frame_or_held(util::ByteReader& args, bool shipped,
-                                 const std::vector<T>& held, StateId held_id,
-                                 StateId id, std::uint64_t system,
-                                 const char* what) {
-  if (shipped) return args.get_span<T>();
-  if (held_id == 0 || held_id != id) {
-    throw CodeError("field: system " + std::to_string(system) + "'s " + what +
-                    " under id " + std::to_string(id) + " are not held");
-  }
-  return held;
-}
-
 /// What the coupler holds: one entry per coupled system, by bridge system
 /// index, and the last reply's payload, which the reply frame points at.
 struct FieldHolding {
   std::map<std::uint64_t, HeldSystem> systems;
   std::vector<Vec3> accel;
+  std::vector<Vec3> term;  // one source's accel, folded into `accel`
+};
+
+/// One array of one system as a field_accel_for frame resolves it: the
+/// held copy, or the frame's own copy once a mention shipped one (later
+/// mentions of the system then read that).
+template <typename T>
+struct FrameArray {
+  std::span<const T> values;
+  StateId id = 0;
+  bool shipped = false;
+
+  /// The array a mention names under `id`: the frame's copy when the
+  /// mention ships one, else the resolved copy, which must be under `id`.
+  std::span<const T> resolve(util::ByteReader& args, bool ships, StateId want,
+                             std::uint64_t system, const char* what) {
+    if (ships) {
+      values = args.get_span<T>();
+      id = want;
+      shipped = true;
+    } else if (id == 0 || id != want) {
+      throw CodeError("field: system " + std::to_string(system) + "'s " +
+                      what + " under id " + std::to_string(want) +
+                      " are not held");
+    }
+    return values;
+  }
+};
+
+struct FrameSystem {
+  FrameArray<double> mass;
+  FrameArray<Vec3> position;
 };
 
 /// Octgrav/Fi worker: tree gravity field evaluations.
@@ -428,58 +445,94 @@ Dispatcher make_field_dispatcher(
     util::ByteWriter result = reply_writer();
     switch (fn) {
       case Fn::field_accel_for: {
-        auto source = args.get<std::uint64_t>();
-        auto mass_id = args.get<StateId>();
-        auto position_id = args.get<StateId>();
+        struct Source {
+          std::uint64_t system;
+          std::uint64_t flags;
+          StateId mass_id;
+          StateId position_id;
+          std::span<const double> mass;
+          std::span<const Vec3> position;
+        };
         auto target = args.get<std::uint64_t>();
         auto points_id = args.get<StateId>();
-        auto flags = args.get<std::uint64_t>();
-        if (source == target) {
-          throw CodeError("field: system " + std::to_string(source) +
-                          " is both the source and the target");
+        auto head = args.get<std::uint64_t>();
+        std::uint64_t count = head >> accel_flags::kShift;
+        constexpr std::uint64_t kSourceWords = 3 * sizeof(std::uint64_t);
+        if (count == 0 || count > args.remaining() / kSourceWords) {
+          throw CodeError("field: " + std::to_string(count) +
+                          " sources do not fit the frame");
+        }
+        std::vector<Source> sources(count);
+        for (Source& source : sources) {
+          auto word = args.get<std::uint64_t>();
+          source.system = word >> accel_flags::kShift;
+          source.flags = word & accel_flags::kMask;
+          source.mass_id = args.get<StateId>();
+          source.position_id = args.get<StateId>();
+          if (source.system == target) {
+            throw CodeError("field: system " + std::to_string(target) +
+                            " is both a source and the target");
+          }
         }
         // Resolve every array before changing any held one: a frame that
         // names an id the coupler does not hold changes nothing.
-        static const HeldSystem kNone;
-        auto held = [&](std::uint64_t system) -> const HeldSystem& {
-          auto found = holding->systems.find(system);
-          return found == holding->systems.end() ? kNone : found->second;
+        std::map<std::uint64_t, FrameSystem> frame;
+        auto resolved = [&](std::uint64_t system) -> FrameSystem& {
+          auto [at, fresh] = frame.try_emplace(system);
+          auto held = holding->systems.find(system);
+          if (fresh && held != holding->systems.end()) {
+            at->second.mass = {held->second.mass, held->second.mass_id};
+            at->second.position = {held->second.position,
+                                   held->second.position_id};
+          }
+          return at->second;
         };
-        const HeldSystem& src = held(source);
-        const HeldSystem& tgt = held(target);
-        auto mass = frame_or_held<double>(
-            args, flags & accel_flags::source_mass, src.mass, src.mass_id,
-            mass_id, source, "masses");
-        auto position = frame_or_held<Vec3>(
-            args, flags & accel_flags::source_position, src.position,
-            src.position_id, position_id, source, "positions");
-        auto points = frame_or_held<Vec3>(
-            args, flags & accel_flags::target_position, tgt.position,
-            tgt.position_id, points_id, target, "positions");
-        check_columns("field_accel_for", {mass.size(), position.size()});
+        auto points = resolved(target).position.resolve(
+            args, head & accel_flags::target_position, points_id, target,
+            "positions");
+        for (Source& source : sources) {
+          FrameSystem& at = resolved(source.system);
+          source.mass =
+              at.mass.resolve(args, source.flags & accel_flags::source_mass,
+                              source.mass_id, source.system, "masses");
+          source.position = at.position.resolve(
+              args, source.flags & accel_flags::source_position,
+              source.position_id, source.system, "positions");
+          check_columns("field_accel_for",
+                        {source.mass.size(), source.position.size()});
+        }
+        // Each source's field at the target's points, folded left in frame
+        // order: acc = a0, then acc[i] = acc[i] + a1[i], and so on.
+        holding->accel.resize(points.size());
+        for (std::size_t s = 0; s < sources.size(); ++s) {
+          field->build(sources[s].position, sources[s].mass);
+          charge(cost, static_cast<double>(sources[s].position.size()) *
+                           kernels::BarnesHutTree::kBuildFlopsPerParticle);
+          auto before = field->interactions();
+          std::vector<Vec3>& out = s == 0 ? holding->accel : holding->term;
+          out.resize(points.size());
+          field->accel_at(points, out);
+          charge(cost, static_cast<double>(field->interactions() - before) *
+                           kernels::BarnesHutTree::kFlopsPerInteraction);
+          if (s == 0) continue;
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            holding->accel[i] = holding->accel[i] + out[i];
+          }
+        }
         // Hold what the frame shipped (views into the receive buffer).
-        HeldSystem& sources = holding->systems[source];
-        HeldSystem& targets = holding->systems[target];
-        if (flags & accel_flags::source_mass) {
-          sources.mass.assign(mass.begin(), mass.end());
-          sources.mass_id = mass_id;
+        for (const auto& [system, arrays] : frame) {
+          HeldSystem& held = holding->systems[system];
+          if (arrays.mass.shipped) {
+            held.mass.assign(arrays.mass.values.begin(),
+                             arrays.mass.values.end());
+            held.mass_id = arrays.mass.id;
+          }
+          if (arrays.position.shipped) {
+            held.position.assign(arrays.position.values.begin(),
+                                 arrays.position.values.end());
+            held.position_id = arrays.position.id;
+          }
         }
-        if (flags & accel_flags::source_position) {
-          sources.position.assign(position.begin(), position.end());
-          sources.position_id = position_id;
-        }
-        if (flags & accel_flags::target_position) {
-          targets.position.assign(points.begin(), points.end());
-          targets.position_id = points_id;
-        }
-        field->build(sources.position, sources.mass);
-        charge(cost, static_cast<double>(sources.position.size()) *
-                         kernels::BarnesHutTree::kBuildFlopsPerParticle);
-        auto before = field->interactions();
-        holding->accel.resize(targets.position.size());
-        field->accel_at(targets.position, holding->accel);
-        charge(cost, static_cast<double>(field->interactions() - before) *
-                         kernels::BarnesHutTree::kFlopsPerInteraction);
         result.put_span_view(std::span<const Vec3>(holding->accel));
         return result;
       }

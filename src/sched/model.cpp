@@ -77,8 +77,10 @@ double coupling_upload_bytes(std::size_t held_particles, int queries) {
          static_cast<double>(held_particles) * 24.0;
 }
 
-double coupling_reply_bytes(std::size_t n_a, std::size_t n_b) {
-  return static_cast<double>(n_a + n_b) * 24.0;
+double coupling_reply_bytes(std::size_t kicked_particles) {
+  // One summed accel per kicked system, whatever number of couplings on
+  // the worker kick it.
+  return static_cast<double>(kicked_particles) * 24.0;
 }
 
 double kick_bytes(std::size_t n) {

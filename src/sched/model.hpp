@@ -132,11 +132,13 @@ inline constexpr double kKickHeaderBytes = 16.0;
 /// Changed positions after an evolve: 24 B/particle, or 12 B/particle when
 /// the path opted into f32 truncation.
 double state_fetch_bytes(std::size_t n, bool fp_truncate);
-/// One field worker's post-evolve queries: `queries` calls that together
-/// upload the fresh positions of the coupled systems it holds,
-/// `held_particles` in total, each system once.
+/// One field worker's post-evolve queries: `queries` calls, one per system
+/// its couplings kick, that together upload the fresh positions of the
+/// coupled systems it holds, `held_particles` in total, each system once.
 double coupling_upload_bytes(std::size_t held_particles, int queries);
-double coupling_reply_bytes(std::size_t n_a, std::size_t n_b);
+/// Their replies: one summed accel per kicked system, `kicked_particles`
+/// rows in total.
+double coupling_reply_bytes(std::size_t kicked_particles);
 double kick_bytes(std::size_t n);                           // accel + dt
 
 /// Per-iteration ghost-exchange wire volume of a `workers`-shard gravity

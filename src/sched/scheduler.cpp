@@ -374,31 +374,31 @@ double Scheduler::score_graph(const Workload& load,
     for (int f = 0; f < slots; ++f) {
       if (models[static_cast<std::size_t>(f)].role != Role::coupler) continue;
       const LinkCost& link = wire[static_cast<std::size_t>(f)];
-      // The worker holds each coupled system once, whatever number of its
-      // couplings name it, so each system's positions cross its wire once.
-      std::vector<bool> held(static_cast<std::size_t>(slots), false);
-      double reply_bytes = 0.0, compute = 0.0;
-      int queries = 0;
+      // One query and one reply per system the worker's couplings kick,
+      // whatever number of them name it; the worker holds each such system
+      // once, so its positions cross the wire once.
+      std::vector<bool> kicked(static_cast<std::size_t>(slots), false);
+      double compute = 0.0;
       for (const CouplingLoad& c : load.couplings) {
         if (c.field != f) continue;
-        held[static_cast<std::size_t>(c.a)] = true;
-        held[static_cast<std::size_t>(c.b)] = true;
-        std::size_t n_a = models[static_cast<std::size_t>(c.a)].n;
-        std::size_t n_b = models[static_cast<std::size_t>(c.b)].n;
-        reply_bytes += coupling_reply_bytes(n_a, n_b);
-        queries += 2;
-        compute += coupler_compute_seconds(n_a, n_b, rate(f));
+        kicked[static_cast<std::size_t>(c.a)] = true;
+        kicked[static_cast<std::size_t>(c.b)] = true;
+        compute += coupler_compute_seconds(
+            models[static_cast<std::size_t>(c.a)].n,
+            models[static_cast<std::size_t>(c.b)].n, rate(f));
+      }
+      int queries = 0;
+      std::size_t kicked_particles = 0;
+      for (int i = 0; i < slots; ++i) {
+        if (!kicked[static_cast<std::size_t>(i)]) continue;
+        ++queries;
+        kicked_particles += models[static_cast<std::size_t>(i)].n;
       }
       if (queries == 0) continue;
-      std::size_t held_particles = 0;
-      for (int i = 0; i < slots; ++i) {
-        if (held[static_cast<std::size_t>(i)]) {
-          held_particles += models[static_cast<std::size_t>(i)].n;
-        }
-      }
       compute *= calibration_.scale_for(models[static_cast<std::size_t>(f)].name);
       double fresh = link.call_seconds(
-          coupling_upload_bytes(held_particles, queries) + reply_bytes);
+          coupling_upload_bytes(kicked_particles, queries) +
+          coupling_reply_bytes(kicked_particles));
       double idle = link.call_seconds(queries * kCallOverheadBytes);
       field_fresh = std::max(field_fresh, fresh);
       field_idle = std::max(field_idle, idle);

@@ -187,10 +187,9 @@ TEST(AmuseLocal, FieldWorkerComputesCrossGravity) {
     std::vector<double> masses{1.0};
     std::vector<Vec3> sources{{0, 0, 0}};
     std::vector<Vec3> points{{2, 0, 0}};
-    auto reply = field.accel_for_async(FieldTag::gas_on_stars,
-                                       {0, 0, masses, 0, sources},
-                                       {1, 0, {}, 0, points});
-    const auto& accel = field.finish_accel(FieldTag::gas_on_stars, reply);
+    auto reply = field.accel_for_async({1, 0, {}, 0, points},
+                                       {{0, 0, masses, 0, sources}});
+    const auto& accel = field.finish_accel(reply);
     ASSERT_EQ(accel.size(), 1u);
     // Point mass: |a| = 1/4 at r=2 (small softening).
     EXPECT_NEAR(accel[0].x, -0.25, 0.01);
@@ -219,14 +218,13 @@ TEST(AmuseLocal, FieldQueryFromAResetClientIsRecomputed) {
     auto model = ic::plummer_sphere(8, rng);
     std::vector<Vec3> points{{2, 0, 0}, {0, 0, 3}};
     const FieldClient::System target{1, 0, {}, make_state_id(5, 1), points};
-    const auto tag = FieldTag::stars_on_gas;
     // The accel and the request bytes of one query that must reach the
     // worker.
     auto query = [&](const FieldClient::System& source) {
       double before = sent.value();
-      auto reply = field.accel_for_async(tag, source, target);
-      EXPECT_TRUE(reply.has_value());
-      std::vector<Vec3> accel = field.finish_accel(tag, reply);
+      auto reply = field.accel_for_async(target, {source});
+      EXPECT_TRUE(reply.reply.has_value());
+      std::vector<Vec3> accel = field.finish_accel(reply);
       return std::pair{accel, sent.value() - before};
     };
     auto same = [](const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
@@ -307,14 +305,10 @@ TEST(AmuseLocal, CouplingStepShipsEachSystemsArraysOnce) {
         system->merge_state(reply, state_field::coupling);
       }
       double before = sent.value();
-      auto on_stars = field.accel_for_async(FieldTag::gas_on_stars,
-                                            named(1, gas), named(0, stars));
-      auto on_gas = field.accel_for_async(FieldTag::stars_on_gas,
-                                          named(0, stars), named(1, gas));
-      EXPECT_EQ(field.finish_accel(FieldTag::gas_on_stars, on_stars).size(),
-                model.mass.size());
-      EXPECT_EQ(field.finish_accel(FieldTag::stars_on_gas, on_gas).size(),
-                cloud.mass.size());
+      auto on_stars = field.accel_for_async(named(0, stars), {named(1, gas)});
+      auto on_gas = field.accel_for_async(named(1, gas), {named(0, stars)});
+      EXPECT_EQ(field.finish_accel(on_stars).size(), model.mass.size());
+      EXPECT_EQ(field.finish_accel(on_gas).size(), cloud.mass.size());
       return sent.value() - before;
     };
     constexpr double kQuery = kRequestHeaderBytes + 6 * sizeof(std::uint64_t);
@@ -472,7 +466,8 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
   // than particles, parallel arrays of different lengths, dynamics shorter
   // than the model, ghost blocks past the last row or short of velocities,
   // a shard range upside down or past the last row, coupler queries that
-  // name arrays the coupler does not hold or a system's field on itself.
+  // name arrays the coupler does not hold, a system's field on itself, no
+  // sources, or more sources than the frame holds.
   // Each is rejected whole with a CodeError reply, nothing of it is
   // applied (the coupler keeps what it held), and every worker keeps
   // serving.
@@ -494,13 +489,12 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
                 cloud.internal_energy);
     // What the coupler holds: the cloud (system 1) under nonzero ids, so
     // a probe ships only its points (system 0, zero id: recomputed).
-    const auto probe_tag = static_cast<FieldTag>(9);
     const StateId probe_id = make_state_id(3, 1);
     auto probe_field = [&] {
       auto reply = field.accel_for_async(
-          probe_tag, {1, probe_id, cloud.mass, probe_id, cloud.position},
-          {0, 0, {}, 0, model.position});
-      return field.finish_accel(probe_tag, reply);
+          {0, 0, {}, 0, model.position},
+          {{1, probe_id, cloud.mass, probe_id, cloud.position}});
+      return field.finish_accel(reply);
     };
 
     struct Snapshot {
@@ -571,25 +565,46 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
       args.put<std::uint64_t>(hi);
       return args;
     };
-    // A query with the cloud (system 1) as sources and system 0 as points:
-    // the arrays in `flags` travel with the frame at the given row counts,
-    // the rest must be held under the named ids.
+    // A query with system 0 as points (shipped, 2 rows) and the listed
+    // mentions as sources: the arrays in a mention's `flags` travel with
+    // the frame at the given row counts, the rest must be held under the
+    // named ids. `count` is the source count the frame claims.
+    struct Mention {
+      std::uint64_t system;
+      StateId mass_id;
+      StateId position_id;
+      std::uint64_t flags;
+      std::size_t masses = 0;
+      std::size_t positions = 0;
+    };
+    auto accel_frame = [&](std::vector<Mention> sources, std::uint64_t count) {
+      util::ByteWriter args = RpcClient::request();
+      args.put<std::uint64_t>(0);  // target system
+      args.put<StateId>(0);
+      args.put<std::uint64_t>(count << accel_flags::kShift |
+                              accel_flags::target_position);
+      for (const Mention& source : sources) {
+        args.put<std::uint64_t>(source.system << accel_flags::kShift |
+                                source.flags);
+        args.put<StateId>(source.mass_id);
+        args.put<StateId>(source.position_id);
+      }
+      args.put_vector(vec3s(2));
+      for (const Mention& source : sources) {
+        if (source.flags & accel_flags::source_mass) {
+          args.put_vector(doubles(source.masses));
+        }
+        if (source.flags & accel_flags::source_position) {
+          args.put_vector(vec3s(source.positions));
+        }
+      }
+      return args;
+    };
     auto accel_for = [&](std::uint64_t source, StateId mass_id,
                          StateId position_id, std::uint64_t flags,
                          std::size_t masses, std::size_t positions) {
-      util::ByteWriter args = RpcClient::request();
-      args.put<std::uint64_t>(source);
-      args.put<StateId>(mass_id);
-      args.put<StateId>(position_id);
-      args.put<std::uint64_t>(0);  // target system
-      args.put<StateId>(0);
-      args.put<std::uint64_t>(flags | accel_flags::target_position);
-      if (flags & accel_flags::source_mass) args.put_vector(doubles(masses));
-      if (flags & accel_flags::source_position) {
-        args.put_vector(vec3s(positions));
-      }
-      args.put_vector(vec3s(2));
-      return args;
+      return accel_frame(
+          {{source, mass_id, position_id, flags, masses, positions}}, 1);
     };
     constexpr std::uint64_t kBothSourceArrays =
         accel_flags::source_mass | accel_flags::source_position;
@@ -663,6 +678,20 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     frames.push_back({"accel_for: system 0 on itself", field.rpc(),
                       Fn::field_accel_for,
                       accel_for(0, 0, 0, kBothSourceArrays, 2, 2)});
+    frames.push_back({"accel_for: no sources", field.rpc(),
+                      Fn::field_accel_for, accel_frame({}, 0)});
+    frames.push_back({"accel_for: 9 sources claimed, 1 sent", field.rpc(),
+                      Fn::field_accel_for,
+                      accel_frame({{1, probe_id, probe_id, 0}}, 9)});
+    // The first source ships fresh arrays under new ids, the second names
+    // an id the coupler does not hold: the first's arrays must not be held.
+    frames.push_back(
+        {"accel_for: a good source, then one not held", field.rpc(),
+         Fn::field_accel_for,
+         accel_frame({{1, make_state_id(3, 7), make_state_id(3, 7),
+                       kBothSourceArrays, 8, 8},
+                      {4, make_state_id(4, 1), make_state_id(4, 1), 0}},
+                     2)});
     for (Frame& frame : frames) {
       EXPECT_THROW(frame.rpc.call_sync(frame.fn, std::move(frame.args)),
                    CodeError)
@@ -696,10 +725,9 @@ TEST(AmuseLocal, MalformedUpdateFramesRaiseCodeErrorAndChangeNothing) {
     EXPECT_EQ(stars.model_time(), 2.0 / 64.0);
     gas.evolve(1.0 / 64.0);
     EXPECT_EQ(gas.get_state().mass.size(), 8u);
-    auto reply = field.accel_for_async(FieldTag::gas_on_stars,
-                                       {0, 0, model.mass, 0, model.position},
-                                       {1, 0, {}, 0, cloud.position});
-    EXPECT_EQ(field.finish_accel(FieldTag::gas_on_stars, reply).size(), 8u);
+    auto reply = field.accel_for_async({1, 0, {}, 0, cloud.position},
+                                       {{0, 0, model.mass, 0, model.position}});
+    EXPECT_EQ(field.finish_accel(reply).size(), 8u);
     stars.close();
     gas.close();
     field.close();

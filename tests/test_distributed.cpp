@@ -674,7 +674,6 @@ TEST(Distributed, DeltaExchangeTracksChangesAndKickRepeats) {
 }
 
 TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
-  using jungle::amuse::FieldTag;
   using jungle::amuse::make_state_id;
   Lab lab;
   lab.run([&] {
@@ -689,37 +688,31 @@ TEST(Distributed, FieldAccelForCachesUnchangedInputs) {
     FieldClient::System targets{1, 0, {}, make_state_id(8, 1), points};
 
     double t0 = lab.sim.now();
-    std::optional<Future> first =
-        field.accel_for_async(FieldTag::gas_on_stars, sources, targets);
-    std::vector<Vec3> accel_first =
-        field.finish_accel(FieldTag::gas_on_stars, first);
+    FieldClient::Pending first = field.accel_for_async(targets, {sources});
+    std::vector<Vec3> accel_first = field.finish_accel(first);
     double first_cost = lab.sim.now() - t0;
 
     // Same content ids: nothing is uploaded, nothing recomputed, and the
     // cached accelerations come back bit-identical. The client holds the
     // accel of these very ids, so no RPC is issued at all.
     double t1 = lab.sim.now();
-    std::optional<Future> second =
-        field.accel_for_async(FieldTag::gas_on_stars, sources, targets);
-    const std::vector<Vec3>& accel_second =
-        field.finish_accel(FieldTag::gas_on_stars, second);
+    FieldClient::Pending second = field.accel_for_async(targets, {sources});
+    const std::vector<Vec3>& accel_second = field.finish_accel(second);
     double second_cost = lab.sim.now() - t1;
     ASSERT_EQ(accel_second.size(), accel_first.size());
     for (std::size_t i = 0; i < accel_first.size(); ++i) {
       EXPECT_EQ(accel_second[i].x, accel_first[i].x);
     }
     EXPECT_LT(second_cost, 0.5 * first_cost);
-    EXPECT_FALSE(second.has_value());
+    EXPECT_FALSE(second.reply.has_value());
 
     // Changed masses (new id): recompute with the fresh upload.
     std::vector<double> doubled = model.mass;
     for (double& m : doubled) m *= 2.0;
     sources.mass_id = make_state_id(7, 2);
     sources.mass = doubled;
-    std::optional<Future> third =
-        field.accel_for_async(FieldTag::gas_on_stars, sources, targets);
-    const std::vector<Vec3>& accel_third =
-        field.finish_accel(FieldTag::gas_on_stars, third);
+    FieldClient::Pending third = field.accel_for_async(targets, {sources});
+    const std::vector<Vec3>& accel_third = field.finish_accel(third);
     EXPECT_NEAR(accel_third[0].x, 2.0 * accel_first[0].x,
                 1e-9 * std::abs(accel_first[0].x));
     field.close();

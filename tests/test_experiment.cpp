@@ -286,19 +286,19 @@ struct OldBridgeReference {
                                     stars.position_id(), s.position};
     FieldClient::System gas_system{1, gas.mass_id(), g.mass,
                                    gas.position_id(), g.position};
-    std::optional<Future> on_stars = coupler.accel_for_async(
-        FieldTag::gas_on_stars, gas_system, star_system);
-    std::optional<Future> on_gas = coupler.accel_for_async(
-        FieldTag::stars_on_gas, star_system, gas_system);
+    FieldClient::Pending on_stars =
+        coupler.accel_for_async(star_system, {gas_system});
+    FieldClient::Pending on_gas =
+        coupler.accel_for_async(gas_system, {star_system});
 
     const std::vector<kernels::Vec3>& accel_on_stars =
-        coupler.finish_accel(FieldTag::gas_on_stars, on_stars);
+        coupler.finish_accel(on_stars);
     std::vector<kernels::Vec3> star_kicks(accel_on_stars.size());
     for (std::size_t i = 0; i < star_kicks.size(); ++i) {
       star_kicks[i] = accel_on_stars[i] * dt;
     }
     const std::vector<kernels::Vec3>& accel_on_gas =
-        coupler.finish_accel(FieldTag::stars_on_gas, on_gas);
+        coupler.finish_accel(on_gas);
     std::vector<kernels::Vec3> gas_kicks(accel_on_gas.size());
     for (std::size_t i = 0; i < gas_kicks.size(); ++i) {
       gas_kicks[i] = accel_on_gas[i] * dt;

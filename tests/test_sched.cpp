@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "amuse/experiment.hpp"
 #include "amuse/scenario.hpp"
 #include "sched/scheduler.hpp"
 
@@ -297,8 +298,53 @@ TEST(Sched, CommTermMatchesMeasuredSteadyStateWanBytes) {
   // calls.
   double modeled_per_step =
       coupling_upload_bytes(options.n_stars + options.n_gas, 2) +
-      coupling_reply_bytes(options.n_stars, options.n_gas) +
+      coupling_reply_bytes(options.n_stars + options.n_gas) +
       2.0 * kCallOverheadBytes;
+  EXPECT_GT(measured_per_step, 0.75 * modeled_per_step);
+  EXPECT_LT(measured_per_step, 1.25 * modeled_per_step);
+}
+
+TEST(Sched, CommTermMatchesRingWanBytes) {
+  // The same check on a ring of three clusters that share one remote
+  // coupler: each cluster is kicked by two couplings, yet the coupler sees
+  // one query and sends one reply per kicked cluster per cross-kick.
+  util::Config config = util::Config::load(
+      std::string(JUNGLE_SOURCE_DIR) +
+      "/examples/experiments/triple-plummer.ini");
+  amuse::experiment::ExperimentSpec spec = amuse::experiment::ExperimentSpec::from_config(config);
+  for (amuse::experiment::ModelSpec& model : spec.models) {
+    if (model.name == "ringfield") model.place = "cluster";
+  }
+  auto wan_ipl_bytes = [&](int iterations) {
+    spec.iterations = iterations;
+    JungleTestbed bed(config);
+    amuse::experiment::Result result = amuse::experiment::run_experiment(bed, spec);
+    EXPECT_EQ(result.restarts, 0);
+    return result.wan_ipl_bytes;
+  };
+  double measured_per_step = (wan_ipl_bytes(4) - wan_ipl_bytes(2)) / 2.0;
+
+  // Only the coupler sits across the WAN: one fresh exchange (a query per
+  // cluster, each cluster's positions once) and one all-cache-hit exchange
+  // per step.
+  JungleTestbed bed(config);
+  Placement plan = amuse::experiment::plan_experiment(bed, spec);
+  std::size_t clusters = 0;
+  std::size_t particles = 0;
+  for (std::size_t i = 0; i < plan.roles.size(); ++i) {
+    if (plan.kinds[i] == Role::coupler) {
+      EXPECT_EQ(plan.roles[i].resource, "cluster");
+      continue;
+    }
+    EXPECT_TRUE(plan.roles[i].local()) << plan.names[i];
+    ++clusters;
+    particles += spec.models[static_cast<std::size_t>(
+                                 spec.find(plan.names[i]))].n;
+  }
+  ASSERT_EQ(clusters, 3u);
+  double modeled_per_step =
+      coupling_upload_bytes(particles, 3) + coupling_reply_bytes(particles) +
+      3.0 * kCallOverheadBytes;
   EXPECT_GT(measured_per_step, 0.75 * modeled_per_step);
   EXPECT_LT(measured_per_step, 1.25 * modeled_per_step);
 }

@@ -273,22 +273,18 @@ double cross_kick_wan_mb(std::size_t n_gas, bool remote_coupler) {
                 cloud.internal_energy);
 
     bed.network().reset_traffic();
-    // Gather both states, one coupler query per direction, kick. Zero state
-    // ids match no cache on either side, so every state ships.
+    // Gather both states, one coupler query per kicked system, kick. Zero
+    // state ids match no cache on either side, so every state ships.
     auto star_state = stars.get_state();
     auto gas_state = gas.get_state();
     const FieldClient::System star_system{0, 0, star_state.mass, 0,
                                           star_state.position};
     const FieldClient::System gas_system{1, 0, gas_state.mass, 0,
                                          gas_state.position};
-    auto stars_reply = coupler.accel_for_async(FieldTag::gas_on_stars,
-                                               gas_system, star_system);
-    auto gas_reply = coupler.accel_for_async(FieldTag::stars_on_gas,
-                                             star_system, gas_system);
-    std::vector<Vec3> on_stars =
-        coupler.finish_accel(FieldTag::gas_on_stars, stars_reply);
-    std::vector<Vec3> on_gas =
-        coupler.finish_accel(FieldTag::stars_on_gas, gas_reply);
+    auto stars_reply = coupler.accel_for_async(star_system, {gas_system});
+    auto gas_reply = coupler.accel_for_async(gas_system, {star_system});
+    std::vector<Vec3> on_stars = coupler.finish_accel(stars_reply);
+    std::vector<Vec3> on_gas = coupler.finish_accel(gas_reply);
     for (Vec3& a : on_stars) a = a * 0.01;
     for (Vec3& a : on_gas) a = a * 0.01;
     stars.kick(on_stars);
