@@ -197,6 +197,57 @@ TEST(AmuseLocal, FieldWorkerComputesCrossGravity) {
   });
 }
 
+TEST(AmuseLocal, FieldQuerySumsItsSourcesInOrder) {
+  // One query per kicked system: the worker folds its sources' accels left
+  // in the order named, bit for bit what adding one-source answers on the
+  // client gives; a source named twice counts twice; and an unchanged query
+  // is answered by the client without an RPC.
+  LocalWorld w;
+  w.run([&] {
+    FieldClient field(start_local_worker(w.sockets, w.net, *w.desktop,
+                                         *w.desktop, {.code = "fi"},
+                                         ChannelKind::socket));
+    util::Rng rng(21);
+    auto a = ic::plummer_sphere(16, rng);
+    auto b = ic::plummer_sphere(24, rng);
+    auto points = ic::plummer_sphere(12, rng);
+    const FieldClient::System target{0, 0, {}, make_state_id(9, 1),
+                                     points.position};
+    const FieldClient::System first{1, make_state_id(9, 2), a.mass,
+                                    make_state_id(9, 3), a.position};
+    const FieldClient::System second{2, make_state_id(9, 4), b.mass,
+                                     make_state_id(9, 5), b.position};
+    auto ask = [&](const std::vector<FieldClient::System>& sources) {
+      auto query = field.accel_for_async(target, sources);
+      std::vector<Vec3> accel = field.finish_accel(query);
+      return std::pair{accel, query.reply.has_value()};
+    };
+    auto [one, one_sent] = ask({first});
+    auto [two, two_sent] = ask({second});
+    auto [both, both_sent] = ask({first, second});
+    auto [twice, twice_sent] = ask({first, first});
+    EXPECT_TRUE(one_sent && two_sent && both_sent && twice_sent);
+    ASSERT_EQ(both.size(), points.position.size());
+    ASSERT_EQ(twice.size(), points.position.size());
+    for (std::size_t i = 0; i < both.size(); ++i) {
+      Vec3 sum = one[i] + two[i];
+      EXPECT_EQ(both[i].x, sum.x);
+      EXPECT_EQ(both[i].y, sum.y);
+      EXPECT_EQ(both[i].z, sum.z);
+      Vec3 doubled = one[i] + one[i];
+      EXPECT_EQ(twice[i].x, doubled.x);
+      EXPECT_EQ(twice[i].y, doubled.y);
+      EXPECT_EQ(twice[i].z, doubled.z);
+    }
+    auto [again, again_sent] = ask({first, second});
+    EXPECT_FALSE(again_sent);
+    EXPECT_EQ(std::memcmp(again.data(), both.data(),
+                          both.size() * sizeof(Vec3)),
+              0);
+    field.close();
+  });
+}
+
 TEST(AmuseLocal, FieldQueryFromAResetClientIsRecomputed) {
   // A revived coupler's client forgets what it shipped; the worker keeps
   // what it holds. The same query, asked again with the same nonzero ids,

@@ -253,6 +253,36 @@ TEST(BarnesHut, BatchedAccelMatchesSerialBitExactly) {
   EXPECT_EQ(tree.interactions() - before, count);
 }
 
+TEST(BarnesHut, AccelIndependentOfThreadCount) {
+  // The coupler's per-source accels, and so its summed answer, must not
+  // depend on the lane count: a fig6-sized input (1000 stars in the field
+  // of 10000 gas particles) and a ring-sized one (16 in the field of 16),
+  // batch-evaluated at 1 and at 4 lanes.
+  util::Rng rng(23);
+  for (auto [n_sources, n_points] :
+       {std::pair<std::size_t, std::size_t>{10000, 1000}, {16, 16}}) {
+    auto sources = amuse::ic::plummer_sphere(n_sources, rng);
+    auto points = amuse::ic::plummer_sphere(n_points, rng);
+    auto accel = [&](unsigned lanes) {
+      util::ThreadPool pool(lanes);
+      BarnesHutTree tree(0.6, 1e-4);
+      tree.set_thread_pool(&pool);
+      tree.build(sources.position, sources.mass);
+      std::vector<Vec3> out(points.position.size());
+      tree.accel_at(points.position, out);
+      return out;
+    };
+    std::vector<Vec3> one = accel(1);
+    std::vector<Vec3> four = accel(4);
+    ASSERT_EQ(one.size(), four.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(one[i].x, four[i].x) << n_sources << " " << i;
+      EXPECT_EQ(one[i].y, four[i].y) << n_sources << " " << i;
+      EXPECT_EQ(one[i].z, four[i].z) << n_sources << " " << i;
+    }
+  }
+}
+
 TEST(BarnesHut, CrossForcesAreSymmetricInMass) {
   // Field of a 2-mass source at a probe: doubling source masses doubles
   // the acceleration.
